@@ -19,7 +19,6 @@ a later complex with the same combinatorial shape whose entire
 parameter vector is a common exact multiple of the earlier one.
 """
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,12 +96,21 @@ class Band:
 
 
 class BandComplex:
-    __slots__ = ("field", "supports", "bands")
+    """Support arcs plus bands over them.
+
+    A complex is immutable: no code outside the constructors assigns to
+    a complex, its arcs, its bands or their ends, and every move builds a
+    new complex.  `segmentation` is therefore computed once per complex
+    and cached in the `_segmentation` slot.
+    """
+
+    __slots__ = ("field", "supports", "bands", "_segmentation")
 
     def __init__(self, field, supports, bands):
         self.field = field
         self.supports = tuple(supports)
         self.bands = tuple(bands)
+        self._segmentation = None
         for b in self.bands:
             for e in b.ends():
                 arc = self.supports[e.arc]
@@ -111,14 +119,6 @@ class BandComplex:
 
     def __repr__(self):
         return f"BandComplex({list(self.supports)}, {list(self.bands)})"
-
-
-def _cmp_values(x, y):
-    return (x - y).sign()
-
-
-def _sorted_values(vals):
-    return sorted(vals, key=functools.cmp_to_key(_cmp_values))
 
 
 def _dedup_sorted(vals):
@@ -159,13 +159,18 @@ def _breakpoints(x, arc_idx):
             if e.arc == arc_idx:
                 pts.append(e.lo)
                 pts.append(e.hi)
-    return _dedup_sorted(_sorted_values(pts))
+    return _dedup_sorted(sorted(pts))
 
 
 def segmentation(x):
     """Per arc: breakpoints and elementary segments with their covering
     band ends.  Returns (breaks, segs) where segs is a flat list of
-    (arc_idx, lo, hi, covers) and covers lists (band_idx, role)."""
+    (arc_idx, lo, hi, covers) and covers lists (band_idx, role).
+
+    The result is cached on the complex and shared by every caller, so
+    it must not be modified."""
+    if x._segmentation is not None:
+        return x._segmentation
     breaks = [_breakpoints(x, i) for i in range(len(x.supports))]
     segs = []
     for ai, pts in enumerate(breaks):
@@ -178,7 +183,8 @@ def segmentation(x):
                     if (lo - e.lo).sign() >= 0 and (e.hi - hi).sign() >= 0:
                         covers.append((bi, role))
             segs.append((ai, lo, hi, covers))
-    return breaks, segs
+    x._segmentation = (breaks, segs)
+    return x._segmentation
 
 
 def segment_values(x):
@@ -241,14 +247,12 @@ class _Tracker:
         self.breaks, segs = segmentation(x)
         self.dim = len(segs)
         self.seg_index = {}
-        self.arc_of_seg = []
         k = 0
         for ai, pts in enumerate(self.breaks):
             for i in range(len(pts) - 1):
                 self.seg_index[(ai, i)] = k
-                self.arc_of_seg.append(ai)
                 k += 1
-        self.values = [hi - lo for _, lo, hi, _ in segs]
+        self.values = segment_values(x)
 
     def ordinal(self, arc, p):
         pts = self.breaks[arc]
@@ -301,34 +305,15 @@ def _row_check(tracker, row, expected):
         raise AuditError("segment bookkeeping row does not match its value")
 
 
-def _reindex_arcs(arcs_with_keys):
+def _reindex_arcs(arcs):
     """Sort arcs by position, return (sorted arcs, old->new index map)."""
-    order = sorted(
-        range(len(arcs_with_keys)),
-        key=functools.cmp_to_key(
-            lambda i, j: _cmp_values(arcs_with_keys[i].lo, arcs_with_keys[j].lo)
-        ),
-    )
+    order = sorted(range(len(arcs)), key=lambda i: arcs[i].lo)
     remap = {old: new for new, old in enumerate(order)}
-    return [arcs_with_keys[i] for i in order], remap
+    return [arcs[i] for i in order], remap
 
 
-def _band_cmp(b1, b2):
-    for e1, e2 in zip(
-        (b1.bottom.arc, b1.bottom.lo, b1.bottom.hi, b1.top.arc, b1.top.lo, b1.top.hi),
-        (b2.bottom.arc, b2.bottom.lo, b2.bottom.hi, b2.top.arc, b2.top.lo, b2.top.hi),
-    ):
-        if isinstance(e1, int):
-            if e1 != e2:
-                return -1 if e1 < e2 else 1
-        else:
-            s = (e1 - e2).sign()
-            if s:
-                return s
-    return 0
-
-
-_BAND_KEY = functools.cmp_to_key(_band_cmp)
+def _band_key(b):
+    return (b.bottom.arc, b.bottom.lo, b.bottom.hi, b.top.arc, b.top.lo, b.top.hi)
 
 
 def _flip_normalized(band):
@@ -361,14 +346,14 @@ def _normalized(x, band_rows=None):
             )
         )
     bands = [_flip_normalized(b) for b in bands]
-    order = sorted(range(len(bands)), key=lambda i: _BAND_KEY(bands[i]))
+    order = sorted(range(len(bands)), key=lambda i: _band_key(bands[i]))
     out = BandComplex(x.field, arcs, [bands[i] for i in order])
     if band_rows is None:
         return out
     return out, [band_rows[i] for i in order]
 
 
-def _transition_matrix(x_old, x_new, images=None):
+def _transition_matrix(x_old, x_new, images):
     """Rows expressing each segment of x_new over the segments of x_old.
 
     `images` maps a position value that is not a previous breakpoint to
@@ -389,11 +374,10 @@ def _transition_matrix(x_old, x_new, images=None):
     def rep(p, old_arc):
         if tr.ordinal(old_arc, p) is not None:
             return (old_arc, p, [0] * tr.dim)
-        if images:
-            for key, (a_arc, a_val, span_spec) in images.items():
-                if (p - key).is_zero():
-                    s_arc, s_from, s_to = span_spec
-                    return (a_arc, a_val, tr.span(s_arc, s_from, s_to))
+        for key, (a_arc, a_val, span_spec) in images.items():
+            if (p - key).is_zero():
+                s_arc, s_from, s_to = span_spec
+                return (a_arc, a_val, tr.span(s_arc, s_from, s_to))
         raise AuditError("breakpoint has no previous representation")
 
     rows = []
@@ -501,8 +485,7 @@ def _collapse(x, rec):
         j0 + shift: (o.arc, o.lo, (alpha, e.lo, j0)),
         j1 + shift: (o.arc, o.lo, (alpha, e.lo, j1)),
     }
-    u = _transition_matrix(x, out, images)
-    return out, u, rows
+    return out, images, rows
 
 
 def collapse_free_subarc(x, arc, interval=None):
@@ -575,30 +558,25 @@ def _merge_once(x, hit):
             raw_bands.append(b)
             raw_rows.append([int(t == k) for t in range(n)])
     raw = BandComplex(x.field, list(x.supports), raw_bands)
-    out, rows = _normalized(raw, raw_rows)
-    u = _transition_matrix(x, out)
-    return out, u, rows
+    return _normalized(raw, raw_rows)
 
 
 def _merge(x):
-    u_total = _unit_rows(len(segment_values(x)))
     v_total = _unit_rows(len(x.bands))
     hits = []
     while True:
         hit = _find_merge(x)
         if hit is None:
-            break
+            return x, v_total, hits
         hits.append(hit)
-        x, u, v = _merge_once(x, hit)
-        u_total = _mat_mul(u, u_total)
+        x, v = _merge_once(x, hit)
         v_total = _mat_mul(v, v_total)
-    return x, u_total, v_total, hits
 
 
 def merge_long_bands(x):
     """Fuse every chain of bands glued end to end along shared bases
     that meet no other band; lengths add along the chain."""
-    out, _, _, _ = _merge(x)
+    out, _, _ = _merge(x)
     return out
 
 
@@ -635,14 +613,12 @@ def _drop_dead(x):
         for b in x.bands
     ]
     raw = BandComplex(x.field, raw_arcs, raw_bands)
-    out, rows = _normalized(raw, _unit_rows(len(x.bands)))
-    u = _transition_matrix(x, out)
-    return out, u, rows
+    return _normalized(raw, _unit_rows(len(x.bands)))
 
 
 def drop_dead_subarcs(x):
     """Delete every maximal support subarc carrying no base."""
-    out, _, _ = _drop_dead(x)
+    out, _ = _drop_dead(x)
     return out
 
 
@@ -672,15 +648,19 @@ def _rips_step_tracked(x):
         if r.arc < best.arc or (r.arc == best.arc and (r.lo - best.lo).sign() < 0):
             best = r
     log = [{"move": "collapse", "arc": best.arc, "band": best.band, "end": best.role}]
-    x1, u1, v1 = _collapse(x, best)
-    x2, u2, v2, hits = _merge(x1)
+    x1, images, v1 = _collapse(x, best)
+    x2, v2, hits = _merge(x1)
     for (bi, _), (bj, _) in hits:
         log.append({"move": "merge", "bands": [bi, bj]})
-    x3, u3, v3 = _drop_dead(x2)
-    dropped = len(segment_values(x2)) - len(segment_values(x3))
+    x3, v3 = _drop_dead(x2)
+    dropped = len(segmentation(x2)[1]) - len(segmentation(x3)[1])
     if dropped:
         log.append({"move": "drop-dead", "segments": dropped})
-    u = _mat_mul(u3, _mat_mul(u2, u1))
+    # Every arc of x3 lies inside an arc of x, and every breakpoint of x3
+    # is a breakpoint of x or one of the two collapse images (merging only
+    # removes breakpoints, drop-dead only removes segments), so one matrix
+    # from x to x3 covers the whole step.
+    u = _transition_matrix(x, x3, images)
     v = _mat_mul(v3, _mat_mul(v2, v1))
     return x3, u, v, log
 
@@ -718,6 +698,15 @@ def combinatorial_signature(x):
     return (segs, tuple(bands))
 
 
+def _state(cx):
+    return {
+        "complex": cx,
+        "sig": combinatorial_signature(cx),
+        "params": segment_values(cx),
+        "lengths": [b.length for b in cx.bands],
+    }
+
+
 @dataclass
 class CycleReport:
     prefix_steps: int
@@ -740,14 +729,8 @@ def detect_rips_cycle(x, max_steps):
     factor below 1.  The report carries the integer period matrices for
     segment lengths (width_matrix) and band lengths (length_matrix)."""
     cur = _normalized(x)
-    states = [
-        {
-            "complex": cur,
-            "sig": combinatorial_signature(cur),
-            "params": segment_values(cur),
-            "lengths": [b.length for b in cur.bands],
-        }
-    ]
+    states = [_state(cur)]
+    by_sig = {states[0]["sig"]: [0]}
     u_steps = []
     v_steps = []
     for t in range(1, max_steps + 1):
@@ -757,16 +740,10 @@ def detect_rips_cycle(x, max_steps):
             raise NotFound(f"machine halted after {t - 1} steps without a cycle")
         u_steps.append(u)
         v_steps.append(v)
-        state = {
-            "complex": cur,
-            "sig": combinatorial_signature(cur),
-            "params": segment_values(cur),
-            "lengths": [b.length for b in cur.bands],
-        }
+        state = _state(cur)
         states.append(state)
-        for s in range(t):
-            if states[s]["sig"] != state["sig"]:
-                continue
+        earlier = by_sig.setdefault(state["sig"], [])
+        for s in earlier:
             ps, pt = states[s]["params"], state["params"]
             if not ps:
                 continue
@@ -797,6 +774,7 @@ def detect_rips_cycle(x, max_steps):
                 complex_end=state["complex"],
                 phases=tuple(st["complex"] for st in states[s : t + 1]),
             )
+        earlier.append(t)
     raise NotFound(f"no cycle within {max_steps} machine steps")
 
 

@@ -18,7 +18,6 @@ the start system scaled by an exact contraction factor.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import polynomials as P
 from .errors import (
     AmbiguousMove,
     InvalidSystem,
@@ -135,7 +134,7 @@ class IIS:
 
         Valid for fields with canonical residues (irreducible modulus).
         """
-        cps = _value_sorted([p.canonical() for p in self.pairs])
+        cps = sorted(p.canonical() for p in self.pairs)
         return (
             tuple(x.coeffs for x in self.support),
             tuple(tuple(x.coeffs for x in t) for t in cps),
@@ -145,19 +144,6 @@ class IIS:
         lo, hi = self.support
         body = "; ".join(repr(p) for p in self.pairs)
         return f"IIS([{float(lo):.4f},{float(hi):.4f}]; {body})"
-
-
-def _value_sorted(tuples):
-    import functools
-
-    def cmp(s, t):
-        for x, y in zip(s, t):
-            sg = (x - y).sign()
-            if sg:
-                return sg
-        return 0
-
-    return sorted(tuples, key=functools.cmp_to_key(cmp))
 
 
 def system_field(name):
@@ -287,13 +273,6 @@ def _same_interval(u, v):
     return (u[0] - v[0]).is_zero() and (u[1] - v[1]).is_zero()
 
 
-def transmission_admissibility(s, j, which_side_of_j):
-    """Which admissibility flags pair j's designated interval carries."""
-    a0, b0 = s.support
-    lo, hi = s.pairs[j].interval(which_side_of_j)
-    return {"left": (lo - a0).is_zero(), "right": (hi - b0).is_zero()}
-
-
 def _end_touchers(s, side):
     """(pair, side) of every interval whose outer endpoint hits the support end."""
     a0, b0 = s.support
@@ -415,8 +394,8 @@ def affine_match(base, other):
     def img(x):
         return k * x + t
 
-    base_pairs = _value_sorted([p.canonical() for p in base.pairs])
-    other_pairs = _value_sorted([p.canonical() for p in other.pairs])
+    base_pairs = sorted(p.canonical() for p in base.pairs)
+    other_pairs = sorted(p.canonical() for p in other.pairs)
     for bp, op in zip(base_pairs, other_pairs):
         for xb, xo in zip(bp, op):
             if not (img(xb) - xo).is_zero():

@@ -231,17 +231,7 @@ def eigen_kernel(m, mu, unit_sum_indices=None):
 
 def perron_root(m, eps):
     """Rational approximation within eps of the largest real eigenvalue."""
-    if not m.is_square():
-        raise NotSquare("Perron root of a non-square matrix")
-    if any(e < 0 for e in m.entries):
-        raise NegativeEntries("matrix must be entrywise nonnegative")
-    eps = Fraction(eps)
-    cp = char_poly(m)
-    intervals = P.isolate_real_roots(cp)
-    if not intervals:
-        raise NotAnEigenvalue("no real eigenvalues")
-    lo, hi = intervals[-1]
-    lo, hi = P.refine_root(P.squarefree_part(cp), lo, hi, eps) if lo != hi else (lo, hi)
+    lo, hi = perron_root_interval(m, eps)
     return (lo + hi) / 2
 
 

@@ -86,15 +86,21 @@ def _compiled(surface):
     }
 
 
+def _window_radius(R):
+    R = float(R)
+    if not 0 < R < np.inf:
+        raise EmptyWindow("window radius must be positive and finite, got %r" % (R,))
+    return R
+
+
 def _emit(surface, level, R, eps):
-    if not R > 0:
-        raise EmptyWindow("window radius must be positive, got %r" % (R,))
+    R = _window_radius(R)
     level = float(level)
     if not np.isfinite(level):
         raise ValueError("section level must be finite")
     c = _compiled(surface)
     seg, clip, near = _kernels.emit_segments(
-        level, float(R), eps,
+        level, R, eps,
         c["plate_z"], c["plate_x0"], c["plate_x1"], c["plate_y0"], c["plate_y1"],
         c["hole_pid"], c["hole_x0"], c["hole_x1"], c["hole_y0"], c["hole_y1"],
         c["vw_x"], c["vw_y0"], c["vw_y1"], c["vw_z0"], c["vw_z1"],
@@ -162,9 +168,9 @@ def trace_section(surface, level, R, eps=None):
     """Trace the section of ``surface`` by the plane x2 = level.
 
     The window is the square |x1| <= R, |x3| <= R.  Raises EmptyWindow for a
-    nonpositive radius and NearSaddle when the level comes within eps of a
-    tangency face of any translate meeting the window.  Returns a tuple of
-    SectionComponent, spanning curves first.
+    radius that is not positive and finite, and NearSaddle when the level
+    comes within eps of a tangency face of any translate meeting the
+    window.  Returns a tuple of SectionComponent, spanning curves first.
     """
     if eps is None:
         eps = default_eps()
@@ -226,6 +232,7 @@ def sample_levels(surface, count, seed, R, eps=None):
     tangency faces so trace_section accepts every one of them."""
     if eps is None:
         eps = default_eps()
+    R = _window_radius(R)
     rng = np.random.default_rng(seed)
     period = float(surface.plate_period)
     c = _compiled(surface)
@@ -234,7 +241,7 @@ def sample_levels(surface, count, seed, R, eps=None):
     while len(out) < count:
         level = float(rng.uniform(0.0, period))
         _s, _c, near = _kernels.emit_segments(
-            level, float(R), eps,
+            level, R, eps,
             c["plate_z"], c["plate_x0"], c["plate_x1"], c["plate_y0"], c["plate_y1"],
             c["hole_pid"], c["hole_x0"], c["hole_x1"], c["hole_y0"], c["hole_y1"],
             c["vw_x"], c["vw_y0"], c["vw_y1"], c["vw_z0"], c["vw_z1"],

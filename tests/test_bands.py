@@ -14,6 +14,7 @@ from thinsections.bands import (
     BandEnd,
     CycleReport,
     SupportArc,
+    _rips_step_tracked,
     collapse_free_subarc,
     complex_from_iis,
     detect_rips_cycle,
@@ -23,6 +24,7 @@ from thinsections.bands import (
     one_end_criterion,
     pruning_decay,
     rips_step,
+    segment_values,
     segmentation,
     support_measure,
 )
@@ -713,3 +715,27 @@ def test_step_bookkeeping_randomized(s):
     assert log[0]["move"] == "collapse"
     assert (support_measure(final) - support_measure(auto)).is_zero()
     assert len(final.bands) == len(auto.bands)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems())
+def test_step_matrices_reproduce_parameters(s):
+    # each step's u maps the old segment lengths onto the new ones and its
+    # v maps the old band lengths onto the new ones, exactly
+    x = complex_from_iis(s)
+    for _ in range(4):
+        try:
+            y, u, v, _ = _rips_step_tracked(x)
+        except Halted:
+            return
+        old, new = segment_values(x), segment_values(y)
+        assert len(u) == len(new)
+        for row, target in zip(u, new):
+            assert len(row) == len(old)
+            assert sum((val * c for c, val in zip(row, old) if c), _QF.zero) == target
+        lengths = [b.length for b in x.bands]
+        assert len(v) == len(y.bands)
+        for row, band in zip(v, y.bands):
+            assert len(row) == len(lengths)
+            assert sum(c * l for c, l in zip(row, lengths)) == band.length
+        x = y

@@ -246,9 +246,13 @@ def test_section_seed_changes_sampling(tmp_path, capsys):
     assert first.splitlines()[1] != second.splitlines()[1]
 
 
-def test_section_rejects_nonpositive_radius():
+def test_section_rejects_nonpositive_radius(capsys):
     assert main(["section", "--example", "1", "--level", "0.1",
                  "--radius", "0"]) == 2
+    for extra in (["--level", "0.1"], ["--levels", "1"]):
+        assert main(["section", "--example", "1", "--radius", "inf", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
 
 
 def test_section_requires_levels_or_level():

@@ -1,6 +1,7 @@
 """Plane-section tracing: windows, censuses, kernels, fallback parity."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -36,10 +37,11 @@ def ex2():
 
 
 def test_nonpositive_radius_rejected(ex1):
-    with pytest.raises(EmptyWindow):
-        trace_section(ex1, 0.1, 0.0)
-    with pytest.raises(EmptyWindow):
-        trace_section(ex1, 0.1, -3.0)
+    for R in (0.0, -3.0, math.inf, math.nan):
+        with pytest.raises(EmptyWindow):
+            trace_section(ex1, 0.1, R)
+        with pytest.raises(EmptyWindow):
+            sample_levels(ex1, 1, 0, R)
 
 
 def test_tiny_window_is_empty(ex1):
