@@ -1,221 +1,126 @@
-"""Numeric kernels for plane-section tracing.
+"""Numeric kernels for plane-section tracing, in plain numpy.
 
-Hot loops live here so they can be jit-compiled.  Set THINSECTIONS_NO_NUMBA
-to a nonempty value (other than "0") to run the same code interpreted; the
-two paths execute identical source, so the fallback is a correctness
-reference as well as an escape hatch.
+``emit_segments`` and ``match_endpoints`` are array code over the lattice
+translates and over the segment endpoints; Python loops run only over the
+few plates, holes and walls of one fundamental domain.  ``flood_spanning``
+is the independent rasterised census that the tests hold the endpoint walk
+against; it stays a plain loop.
 """
-
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("THINSECTIONS_NO_NUMBA", "") not in ("", "0")
+# Kept for the benchmark's environment record: there is no compiled path.
+USING_NUMBA = False
 
 
-def _identity(f):
-    return f
-
-if _DISABLED:
-    _jit = _identity
-else:
-    try:
-        from numba import njit
-
-        _jit = njit(cache=True)
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _jit = _identity
-
-USING_NUMBA = _jit is not _identity
+# k3 values per block of translates: bounds emit_segments' temporaries.
+_K3_BLOCK = 32
 
 
-@_jit
-def emit_segments(level, R, eps,
-                  plate_z, plate_x0, plate_x1, plate_y0, plate_y1,
-                  hole_pid, hole_x0, hole_x1, hole_y0, hole_y1,
-                  vw_x, vw_y0, vw_y1, vw_z0, vw_z1,
-                  tang_y, e2y, period, e3y):
+def emit_segments(level, R, plates, walls, tang_y, e2y, period, e3y):
     """Intersect the window [-R, R]^2 of the plane x2 = level with every
     lattice translate of the fundamental pieces.
 
-    Returns (segments, clip flags, tangency distance): segments are rows
-    (x0, z0, x1, z1) with z0 == z1 for plate traces and x0 == x1 for wall
-    traces; a clip flag marks an endpoint produced by the window cut.  The
-    tangency distance is the smallest |level - y| over every tangency face
-    of an enumerated translate, for the caller's near-saddle guard.
+    ``plates`` holds (z, x0, x1, y0, y1, holes) with each plate's holes as
+    (x0, x1, y0, y1) in order of x0; ``walls`` holds the vertical walls as
+    (x, y0, y1, z0, z1).  Returns (segments, clip flags, tangency distance).
+    Segments are rows (x0, z0, x1, z1) with z0 == z1 for plate traces and
+    x0 == x1 for wall traces, ordered by translate (k3, then s, then k1),
+    then plate pieces left to right, then walls.  A clip flag marks an
+    endpoint produced by the window cut.  The tangency distance is the
+    smallest |level - y| over every tangency face of an enumerated
+    translate, for the caller's near-saddle guard.
     """
-    s_lo = int(np.floor(-R - 1.0))
-    s_hi = int(np.floor(R))
-    n_s = s_hi - s_lo + 1
+    steps = np.arange(int(np.floor(-R - 1.0)), int(np.floor(R)) + 1)
+    blocks = [_emit_block(level, R, steps[i:i + _K3_BLOCK], steps, plates, walls,
+                          tang_y, e2y, period, e3y)
+              for i in range(0, steps.shape[0], _K3_BLOCK)]
+    return (np.concatenate([b[0] for b in blocks]),
+            np.concatenate([b[1] for b in blocks]), min(b[2] for b in blocks))
+
+
+def _emit_block(level, R, k3s, steps, plates, walls, tang_y, e2y, period, e3y):
+    """emit_segments for the translates whose k3 lies in ``k3s``."""
     margin = 1e-6
-    per_translate = plate_z.shape[0] * (hole_pid.shape[0] + 1) + vw_x.shape[0]
-    cap = n_s * n_s * 3 * per_translate
-    out = np.empty((cap, 4), np.float64)
-    clip = np.zeros((cap, 2), np.uint8)
-    n = 0
+    # translates: (k3, s) cells in row-major order, then k1 within a cell
+    base = (level - steps[None, :] * e2y - k3s[:, None] * e3y).ravel()
+    k1_lo = np.ceil((-margin - base) / period).astype(np.int64)
+    k1_hi = np.floor((period + margin - base) / period).astype(np.int64)
+    reps = np.maximum(k1_hi - k1_lo + 1, 0)
+    cell = np.repeat(np.arange(base.shape[0]), reps)
+    k1 = k1_lo[cell] + np.arange(cell.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
+    k3 = k3s[cell // steps.shape[0]]
+    s = steps[cell % steps.shape[0]]
+    yloc = base[cell] + k1 * period
     near = 1e300
-    nh = hole_pid.shape[0]
-    cut0 = np.empty(nh, np.float64)
-    cut1 = np.empty(nh, np.float64)
-    for k3 in range(s_lo, s_hi + 1):
-        for s in range(s_lo, s_hi + 1):
-            base = level - s * e2y - k3 * e3y
-            k1_lo = int(np.ceil((-margin - base) / period))
-            k1_hi = int(np.floor((period + margin - base) / period))
-            for k1 in range(k1_lo, k1_hi + 1):
-                yloc = base + k1 * period
-                for t in range(tang_y.shape[0]):
-                    d = abs(tang_y[t] - yloc)
-                    if d < near:
-                        near = d
-                for i in range(plate_z.shape[0]):
-                    z = plate_z[i] + k3
-                    if z < -R or z > R:
-                        continue
-                    if yloc <= plate_y0[i] or yloc >= plate_y1[i]:
-                        continue
-                    nc = 0
-                    for h in range(nh):
-                        if hole_pid[h] == i and hole_y0[h] < yloc < hole_y1[h]:
-                            a = hole_x0[h]
-                            b = hole_x1[h]
-                            j = nc
-                            while j > 0 and cut0[j - 1] > a:
-                                cut0[j] = cut0[j - 1]
-                                cut1[j] = cut1[j - 1]
-                                j -= 1
-                            cut0[j] = a
-                            cut1[j] = b
-                            nc += 1
-                    xcur = plate_x0[i]
-                    for j in range(nc + 1):
-                        if j < nc:
-                            xend = cut0[j]
-                        else:
-                            xend = plate_x1[i]
-                        xa = xcur + s
-                        xb = xend + s
-                        if j < nc:
-                            xcur = cut1[j]
-                        c0 = np.uint8(0)
-                        c1 = np.uint8(0)
-                        if xa < -R:
-                            xa = -R
-                            c0 = np.uint8(1)
-                        if xb > R:
-                            xb = R
-                            c1 = np.uint8(1)
-                        if xb - xa > 1e-12:
-                            out[n, 0] = xa
-                            out[n, 1] = z
-                            out[n, 2] = xb
-                            out[n, 3] = z
-                            clip[n, 0] = c0
-                            clip[n, 1] = c1
-                            n += 1
-                for v in range(vw_x.shape[0]):
-                    if yloc <= vw_y0[v] or yloc >= vw_y1[v]:
-                        continue
-                    x = vw_x[v] + s
-                    if x < -R or x > R:
-                        continue
-                    za = vw_z0[v] + k3
-                    zb = vw_z1[v] + k3
-                    c0 = np.uint8(0)
-                    c1 = np.uint8(0)
-                    if za < -R:
-                        za = -R
-                        c0 = np.uint8(1)
-                    if zb > R:
-                        zb = R
-                        c1 = np.uint8(1)
-                    if zb - za > 1e-12:
-                        out[n, 0] = x
-                        out[n, 1] = za
-                        out[n, 2] = x
-                        out[n, 3] = zb
-                        clip[n, 0] = c0
-                        clip[n, 1] = c1
-                        n += 1
-    return out[:n], clip[:n], near
+    if yloc.shape[0]:
+        for t in tang_y:
+            near = min(near, float(np.abs(t - yloc).min()))
+
+    picked = []  # per row slot: translates emitting it, then its six columns
+
+    def slot(keep, *cols):
+        at = np.flatnonzero(keep)
+        picked.append((at, [np.broadcast_to(c, yloc.shape)[at] for c in cols]))
+
+    for z0, x0, x1, y0, y1, holes in plates:
+        z = z0 + k3
+        on = (z >= -R) & (z <= R) & (yloc > y0) & (yloc < y1)
+        xcur = np.full(yloc.shape, x0)
+        for hx0, hx1, hy0, hy1 in (*holes, (x1, None, -np.inf, np.inf)):
+            cut = (yloc > hy0) & (yloc < hy1)
+            xa, xb = xcur + s, hx0 + s
+            c0, c1 = xa < -R, xb > R
+            xa, xb = np.where(c0, -R, xa), np.where(c1, R, xb)
+            slot(on & cut & (xb - xa > 1e-12), xa, z, xb, z, c0, c1)
+            if hx1 is not None:
+                xcur = np.where(cut, hx1, xcur)
+    for x, y0, y1, z0, z1 in walls:
+        x = x + s
+        za, zb = z0 + k3, z1 + k3
+        c0, c1 = za < -R, zb > R
+        za, zb = np.where(c0, -R, za), np.where(c1, R, zb)
+        keep = (yloc > y0) & (yloc < y1) & (x >= -R) & (x <= R) & (zb - za > 1e-12)
+        slot(keep, x, za, x, zb, c0, c1)
+
+    if not picked:
+        return np.empty((0, 4)), np.empty((0, 2), np.uint8), near
+    # a stable sort by translate keeps the slot order within each translate
+    order = np.argsort(np.concatenate([at for at, _ in picked]), kind="stable")
+    col = [np.concatenate([cols[k] for _, cols in picked])[order] for k in range(6)]
+    return np.stack(col[:4], axis=1), np.stack(col[4:], axis=1).astype(np.uint8), near
 
 
-@_jit
-def _uf_find(parent, i):
-    root = i
-    while parent[root] != root:
-        root = parent[root]
-    while parent[i] != root:
-        nxt = parent[i]
-        parent[i] = root
-        i = nxt
-    return root
-
-
-@_jit
 def match_endpoints(seg, clip, eps):
-    """Pair coincident unclipped segment endpoints and union their segments.
+    """Pair coincident unclipped segment endpoints.
 
-    Endpoints are paired greedily inside groups of equal coordinates (ties
-    broken within eps); the section curves are embedded, so every endpoint
-    has at most one partner.  Endpoint 2*i is the (x0, z0) end of segment i
-    and 2*i + 1 the other end.  Returns (segment union-find roots, partner
-    endpoint indices with -1 for unmatched).
+    Endpoint 2*i is the (x0, z0) end of segment i and 2*i + 1 the other end.
+    Endpoints fall into runs of x coordinates closer than eps; inside a run
+    they are sorted by z and neighbours within eps are paired greedily from
+    the bottom.  The section curves are embedded, so every endpoint has at
+    most one partner.  Returns the partner endpoint of every endpoint, -1
+    for an unmatched one.
     """
-    n = seg.shape[0]
-    m = 2 * n
-    ex = np.empty(m, np.float64)
-    ez = np.empty(m, np.float64)
-    valid = np.zeros(m, np.uint8)
-    for i in range(n):
-        ex[2 * i] = seg[i, 0]
-        ez[2 * i] = seg[i, 1]
-        ex[2 * i + 1] = seg[i, 2]
-        ez[2 * i + 1] = seg[i, 3]
-        valid[2 * i] = 1 - clip[i, 0]
-        valid[2 * i + 1] = 1 - clip[i, 1]
-    idx = np.empty(m, np.int64)
-    k = 0
-    for e in range(m):
-        if valid[e] == 1:
-            idx[k] = e
-            k += 1
-    order = np.argsort(ex[idx[:k]])
-    partner = np.full(m, -1, np.int64)
-    parent = np.arange(n, dtype=np.int64)
-    i = 0
-    while i < k:
-        j = i + 1
-        x0 = ex[idx[order[i]]]
-        while j < k and ex[idx[order[j]]] - x0 <= eps:
-            j += 1
-        run = j - i
-        zs = np.empty(run, np.float64)
-        for r in range(run):
-            zs[r] = ez[idx[order[i + r]]]
-        zord = np.argsort(zs)
-        r = 0
-        while r < run - 1:
-            if zs[zord[r + 1]] - zs[zord[r]] <= eps:
-                ea = idx[order[i + zord[r]]]
-                eb = idx[order[i + zord[r + 1]]]
-                partner[ea] = eb
-                partner[eb] = ea
-                ra = _uf_find(parent, ea // 2)
-                rb = _uf_find(parent, eb // 2)
-                if ra != rb:
-                    parent[ra] = rb
-                r += 2
-            else:
-                r += 1
-        i = j
-    roots = np.empty(n, np.int64)
-    for i in range(n):
-        roots[i] = _uf_find(parent, i)
-    return roots, partner
+    ends = seg.reshape(-1, 2)
+    idx = np.flatnonzero(clip.ravel() == 0)
+    x = ends[idx, 0]
+    by_x = np.argsort(x, kind="stable")
+    run = np.zeros(idx.shape[0], np.int64)
+    run[by_x[1:]] = np.cumsum(np.diff(x[by_x]) > eps)
+    order = np.lexsort((ends[idx, 1], run))
+    z = ends[idx[order], 1]
+    link = (run[order][1:] == run[order][:-1]) & (np.diff(z) <= eps)
+    # a chain of links pairs its 1st and 2nd endpoints, its 3rd and 4th, ...
+    pos = np.arange(link.shape[0])
+    chain_start = np.maximum.accumulate(np.where(link, 0, pos + 1))
+    lo = pos[link & ((pos - chain_start) % 2 == 0)]
+    a, b = idx[order[lo]], idx[order[lo + 1]]
+    partner = np.full(ends.shape[0], -1, np.int64)
+    partner[a] = b
+    partner[b] = a
+    return partner
 
 
-@_jit
 def flood_spanning(seg, R, pitch):
     """Grid flood-fill census over rasterized segments.
 

@@ -206,6 +206,8 @@ def _cmd_run(args):
 def _cmd_section(args):
     if args.radius <= 0:
         raise ThinSectionsError("--radius must be positive")
+    if args.level is None and args.levels < 1:
+        raise ThinSectionsError("--levels must be >= 1")
     surface = build_surface(args.example)
     R = args.radius
     explicit = args.level is not None

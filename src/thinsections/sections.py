@@ -1,16 +1,16 @@
 """Plane sections of the periodic surfaces.
 
 A section of the surface by a plane x2 = level is a disjoint family of
-curves, drawn in (x1, x3) coordinates.  Tracing works on floats: the exact
-surface is compiled once to arrays, every lattice translate meeting the
-requested window contributes horizontal (plate) and vertical (wall)
-segments, and coincident endpoints are joined back into curves.  Tangency
-levels are guarded against up front, so the float arithmetic only ever
-joins endpoints that agree to machine precision; the tolerance eps is a
-safety margin, not a smoothing parameter.
+curves, drawn in (x1, x3) coordinates.  Tracing works on floats with numpy:
+the exact surface is compiled once to floats, every lattice translate
+meeting the requested window contributes horizontal (plate) and vertical
+(wall) segments, coincident endpoints are paired, and one walk along the
+pairs turns each connected component into one chain.  Tangency levels are
+guarded against up front, so the float arithmetic only ever joins endpoints
+that agree to machine precision; the tolerance eps is a safety margin, not
+a smoothing parameter.
 """
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,20 +25,15 @@ __all__ = [
     "component_census",
     "grid_census",
     "sample_levels",
-    "default_eps",
+    "DEFAULT_EPS",
 ]
 
 WINDOW_CLASSES = ("spanning", "boundary-clipped", "closed")
 
+DEFAULT_EPS = 1e-9
 
-def default_eps():
-    raw = os.environ.get("THINSECTIONS_PRECISION", "")
-    if raw:
-        value = float(raw)
-        if not 0 < value < 1e-3:
-            raise ValueError("THINSECTIONS_PRECISION out of range: %r" % raw)
-        return value
-    return 1e-9
+# Draws sample_levels makes for one level before it gives up.
+_DRAWS_PER_LEVEL = 100
 
 
 @dataclass(frozen=True)
@@ -58,32 +53,19 @@ class SectionComponent:
 
 @lru_cache(maxsize=8)
 def _compiled(surface):
-    plates = surface.plates
-    holes = [(pid, h) for pid, p in enumerate(plates) for h in p.holes]
-    vw = [w for w in surface.walls if w.orient == "v"]
-    tang = [w for w in surface.walls if w.orient == "h"]
+    """The surface as emit_segments' arguments after level and R."""
     f = float
-    return {
-        "plate_z": np.array([f(p.level) for p in plates]),
-        "plate_x0": np.array([f(p.outer.x1[0]) for p in plates]),
-        "plate_x1": np.array([f(p.outer.x1[1]) for p in plates]),
-        "plate_y0": np.array([f(p.outer.x2[0]) for p in plates]),
-        "plate_y1": np.array([f(p.outer.x2[1]) for p in plates]),
-        "hole_pid": np.array([pid for pid, _ in holes], dtype=np.int64),
-        "hole_x0": np.array([f(h.x1[0]) for _, h in holes]),
-        "hole_x1": np.array([f(h.x1[1]) for _, h in holes]),
-        "hole_y0": np.array([f(h.x2[0]) for _, h in holes]),
-        "hole_y1": np.array([f(h.x2[1]) for _, h in holes]),
-        "vw_x": np.array([f(w.fixed) for w in vw]),
-        "vw_y0": np.array([f(w.span[0]) for w in vw]),
-        "vw_y1": np.array([f(w.span[1]) for w in vw]),
-        "vw_z0": np.array([f(w.x3[0]) for w in vw]),
-        "vw_z1": np.array([f(w.x3[1]) for w in vw]),
-        "tang_y": np.array([f(w.fixed) for w in tang]),
-        "e2y": f(surface.lattice[1][1]),
-        "period": f(surface.plate_period),
-        "e3y": f(surface.lattice[2][1]),
-    }
+    plates = tuple(
+        (f(p.level), f(p.outer.x1[0]), f(p.outer.x1[1]),
+         f(p.outer.x2[0]), f(p.outer.x2[1]),
+         tuple(sorted(((f(h.x1[0]), f(h.x1[1]), f(h.x2[0]), f(h.x2[1]))
+                       for h in p.holes), key=lambda h: h[0])))
+        for p in surface.plates)
+    walls = tuple((f(w.fixed), f(w.span[0]), f(w.span[1]), f(w.x3[0]), f(w.x3[1]))
+                  for w in surface.walls if w.orient == "v")
+    tang_y = np.array([f(w.fixed) for w in surface.walls if w.orient == "h"])
+    return (plates, walls, tang_y, f(surface.lattice[1][1]), f(surface.plate_period),
+            f(surface.lattice[2][1]))
 
 
 def _window_radius(R):
@@ -98,21 +80,14 @@ def _emit(surface, level, R, eps):
     level = float(level)
     if not np.isfinite(level):
         raise ValueError("section level must be finite")
-    c = _compiled(surface)
-    seg, clip, near = _kernels.emit_segments(
-        level, R, eps,
-        c["plate_z"], c["plate_x0"], c["plate_x1"], c["plate_y0"], c["plate_y1"],
-        c["hole_pid"], c["hole_x0"], c["hole_x1"], c["hole_y0"], c["hole_y1"],
-        c["vw_x"], c["vw_y0"], c["vw_y1"], c["vw_z0"], c["vw_z1"],
-        c["tang_y"], c["e2y"], c["period"], c["e3y"],
-    )
+    seg, clip, near = _kernels.emit_segments(level, R, *_compiled(surface))
     if near < eps:
         raise NearSaddle(
             "level %.12g is within %.3g of a tangency face" % (level, eps))
     return seg, clip
 
 
-def _classify(seg_rows, free_ends, R, eps):
+def _classify(seg_rows, closed, R, eps):
     xs = np.concatenate([seg_rows[:, 0], seg_rows[:, 2]])
     zs = np.concatenate([seg_rows[:, 1], seg_rows[:, 3]])
     tol = max(eps, 1e-9)
@@ -121,50 +96,40 @@ def _classify(seg_rows, free_ends, R, eps):
     diameter = max(xs.max() - xs.min(), zs.max() - zs.min())
     if spans_x or spans_z or diameter >= R:
         return "spanning"
-    if free_ends == 0:
+    if closed:
         return "closed"
     return "boundary-clipped"
 
 
-def _chains(seg_rows, partner_of):
-    """Walk segments into point chains; matched endpoints fuse segments."""
-    n = len(seg_rows)
-    used = [False] * n
-    chains = []
+def _chains(seg, partner):
+    """Walk the segments into one point chain per connected component.
 
-    def endpoint(i, side):
-        r = seg_rows[i]
-        return (r[0], r[1]) if side == 0 else (r[2], r[3])
+    Every endpoint has at most one partner, so a component is a path or a
+    cycle.  A path is walked from its first free endpoint, a cycle from its
+    first segment, and a cycle's chain ends on its first point.  Returns
+    (segment indices, chain, closed) per component.
+    """
+    ends = seg.reshape(-1, 2)
+    used = bytearray(seg.shape[0])
 
-    def walk(start, side):
-        pts = [endpoint(start, side)]
-        i, entered = start, side
+    def walk(start):
+        e, exits = start, []
         while True:
-            used[i] = True
-            out_side = 1 - entered
-            pts.append(endpoint(i, out_side))
-            nxt = partner_of.get((i, out_side))
-            if nxt is None:
-                return pts, False
-            j, jside = nxt
-            if used[j]:
-                return pts, j == start and jside == side
-            i, entered = j, jside
+            used[e >> 1] = 1
+            exits.append(e ^ 1)
+            e = partner[e ^ 1]
+            if e < 0 or used[e >> 1]:
+                break
+        pts = list(map(tuple, ends[[start] + exits].tolist()))
+        if e == start:
+            pts[-1] = pts[0]
+        return [x >> 1 for x in exits], tuple(pts), e == start
 
-    for i in range(n):
-        for side in (0, 1):
-            if not used[i] and (i, side) not in partner_of:
-                chains.append(walk(i, side)[0])
-    for i in range(n):
-        if not used[i]:
-            pts, closed = walk(i, 0)
-            if closed:
-                pts[-1] = pts[0]
-            chains.append(pts)
-    return chains
+    out = [walk(e) for e in np.flatnonzero(partner < 0).tolist() if not used[e >> 1]]
+    return out + [walk(2 * i) for i in range(len(used)) if not used[i]]
 
 
-def trace_section(surface, level, R, eps=None):
+def trace_section(surface, level, R, eps=DEFAULT_EPS):
     """Trace the section of ``surface`` by the plane x2 = level.
 
     The window is the square |x1| <= R, |x3| <= R.  Raises EmptyWindow for a
@@ -172,35 +137,14 @@ def trace_section(surface, level, R, eps=None):
     comes within eps of a tangency face of any translate meeting the
     window.  Returns a tuple of SectionComponent, spanning curves first.
     """
-    if eps is None:
-        eps = default_eps()
-    seg, clip, = _emit(surface, level, R, eps)
+    seg, clip = _emit(surface, level, R, eps)
     if seg.shape[0] == 0:
         return ()
-    roots, partner = _kernels.match_endpoints(seg, clip, eps)
-    groups = {}
-    for i, r in enumerate(roots):
-        groups.setdefault(int(r), []).append(i)
-
-    components = []
-    for members in groups.values():
-        rows = seg[members]
-        free = sum(
-            1 for i in members for side in (0, 1) if partner[2 * i + side] < 0
-        )
-        local = {m: k for k, m in enumerate(members)}
-        local_partner = {}
-        for k, m in enumerate(members):
-            for side in (0, 1):
-                p = partner[2 * m + side]
-                if p >= 0:
-                    local_partner[(k, side)] = (local[p // 2], int(p % 2))
-        chains = _chains(rows.tolist(), local_partner)
-        cls = _classify(rows, free, R, eps)
-        components.append(SectionComponent(
-            tuple(tuple((float(x), float(z)) for x, z in ch) for ch in chains),
-            cls,
-        ))
+    partner = _kernels.match_endpoints(seg, clip, eps)
+    components = [
+        SectionComponent((chain,), _classify(seg[members], closed, R, eps))
+        for members, chain, closed in _chains(seg, partner)
+    ]
     rank = {c: i for i, c in enumerate(WINDOW_CLASSES)}
     components.sort(key=lambda c: (rank[c.window_class], c.polylines))
     return tuple(components)
@@ -213,25 +157,25 @@ def component_census(components):
     return counts
 
 
-def grid_census(surface, level, R, pitch=1.0 / 64, eps=None):
+def grid_census(surface, level, R, pitch=1.0 / 64, eps=DEFAULT_EPS):
     """Flood-fill cross-check: (components, spanning) on a pitch grid.
 
     Deliberately coarse and independent of the endpoint-matching walk; the
     pitch must stay well below the 1/5 feature separation of the surfaces.
     """
-    if eps is None:
-        eps = default_eps()
     seg, _clip = _emit(surface, level, R, eps)
     if seg.shape[0] == 0:
         return 0, 0
     return _kernels.flood_spanning(seg, float(R), float(pitch))
 
 
-def sample_levels(surface, count, seed, R, eps=None):
+def sample_levels(surface, count, seed, R, eps=DEFAULT_EPS):
     """Deterministic section levels over one x2-period, resampled away from
-    tangency faces so trace_section accepts every one of them."""
-    if eps is None:
-        eps = default_eps()
+    tangency faces so trace_section accepts every one of them.
+
+    Raises NearSaddle when _DRAWS_PER_LEVEL draws in a row all fall within
+    the guard of a tangency face of some translate in the window.
+    """
     R = _window_radius(R)
     rng = np.random.default_rng(seed)
     period = float(surface.plate_period)
@@ -239,14 +183,13 @@ def sample_levels(surface, count, seed, R, eps=None):
     out = []
     guard = 10.0 * max(eps, 1e-12)
     while len(out) < count:
-        level = float(rng.uniform(0.0, period))
-        _s, _c, near = _kernels.emit_segments(
-            level, R, eps,
-            c["plate_z"], c["plate_x0"], c["plate_x1"], c["plate_y0"], c["plate_y1"],
-            c["hole_pid"], c["hole_x0"], c["hole_x1"], c["hole_y0"], c["hole_y1"],
-            c["vw_x"], c["vw_y0"], c["vw_y1"], c["vw_z0"], c["vw_z1"],
-            c["tang_y"], c["e2y"], c["period"], c["e3y"],
-        )
-        if near >= guard:
-            out.append(level)
+        for _ in range(_DRAWS_PER_LEVEL):
+            level = float(rng.uniform(0.0, period))
+            if _kernels.emit_segments(level, R, *c)[2] >= guard:
+                out.append(level)
+                break
+        else:
+            raise NearSaddle(
+                "no level in %d draws is %.3g away from every tangency face "
+                "at R = %g" % (_DRAWS_PER_LEVEL, guard, R))
     return out

@@ -255,6 +255,13 @@ def test_section_rejects_nonpositive_radius(capsys):
         assert err.startswith("error:") and "finite" in err
 
 
+def test_section_rejects_fewer_than_one_level(capsys):
+    for n in ("0", "-2"):
+        assert main(["section", "--example", "1", "--levels", n, "--radius", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--levels" in err
+
+
 def test_section_requires_levels_or_level():
     with pytest.raises(SystemExit) as info:
         main(["section", "--example", "1", "--radius", "5"])

@@ -1,6 +1,5 @@
-"""Plane-section tracing: windows, censuses, kernels, fallback parity."""
+"""Plane-section tracing: windows, censuses, kernels, level sampling."""
 
-import importlib
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from thinsections.iis import system_params
 from thinsections.sections import (
     SectionComponent,
     component_census,
-    default_eps,
     grid_census,
     sample_levels,
     trace_section,
@@ -62,15 +60,6 @@ def test_nonfinite_level_rejected(ex1):
         trace_section(ex1, float("nan"), 5.0)
 
 
-def test_precision_env_knob(monkeypatch):
-    assert default_eps() == 1e-9
-    monkeypatch.setenv("THINSECTIONS_PRECISION", "1e-8")
-    assert default_eps() == 1e-8
-    monkeypatch.setenv("THINSECTIONS_PRECISION", "0.5")
-    with pytest.raises(ValueError):
-        default_eps()
-
-
 # -- component structure -------------------------------------------------------
 
 
@@ -79,6 +68,7 @@ def test_components_are_rectilinear_chains(ex1):
     assert comps and all(isinstance(c, SectionComponent) for c in comps)
     for comp in comps:
         assert comp.window_class in ("spanning", "boundary-clipped", "closed")
+        assert len(comp.polylines) == 1
         for chain in comp.polylines:
             assert len(chain) >= 2
             for (x0, z0), (x1, z1) in zip(chain, chain[1:]):
@@ -100,12 +90,27 @@ def test_all_breaks_lie_on_window_boundary(ex1, ex2):
         for level in (0.1, 0.77):
             R = 10.0
             seg, clip = _emit(surface, level, R, 1e-9)
-            _, partner = _kernels.match_endpoints(seg, clip, 1e-9)
+            partner = _kernels.match_endpoints(seg, clip, 1e-9)
             for i in range(seg.shape[0]):
                 for side in (0, 1):
                     if partner[2 * i + side] < 0 and not clip[i, side]:
                         x, z = seg[i, 2 * side], seg[i, 2 * side + 1]
                         assert abs(abs(x) - R) < 1e-9 or abs(abs(z) - R) < 1e-9
+
+
+def test_partner_is_an_involution(ex1, ex2):
+    eps = 1e-9
+    for surface in (ex1, ex2):
+        for level in (0.1, 0.77):
+            seg, clip = _emit(surface, level, 10.0, eps)
+            partner = _kernels.match_endpoints(seg, clip, eps)
+            ends = seg.reshape(-1, 2)
+            paired = np.flatnonzero(partner >= 0)
+            assert paired.size > 0
+            assert np.array_equal(partner[partner[paired]], paired)
+            assert not np.any(partner[paired] == paired)
+            assert not np.any(clip.ravel()[paired])
+            assert np.all(np.abs(ends[paired] - ends[partner[paired]]) <= eps)
 
 
 def test_clipped_components_touch_boundary(ex1):
@@ -187,20 +192,20 @@ def test_spanning_component_grows_with_window(ex1):
     # component's segments embed in a single big-window component
     small, big = 8.0, 16.0
     level = 0.61
-    segB, clipB = _emit(ex1, level, big, 1e-9)
-    rootsB, _ = _kernels.match_endpoints(segB, clipB, 1e-9)
+
+    def steps(comp):
+        for chain in comp.polylines:
+            for a, b in zip(chain, chain[1:]):
+                yield tuple(sorted((tuple(np.round(a, 6)), tuple(np.round(b, 6)))))
+
     lookup = {}
-    for i, r in enumerate(segB):
-        lookup[tuple(np.round(r, 6))] = int(rootsB[i])
+    for k, comp in enumerate(trace_section(ex1, level, big)):
+        for key in steps(comp):
+            lookup[key] = k
     for comp in trace_section(ex1, level, small):
         if comp.window_class != "spanning":
             continue
-        parents = set()
-        for chain in comp.polylines:
-            for (x0, z0), (x1, z1) in zip(chain, chain[1:]):
-                key = tuple(np.round((x0, z0, x1, z1), 6))
-                if key in lookup:
-                    parents.add(lookup[key])
+        parents = {lookup[key] for key in steps(comp) if key in lookup}
         assert len(parents) == 1
 
 
@@ -264,35 +269,7 @@ def test_sample_levels_deterministic(ex1):
         trace_section(ex1, lv, 6.0)
 
 
-# -- jit fallback parity ----------------------------------------------------------
-
-
-def _canonical_partition(roots):
-    relabel = {}
-    out = []
-    for r in roots:
-        out.append(relabel.setdefault(int(r), len(relabel)))
-    return out
-
-
-def test_fallback_matches_jitted_path(ex1, monkeypatch):
-    seg1, clip1 = _emit(ex1, 0.37, 7.0, 1e-9)
-    roots1, partner1 = _kernels.match_endpoints(seg1, clip1, 1e-9)
-    grid1 = _kernels.flood_spanning(seg1, 7.0, 1.0 / 64)
-    monkeypatch.setenv("THINSECTIONS_NO_NUMBA", "1")
-    try:
-        K = importlib.reload(_kernels)
-        assert not K.USING_NUMBA
-        seg2, clip2 = _emit(ex1, 0.37, 7.0, 1e-9)
-        roots2, partner2 = K.match_endpoints(seg2, clip2, 1e-9)
-        grid2 = K.flood_spanning(seg2, 7.0, 1.0 / 64)
-        assert np.array_equal(seg1, seg2)
-        assert np.array_equal(clip1, clip2)
-        # sort tie-breaking may differ between the paths; the partition and
-        # the endpoint pairing must not
-        assert _canonical_partition(roots1) == _canonical_partition(roots2)
-        assert np.array_equal(partner1, partner2)
-        assert grid1 == grid2
-    finally:
-        monkeypatch.delenv("THINSECTIONS_NO_NUMBA")
-        importlib.reload(_kernels)
+def test_sample_levels_gives_up_near_every_tangency(ex1):
+    # a guard of 10 * eps = 1.0 leaves no level clear of every tangency face
+    with pytest.raises(NearSaddle, match="draws"):
+        sample_levels(ex1, 1, 0, 5.0, eps=0.1)
