@@ -12,11 +12,17 @@ support loses the piece.  After every collapse, chains of bands glued
 along a shared base are merged (lengths add) and support regions
 carrying no base are deleted.
 
-All endpoints are exact field elements.  Every step also produces the
-integer matrix expressing the new elementary-segment lengths in terms
-of the old ones, which is what cycle detection accumulates: a cycle is
-a later complex with the same combinatorial shape whose entire
-parameter vector is a common exact multiple of the earlier one.
+All endpoints are exact field elements.  `segmentation` sorts each
+arc's endpoints once and records every band end's span: the ordinals
+of its two endpoints among the arc's breakpoints.  Covers, merges, the
+dead-arc runs and the combinatorial signature are then read from these
+integers instead of comparing field elements again.
+
+Every step also produces the integer matrix expressing the new
+elementary-segment lengths in terms of the old ones, which is what
+cycle detection accumulates: a cycle is a later complex with the same
+combinatorial shape whose entire parameter vector is a common exact
+multiple of the earlier one.
 """
 
 import random
@@ -27,6 +33,7 @@ from .errors import (
     AuditError,
     DepthExhausted,
     Halted,
+    InvalidSystem,
     NotFound,
     NotFree,
     NotMaximal,
@@ -113,20 +120,14 @@ class BandComplex:
         self._segmentation = None
         for b in self.bands:
             for e in b.ends():
+                if type(e.arc) is not int or not 0 <= e.arc < len(self.supports):
+                    raise InvalidSystem(f"band end names no support arc: {e.arc!r}")
                 arc = self.supports[e.arc]
                 if (e.lo - arc.lo).sign() < 0 or (arc.hi - e.hi).sign() < 0:
                     raise AuditError("band base escapes its support arc")
 
     def __repr__(self):
         return f"BandComplex({list(self.supports)}, {list(self.bands)})"
-
-
-def _dedup_sorted(vals):
-    out = []
-    for v in vals:
-        if not out or not (v - out[-1]).is_zero():
-            out.append(v)
-    return out
 
 
 def complex_from_iis(s):
@@ -151,45 +152,69 @@ def support_measure(x):
 # -- segmentation ------------------------------------------------------------------
 
 
-def _breakpoints(x, arc_idx):
-    arc = x.supports[arc_idx]
-    pts = [arc.lo, arc.hi]
-    for b in x.bands:
-        for e in b.ends():
-            if e.arc == arc_idx:
-                pts.append(e.lo)
-                pts.append(e.hi)
-    return _dedup_sorted(sorted(pts))
+_ROLES = ("bottom", "top")
 
 
 def segmentation(x):
     """Per arc: breakpoints and elementary segments with their covering
-    band ends.  Returns (breaks, segs) where segs is a flat list of
-    (arc_idx, lo, hi, covers) and covers lists (band_idx, role).
+    band ends.  Returns (breaks, segs, spans): breaks[arc] is the sorted
+    list of distinct breakpoints, segs is a flat list of (arc_idx, lo,
+    hi, covers) with covers listing (band_idx, role) by band, bottom
+    before top, and spans[band_idx] is ((arc, i, j), (arc, i, j)) for
+    the bottom and top ends, i and j indexing breaks[arc].
+
+    Each arc's endpoints are sorted once, tagged with the end they
+    belong to, so the pass that drops repeated values also gives every
+    end its ordinals.  Segment t of an arc is covered by the ends with
+    i <= t < j, and two ends coincide exactly when their spans are
+    equal: every combinatorial question reads the spans instead of
+    comparing field elements.
 
     The result is cached on the complex and shared by every caller, so
     it must not be modified."""
     if x._segmentation is not None:
         return x._segmentation
-    breaks = [_breakpoints(x, i) for i in range(len(x.supports))]
-    segs = []
-    for ai, pts in enumerate(breaks):
-        for lo, hi in zip(pts, pts[1:]):
-            covers = []
-            for bi, b in enumerate(x.bands):
-                for role, e in (("bottom", b.bottom), ("top", b.top)):
-                    if e.arc != ai:
-                        continue
-                    if (lo - e.lo).sign() >= 0 and (e.hi - hi).sign() >= 0:
-                        covers.append((bi, role))
-            segs.append((ai, lo, hi, covers))
-    x._segmentation = (breaks, segs)
+    tagged = [[(arc.lo, None), (arc.hi, None)] for arc in x.supports]
+    for bi, b in enumerate(x.bands):
+        for k, e in enumerate(b.ends()):
+            tagged[e.arc] += [(e.lo, (bi, k, 1)), (e.hi, (bi, k, 2))]
+    breaks = []
+    ords = [[[arc, 0, 0] for arc in (b.bottom.arc, b.top.arc)] for b in x.bands]
+    for pts in tagged:
+        out = []
+        for v, tag in sorted(pts, key=lambda pt: pt[0]):
+            if not out or not (v - out[-1]).is_zero():
+                out.append(v)
+            if tag is not None:
+                bi, k, slot = tag
+                ords[bi][k][slot] = len(out) - 1
+        breaks.append(out)
+    spans = tuple(tuple(tuple(end) for end in pair) for pair in ords)
+    covers = [[[] for _ in pts[1:]] for pts in breaks]
+    for bi, pair in enumerate(spans):
+        for role, (arc, i, j) in zip(_ROLES, pair):
+            for t in range(i, j):
+                covers[arc][t].append((bi, role))
+    segs = [
+        (ai, lo, hi, covers[ai][t])
+        for ai, pts in enumerate(breaks)
+        for t, (lo, hi) in enumerate(zip(pts, pts[1:]))
+    ]
+    x._segmentation = (breaks, segs, spans)
     return x._segmentation
+
+
+def _first_segments(breaks):
+    """Index in segs of each arc's first segment."""
+    out = [0]
+    for pts in breaks[:-1]:
+        out.append(out[-1] + len(pts) - 1)
+    return out
 
 
 def segment_values(x):
     """The parameter vector: elementary segment lengths, canonical order."""
-    _, segs = segmentation(x)
+    _, segs, _ = segmentation(x)
     return [hi - lo for _, lo, hi, _ in segs]
 
 
@@ -207,7 +232,11 @@ def find_free_subarcs(x):
     """Maximal positive-measure subarcs whose interior meets at most one
     base: collapse candidates ("free", tagged with the covering base)
     and uncovered pieces ("dead")."""
-    _, segs = segmentation(x)
+    _, segs, _ = segmentation(x)
+    # Single segments are maximal: an interior breakpoint is an endpoint
+    # of some base, which covers one of the two segments meeting there,
+    # so two adjacent segments are never both dead, nor both covered by
+    # the same one base alone.
     out = []
     for ai, lo, hi, covers in segs:
         if len(covers) == 1:
@@ -215,21 +244,7 @@ def find_free_subarcs(x):
             out.append(FreeSubarc(ai, lo, hi, "free", bi, role))
         elif not covers:
             out.append(FreeSubarc(ai, lo, hi, "dead"))
-    # merge adjacent dead segments (free ones are single segments by
-    # construction: an interior breakpoint would need a second base)
-    merged = []
-    for rec in out:
-        if (
-            rec.kind == "dead"
-            and merged
-            and merged[-1].kind == "dead"
-            and merged[-1].arc == rec.arc
-            and (merged[-1].hi - rec.lo).is_zero()
-        ):
-            merged[-1] = FreeSubarc(rec.arc, merged[-1].lo, rec.hi, "dead")
-        else:
-            merged.append(rec)
-    return merged
+    return out
 
 
 # -- bookkeeping helpers -----------------------------------------------------------
@@ -244,7 +259,7 @@ class _Tracker:
     """
 
     def __init__(self, x):
-        self.breaks, segs = segmentation(x)
+        self.breaks, segs, _ = segmentation(x)
         self.dim = len(segs)
         self.seg_index = {}
         k = 0
@@ -381,7 +396,7 @@ def _transition_matrix(x_old, x_new, images):
         raise AuditError("breakpoint has no previous representation")
 
     rows = []
-    _, new_segs = segmentation(x_new)
+    _, new_segs, _ = segmentation(x_new)
     for ai, lo, hi, _ in new_segs:
         oa = old_arc_of[ai]
         row = tr.diff(rep(hi, oa), rep(lo, oa))
@@ -509,29 +524,17 @@ def collapse_free_subarc(x, arc, interval=None):
 
 
 def _find_merge(x):
-    _, segs = segmentation(x)
-    ends = []
-    for bi, b in enumerate(x.bands):
-        ends.append((bi, "bottom", b.bottom))
-        ends.append((bi, "top", b.top))
-    for i in range(len(ends)):
-        bi, ri, e1 = ends[i]
-        for j in range(i + 1, len(ends)):
-            bj, rj, e2 = ends[j]
-            if bi == bj:
-                continue
-            if e1.arc != e2.arc:
-                continue
-            if not (e1.lo - e2.lo).is_zero() or not (e1.hi - e2.hi).is_zero():
-                continue
-            inside = [
-                covers
-                for ai, lo, hi, covers in segs
-                if ai == e1.arc
-                and (lo - e1.lo).sign() >= 0
-                and (e1.hi - hi).sign() >= 0
-            ]
-            if all(len(c) == 2 for c in inside):
+    """First pair of ends, in end order, of two different bands with
+    equal spans whose segments carry no other base."""
+    breaks, segs, spans = segmentation(x)
+    first = _first_segments(breaks)
+    ends = [(bi, role, sp) for bi, pair in enumerate(spans) for role, sp in zip(_ROLES, pair)]
+    for k, (bi, ri, span) in enumerate(ends):
+        arc, i, j = span
+        if any(len(segs[first[arc] + t][3]) != 2 for t in range(i, j)):
+            continue
+        for bj, rj, other in ends[k + 1 :]:
+            if bj != bi and other == span:
                 return (bi, ri), (bj, rj)
     return None
 
@@ -581,36 +584,33 @@ def merge_long_bands(x):
 
 
 def _drop_dead(x):
-    _, segs = segmentation(x)
+    breaks, segs, spans = segmentation(x)
+    first = _first_segments(breaks)
+    # runs of consecutive covered segments on one arc become the new arcs
     runs = []
-    last = None
+    run_at = []
     for ai, lo, hi, covers in segs:
         if not covers:
-            last = None
+            run_at.append(None)
             continue
-        if last is not None and last[0] == ai and (last[2] - lo).is_zero():
-            last = (ai, last[1], hi)
-            runs[-1] = last
+        if run_at and run_at[-1] is not None and runs[-1][0] == ai:
+            runs[-1] = (ai, runs[-1][1], hi)
         else:
-            last = (ai, lo, hi)
-            runs.append(last)
+            runs.append((ai, lo, hi))
+        run_at.append(len(runs) - 1)
     raw_arcs = [SupportArc(lo, hi) for _, lo, hi in runs]
 
-    def locate(end):
-        for idx, (ai, lo, hi) in enumerate(runs):
-            if end.arc != ai:
-                continue
-            if (end.lo - lo).sign() >= 0 and (hi - end.hi).sign() >= 0:
-                return idx
-        raise AuditError("band end lost its support during dead-arc deletion")
+    def locate(span):
+        arc, i, _ = span
+        return run_at[first[arc] + i]
 
     raw_bands = [
         Band(
-            BandEnd(locate(b.bottom), b.bottom.lo, b.bottom.hi),
-            BandEnd(locate(b.top), b.top.lo, b.top.hi),
+            BandEnd(locate(sb), b.bottom.lo, b.bottom.hi),
+            BandEnd(locate(st), b.top.lo, b.top.hi),
             b.length,
         )
-        for b in x.bands
+        for b, (sb, st) in zip(x.bands, spans)
     ]
     raw = BandComplex(x.field, raw_arcs, raw_bands)
     return _normalized(raw, _unit_rows(len(x.bands)))
@@ -643,10 +643,8 @@ def _rips_step_tracked(x):
     frees = [r for r in find_free_subarcs(x) if r.kind == "free"]
     if not frees:
         raise Halted("no free subarc: the machine is stuck on this complex")
+    # find_free_subarcs lists records by arc, then position
     best = frees[0]
-    for r in frees[1:]:
-        if r.arc < best.arc or (r.arc == best.arc and (r.lo - best.lo).sign() < 0):
-            best = r
     log = [{"move": "collapse", "arc": best.arc, "band": best.band, "end": best.role}]
     x1, images, v1 = _collapse(x, best)
     x2, v2, hits = _merge(x1)
@@ -677,25 +675,12 @@ def rips_step(x):
 
 
 def combinatorial_signature(x):
-    """Scale-free shape of the complex: per-arc segment counts plus each
-    band's pair of (arc, breakpoint-ordinal span) ends.  Widths and
-    lengths are deliberately excluded."""
-    breaks, _ = segmentation(x)
-
-    def ord_of(arc, p):
-        for i, q in enumerate(breaks[arc]):
-            if (p - q).is_zero():
-                return i
-        raise AuditError("band endpoint is not a breakpoint")
-
-    bands = []
-    for b in x.bands:
-        ends = tuple(
-            (e.arc, ord_of(e.arc, e.lo), ord_of(e.arc, e.hi)) for e in b.ends()
-        )
-        bands.append(ends)
-    segs = tuple(len(pts) - 1 for pts in breaks)
-    return (segs, tuple(bands))
+    """Scale-free shape of the complex: per-arc segment counts plus the
+    spans from `segmentation`, each band's pair of (arc, breakpoint
+    ordinal, breakpoint ordinal) ends.  Widths and lengths are
+    deliberately excluded, and no field element is compared."""
+    breaks, _, spans = segmentation(x)
+    return (tuple(len(pts) - 1 for pts in breaks), spans)
 
 
 def _state(cx):

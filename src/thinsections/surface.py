@@ -284,7 +284,7 @@ def _plate_rects(plate):
     cuts = [plate.outer.x1[0], plate.outer.x1[1]]
     for h in plate.holes:
         cuts.extend(h.x1)
-    cuts.sort(key=float)
+    cuts.sort()
     dedup = [cuts[0]]
     for v in cuts[1:]:
         if not (v - dedup[-1]).is_zero():
@@ -294,7 +294,7 @@ def _plate_rects(plate):
         mid_blocks = sorted(
             (h.x2 for h in plate.holes
              if (h.x1[0] - lo).sign() <= 0 and (hi - h.x1[1]).sign() <= 0),
-            key=lambda yy: float(yy[0]),
+            key=lambda yy: yy[0],
         )
         y = plate.outer.x2[0]
         for b0, b1 in mid_blocks:
@@ -388,7 +388,7 @@ def _canonical_faces(surface, faces):
 
 
 def _dedup_sorted(vals):
-    vals = sorted(vals, key=float)
+    vals = sorted(vals)
     kept = [vals[0]]
     for v in vals[1:]:
         if not (v - kept[-1]).is_zero():
@@ -468,14 +468,18 @@ def check_central_symmetry(surface, point):
 
 def _reassemble_tubes(surface):
     """Group wall faces back into tubes; audit that each tube closes up."""
-    by_interval = {}
+    groups = []  # (height interval, its walls), compared exactly
     for w in surface.walls:
-        key = (float(w.x3[0]), float(w.x3[1]))
-        by_interval.setdefault(key, []).append(w)
+        for x3, group in groups:
+            if x3 == w.x3:
+                group.append(w)
+                break
+        else:
+            groups.append((w.x3, [w]))
     tubes = []
-    for group in by_interval.values():
-        vs = sorted((w for w in group if w.orient == "v"), key=lambda w: float(w.fixed))
-        hs = sorted((w for w in group if w.orient == "h"), key=lambda w: float(w.fixed))
+    for _, group in groups:
+        vs = sorted((w for w in group if w.orient == "v"), key=lambda w: w.fixed)
+        hs = sorted((w for w in group if w.orient == "h"), key=lambda w: w.fixed)
         if len(vs) != 2 or len(hs) != 2:
             raise AuditError("tube does not have two pairs of opposite faces")
         l, r = vs[0].fixed, vs[1].fixed

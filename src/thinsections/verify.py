@@ -33,6 +33,7 @@ from .reference import (
     stage_params_scaled,
 )
 from .surface import (
+    _floor_towards,
     build_surface,
     central_symmetry_point,
     check_central_symmetry,
@@ -58,29 +59,21 @@ class VerificationRow:
     note: str = ""
 
 
-def _floor(x):
-    """Exact floor of a field element."""
-    g = math.floor(float(x))
-    while (x - (g + 1)).sign() >= 0:
-        g += 1
-    while (x - g).sign() < 0:
-        g -= 1
-    return g
+def _digits(m, places):
+    """The integer m, a value rounded to `places` decimals and scaled by
+    10**places, written as a decimal."""
+    sign = "-" if m < 0 else ""
+    s = str(abs(m)).rjust(places + 1, "0")
+    return f"{sign}{s[:-places]}.{s[-places:]}"
 
 
 def _decimal(x, places=10):
-    """Certified rounded decimal digits, stable across runs."""
-    m = _floor(x * Fraction(10**places) + Fraction(1, 2))
-    sign = "-" if m < 0 else ""
-    s = str(abs(m)).rjust(places + 1, "0")
-    return f"{sign}{s[:-places]}.{s[-places:]}"
+    """Certified rounded decimal digits of a field element, stable across runs."""
+    return _digits(_floor_towards(x * Fraction(10**places) + Fraction(1, 2), 1), places)
 
 
 def _frac_decimal(q, places=10):
-    m = math.floor(q * 10**places + Fraction(1, 2))
-    sign = "-" if m < 0 else ""
-    s = str(abs(m)).rjust(places + 1, "0")
-    return f"{sign}{s[:-places]}.{s[-places:]}"
+    return _digits(math.floor(q * 10**places + Fraction(1, 2)), places)
 
 
 def _exact_row(claim, recorded, residues, computed, note=""):

@@ -14,8 +14,10 @@ from thinsections.bands import (
     BandEnd,
     CycleReport,
     SupportArc,
+    _find_merge,
     _rips_step_tracked,
     collapse_free_subarc,
+    combinatorial_signature,
     complex_from_iis,
     detect_rips_cycle,
     drop_dead_subarcs,
@@ -123,7 +125,7 @@ def test_complex_from_iis_shape(s1, x1):
 
 
 def test_segmentation_partitions_support(s1, x1):
-    _, segs = segmentation(x1)
+    _, segs, _ = segmentation(x1)
     total = s1.field.zero
     for arc, lo, hi, covers in segs:
         assert (hi - lo).sign() > 0
@@ -223,7 +225,7 @@ def test_merge_two_band_chain():
     assert (float(bd.top.lo), float(bd.top.hi)) == (2.0, 3.0)
     # support untouched; the shared base is now dead but still present
     assert (support_measure(out) - support_measure(x)).is_zero()
-    _, segs = segmentation(out)
+    _, segs, _ = segmentation(out)
     dead = [(float(lo), float(hi)) for _, lo, hi, covers in segs if not covers]
     assert dead == [(1.0, 2.0)]
 
@@ -473,7 +475,7 @@ def test_s2_phase_realizes_recorded_stage(s2, rep2):
     assert pairing == {"a'": 14, "b'": 15, "c'": 15}
     # the two recorded gap parameters are distances from the left end of
     # the support to breakpoints of the complex
-    breaks, _ = segmentation(ph)
+    breaks, _, _ = segmentation(ph)
     arc = ph.supports[0]
     dists = [p - arc.lo for p in breaks[0]]
     for lbl in ("d'", "e'"):
@@ -739,3 +741,114 @@ def test_step_matrices_reproduce_parameters(s):
             assert len(row) == len(lengths)
             assert sum(c * l for c, l in zip(row, lengths)) == band.length
         x = y
+
+
+# Reference readings of a complex by exact comparison of field elements,
+# independent of the breakpoint spans `segmentation` records.
+
+
+def _ref_breaks(x, arc_idx):
+    arc = x.supports[arc_idx]
+    pts = [arc.lo, arc.hi]
+    for b in x.bands:
+        for e in b.ends():
+            if e.arc == arc_idx:
+                pts += [e.lo, e.hi]
+    out = []
+    for v in sorted(pts):
+        if not out or not (v - out[-1]).is_zero():
+            out.append(v)
+    return out
+
+
+def _ref_ordinal(pts, p):
+    hits = [i for i, v in enumerate(pts) if (p - v).is_zero()]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _ref_covers(x, ai, lo, hi):
+    return [
+        (bi, role)
+        for bi, b in enumerate(x.bands)
+        for role, e in (("bottom", b.bottom), ("top", b.top))
+        if e.arc == ai and (lo - e.lo).sign() >= 0 and (e.hi - hi).sign() >= 0
+    ]
+
+
+def _ref_find_merge(x):
+    ends = [(bi, role, e) for bi, b in enumerate(x.bands)
+            for role, e in (("bottom", b.bottom), ("top", b.top))]
+    segs = [(ai, lo, hi) for ai in range(len(x.supports))
+            for pts in [_ref_breaks(x, ai)] for lo, hi in zip(pts, pts[1:])]
+    for i, (bi, ri, e1) in enumerate(ends):
+        for bj, rj, e2 in ends[i + 1:]:
+            if bi == bj or e1.arc != e2.arc:
+                continue
+            if not (e1.lo - e2.lo).is_zero() or not (e1.hi - e2.hi).is_zero():
+                continue
+            inside = [_ref_covers(x, ai, lo, hi) for ai, lo, hi in segs
+                      if ai == e1.arc and (lo - e1.lo).sign() >= 0
+                      and (e1.hi - hi).sign() >= 0]
+            if all(len(c) == 2 for c in inside):
+                return (bi, ri), (bj, rj)
+    return None
+
+
+def _ref_free_subarcs(x):
+    out = []
+    for ai in range(len(x.supports)):
+        pts = _ref_breaks(x, ai)
+        for lo, hi in zip(pts, pts[1:]):
+            covers = _ref_covers(x, ai, lo, hi)
+            if len(covers) == 1:
+                out.append((ai, lo, hi, "free") + covers[0])
+            elif covers:
+                continue
+            elif out and out[-1][3] == "dead" and out[-1][0] == ai and out[-1][2] == lo:
+                out[-1] = (ai, out[-1][1], hi, "dead", -1, "")
+            else:
+                out.append((ai, lo, hi, "dead", -1, ""))
+    return out
+
+
+def _check_spans_against_reference(x):
+    breaks, segs, spans = segmentation(x)
+    ref_breaks = [_ref_breaks(x, ai) for ai in range(len(x.supports))]
+    assert len(breaks) == len(ref_breaks)
+    for pts, ref in zip(breaks, ref_breaks):
+        assert len(pts) == len(ref)
+        assert all((p - r).is_zero() for p, r in zip(pts, ref))
+    ref_segs = [(ai, lo, hi) for ai, pts in enumerate(ref_breaks)
+                for lo, hi in zip(pts, pts[1:])]
+    assert len(segs) == len(ref_segs)
+    for (ai, lo, hi, covers), (rai, rlo, rhi) in zip(segs, ref_segs):
+        assert ai == rai and (lo - rlo).is_zero() and (hi - rhi).is_zero()
+        assert covers == _ref_covers(x, ai, lo, hi)
+    ref_spans = tuple(
+        tuple((e.arc, _ref_ordinal(ref_breaks[e.arc], e.lo),
+               _ref_ordinal(ref_breaks[e.arc], e.hi)) for e in b.ends())
+        for b in x.bands
+    )
+    assert spans == ref_spans
+    ref_sig = (tuple(len(pts) - 1 for pts in ref_breaks), ref_spans)
+    assert combinatorial_signature(x) == ref_sig
+    assert _find_merge(x) == _ref_find_merge(x)
+    got = [(r.arc, r.lo, r.hi, r.kind, r.band, r.role) for r in find_free_subarcs(x)]
+    assert got == _ref_free_subarcs(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems())
+def test_spans_match_exact_reference(s):
+    # covers, spans, signature, merge choice and free subarcs read from the
+    # spans agree with exact comparisons, on every state and on each step's
+    # collapse before its merges, for up to 4 machine steps
+    x = complex_from_iis(s)
+    for _ in range(4):
+        _check_spans_against_reference(x)
+        frees = [r for r in find_free_subarcs(x) if r.kind == "free"]
+        if not frees:
+            return
+        _check_spans_against_reference(collapse_free_subarc(x, frees[0]))
+        x, _ = rips_step(x)

@@ -200,6 +200,21 @@ def test_run_rejects_unusable_input(tmp_path):
     assert main(["run", "rips", "--system", str(path), "--steps", "2"]) == 2
 
 
+@pytest.mark.parametrize("arc", [-1, 3])
+def test_run_rips_rejects_unknown_arc(tmp_path, capsys, arc):
+    from thinsections.bands import complex_from_iis
+    from thinsections.serialize import complex_to_json
+
+    obj = complex_to_json(complex_from_iis(iis.build_system("s1")))
+    obj["bands"][0]["top"]["arc"] = arc
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", "rips", "--system", str(path), "--steps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "internal error" not in err
+
+
 # -- section command -----------------------------------------------------------------
 
 

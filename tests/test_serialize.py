@@ -146,6 +146,15 @@ def test_complex_from_json_revalidates(s1):
         complex_from_json(obj)
 
 
+@pytest.mark.parametrize("arc", [-1, 1, 3, "0", 0.0, True])
+def test_complex_from_json_rejects_unknown_arc(s1, arc):
+    # s1's complex has one support arc: index 0 is the only valid arc
+    obj = _reload(complex_to_json(complex_from_iis(s1)))
+    obj["bands"][0]["bottom"]["arc"] = arc
+    with pytest.raises(InvalidSystem):
+        complex_from_json(obj)
+
+
 def test_cycle_report_round_trip(s1_cycle):
     obj = _reload(cycle_report_to_json(s1_cycle))
     back = cycle_report_from_json(obj)
