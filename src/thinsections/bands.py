@@ -25,6 +25,7 @@ combinatorial shape whose entire parameter vector is a common exact
 multiple of the earlier one.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,8 +39,10 @@ from .errors import (
     NotFree,
     NotMaximal,
 )
-from .iis import neighbors as orbit_neighbors
+from .iis import OrbitChart
 from .linalg import RatMatrix, perron_root_interval
+
+orbit_neighbors = OrbitChart.neighbors
 
 
 class SupportArc:
@@ -797,31 +800,48 @@ def one_end_criterion(report, eps=Fraction(1, 10**9)):
 
 def _prune_rounds(adj, degrees, immortal, max_rounds):
     """Simultaneous leaf removal; returns {vertex: round removed} for
-    removals within max_rounds (valence 0 or 1 counts as a leaf)."""
+    removals within max_rounds.
+
+    In each round every mortal vertex with at most one live edge (edges
+    count with multiplicity) is removed at once.  `adj` must be
+    symmetric with multiplicity.  Live counts are kept rather than
+    recounted: round 1 takes every mortal vertex of degree <= 1, each
+    later round the vertices whose count fell from 2 in the round before,
+    so a run costs O(V + E), as in Batagelj & Zaversnik's queue-based
+    core decomposition.
+    """
+    live = dict(degrees)
+    batch = [v for v, deg in live.items() if deg <= 1 and v not in immortal]
     removed = {}
     for r in range(1, max_rounds + 1):
-        batch = []
-        for v, deg in degrees.items():
-            if v in removed or v in immortal:
-                continue
-            live = deg - sum(1 for w in adj[v] if w in removed)
-            if live <= 1:
-                batch.append(v)
         if not batch:
             break
         for v in batch:
             removed[v] = r
+        nxt = []
+        for v in batch:
+            for w in adj[v]:
+                before = live[w]
+                live[w] = before - 1
+                # A removed vertex was left with at most one live edge, so
+                # only a vertex still present can fall from 2.
+                if before == 2 and w not in immortal:
+                    nxt.append(w)
+        batch = nxt
     return removed
 
 
 def _removal_round(s, x, rounds, cap):
     """Round at which x is pruned, or rounds + 1 when it survives them
     all; decided by growing a neighborhood until the optimistic and
-    pessimistic simulations agree."""
+    pessimistic simulations agree.  Vertices are keyed by their integer
+    vectors on the orbit chart of x."""
+    chart = OrbitChart(s, x)
+    root = chart.origin
     adj = {}
-    edges_into = {x: []}
-    frontier = [x]
-    seen = {x}
+    edges_into = {root: []}
+    frontier = [root]
+    seen = {root}
     depth = min(rounds, 4) + 2
     expanded_to = 0
     while True:
@@ -829,7 +849,7 @@ def _removal_round(s, x, rounds, cap):
             nxt = []
             for v in frontier:
                 if v not in adj:
-                    adj[v] = [w for w, _ in orbit_neighbors(s, v)]
+                    adj[v] = [w for w, _, _ in orbit_neighbors(chart, v)]
                     for w in adj[v]:
                         edges_into.setdefault(w, []).append(v)
                         if w not in seen:
@@ -853,23 +873,46 @@ def _removal_round(s, x, rounds, cap):
                 degrees[v] = len(local[v])
         opt = _prune_rounds(local, degrees, boundary, rounds)
         pess = _prune_rounds(local, degrees, frozenset(), rounds)
-        r_opt = opt.get(x, rounds + 1)
-        r_pess = pess.get(x, rounds + 1)
+        r_opt = opt.get(root, rounds + 1)
+        r_pess = pess.get(root, rounds + 1)
         if r_opt == r_pess:
             return r_opt
         depth += 2
 
 
-class PruningReport:
-    """Sequence of surviving-measure estimates, one per pruning round."""
+# Two-sided 95% normal quantile of the Wilson score intervals.
+_Z95 = 1.959963984540054
 
-    __slots__ = ("estimates", "samples", "exhausted", "survivors")
+
+def _wilson(k, n):
+    """Wilson 95% score interval for k successes out of n trials."""
+    if n == 0:
+        return (0.0, 1.0)
+    p = k / n
+    z2 = _Z95 * _Z95
+    scale = 1 + z2 / n
+    centre = (p + z2 / (2 * n)) / scale
+    half = _Z95 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / scale
+    # The interval contains p and lies in [0, 1]; clamp away rounding.
+    return (max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half)))
+
+
+class PruningReport:
+    """Sequence of surviving-measure estimates, one per pruning round.
+
+    `survivors[r]` counts the decided samples (`samples - exhausted`)
+    still present after round r + 1, `estimates[r]` is their fraction and
+    `wilson[r]` its Wilson 95% interval, (0.0, 1.0) when no sample was
+    decided."""
+
+    __slots__ = ("estimates", "samples", "exhausted", "survivors", "wilson")
 
     def __init__(self, estimates, samples, exhausted, survivors):
         self.estimates = estimates
         self.samples = samples
         self.exhausted = exhausted
         self.survivors = survivors
+        self.wilson = [_wilson(k, samples - exhausted) for k in survivors]
 
     def __iter__(self):
         return iter(self.estimates)
@@ -889,9 +932,13 @@ def pruning_decay(s, rounds, samples, seed=0, cap=20000):
     """Monte Carlo estimate of the support measure fraction whose orbit
     vertex survives r rounds of iterated leaf removal, r = 1..rounds.
 
-    Each sample's status is decided on an adaptively grown neighborhood
-    (optimistic and pessimistic boundary assumptions must agree);
-    samples whose neighborhood exceeds `cap` are excluded and counted."""
+    Each sample is a point with a 48-bit rational offset into the
+    support.  Its status is decided on an adaptively grown neighborhood of
+    its orbit chart (optimistic and pessimistic boundary assumptions must
+    agree), peeled with live edge counts; samples whose neighborhood
+    exceeds `cap` vertices are excluded and counted in `exhausted`.  The
+    report carries a Wilson 95% interval per round.  Raises InvalidSystem
+    when the field's modulus is not certified irreducible."""
     rng = random.Random(seed)
     lo, hi = s.support
     width = hi - lo

@@ -13,8 +13,25 @@ followed by the reduction on the same side when its precondition
 holds.  Iterating the steps on a thin system shrinks the support
 forever; detect_self_similarity searches move schedules that reproduce
 the start system scaled by an exact contraction factor.
+
+Orbit graphs: the points of the support are vertices, joined by an edge
+for every pair that maps one to the other.  OrbitChart writes the orbit
+of a point x in integer coordinates: vertex c in Z^d (d the field
+degree) is x + (sum_j c[j] lam^j) / D, where D clears the denominators
+of the pair translations, so every move adds a fixed integer vector and
+a zero translation gives no edge.  Over an irreducible modulus residues
+are unique, so equal points have equal vectors and the vectors serve as
+hash keys; a reducible modulus is rejected.  Whether a vertex lies in an
+interval [lo, hi] is decided on integers, from floor/ceil bounds at
+scale 2^128 of each lam^j and of D (x - lo) and D (hi - x), taken once
+per chart from certified enclosures.  The filter answers only when its
+integer interval excludes the boundary (the Bronnimann-Burnikel-Pion
+dynamic filter); otherwise the exact point is built and its sign
+decides, as on every exact boundary hit.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -502,31 +519,116 @@ def scale_translate(s, k, t):
 
 # -- orbit graphs ----------------------------------------------------------------
 
+# Fixed-point scale of the chart's membership filter.  system_field refines
+# the bundled fields below 2^-128, so enclosures this narrow come cheap.
+_CHART_BITS = 128
 
-def _in_support(s, x):
-    a0, b0 = s.support
-    return (x - a0).sign() >= 0 and (b0 - x).sign() >= 0
+
+def _scaled_bounds(value, scale):
+    """Integers lo <= value * scale <= hi from a certified enclosure."""
+    vlo, vhi = value.enclosure(Fraction(1, scale))
+    return math.floor(vlo * scale), math.ceil(vhi * scale)
+
+
+class OrbitChart:
+    """Integer coordinates on the orbit of a point x of the support.
+
+    Vertex c, a tuple of `field.degree` ints, stands for the point
+    x + (sum_j c[j] lam^j) / den, where den is the least common
+    denominator of the pairs' translation coefficients; vertex
+    `origin` is x itself.  Interval membership is decided by a fixed-point
+    filter with an exact fallback (see the module docstring).
+    """
+
+    def __init__(self, s, x):
+        field = s.field
+        if not field.irreducible:
+            raise InvalidSystem(
+                "orbit vertices need canonical residues; rebuild the field "
+                "with the minimal modulus (see minimal_field)"
+            )
+        a0, b0 = s.support
+        if (x - a0).sign() < 0 or (b0 - x).sign() < 0:
+            raise OutOfSupport(f"{x!r}")
+        d = field.degree
+        taus = [p.right[0] - p.left[0] for p in s.pairs]
+        den = math.lcm(1, *(q.denominator for t in taus for q in t.coeffs))
+        scale = 1 << _CHART_BITS
+        powers = [_scaled_bounds(field.gen ** j, scale) for j in range(d)]
+        self.x = x
+        self._den = den
+        self.origin = (0,) * d
+        self._field = field
+        self._floor = tuple(lo for lo, _ in powers)
+        self._slack = max(hi - lo for lo, hi in powers)
+        # One move per (pair, side) with a nonzero translation: pair index,
+        # step vector, whether the step goes up the line, the scaled bounds
+        # of den * (x - lo) and den * (hi - x), and the interval itself.
+        self._moves = []
+        for i, (p, tau) in enumerate(zip(s.pairs, taus)):
+            if tau.is_zero():
+                continue
+            step = [int(q * den) for q in tau.coeffs]
+            step += [0] * (d - len(step))
+            rises = tau.sign() > 0
+            for (lo, hi), sgn in ((p.left, 1), (p.right, -1)):
+                self._moves.append((
+                    i,
+                    tuple(sgn * k for k in step),
+                    rises == (sgn > 0),
+                    *_scaled_bounds((x - lo) * den, scale),
+                    *_scaled_bounds((hi - x) * den, scale),
+                    lo,
+                    hi,
+                ))
+
+    def value(self, c):
+        """The exact point of vertex c."""
+        if not any(c):
+            return self.x
+        return self.x + self._field.element([Fraction(k, self._den) for k in c])
+
+    def neighbors(self, c):
+        """(vertex, pair index, rises) for every move whose interval
+        contains the point of c; `rises` says the neighbour lies above."""
+        # scale * (c . lam) lies within lin -/+ slack, so scale * den *
+        # (point - lo) lies in [alo + lin - slack, ahi + lin + slack], and
+        # likewise for hi - point.  Integers decide when that interval
+        # lies on one side of 0; otherwise the exact sign does.
+        lin = sum(map(operator.mul, c, self._floor))
+        slack = self._slack * sum(map(abs, c))
+        point = None
+        out = []
+        for i, step, rises, alo, ahi, blo, bhi, lo, hi in self._moves:
+            if alo + lin - slack < 0:
+                if ahi + lin + slack < 0:
+                    continue
+                if point is None:
+                    point = self.value(c)
+                if (point - lo).sign() < 0:
+                    continue
+            if blo - lin - slack < 0:
+                if bhi - lin + slack < 0:
+                    continue
+                if point is None:
+                    point = self.value(c)
+                if (hi - point).sign() < 0:
+                    continue
+            out.append((tuple(map(operator.add, c, step)), i, rises))
+        return out
 
 
 def neighbors(s, x):
-    """Identification edges at x: one per subinterval membership,
-    dropping memberships that map x to itself."""
-    out = []
-    for i, p in enumerate(s.pairs):
-        for side in (LEFT, RIGHT):
-            lo, hi = p.interval(side)
-            if (x - lo).sign() >= 0 and (hi - x).sign() >= 0:
-                o = p.other(side)
-                y = x + (o[0] - lo)
-                if not (y - x).is_zero():
-                    out.append((y, i))
-    return out
+    """Identification edges at x: one (neighbour, pair index) per
+    subinterval membership, dropping pairs whose translation is zero.
+    Raises OutOfSupport for a point outside the support."""
+    chart = OrbitChart(s, x)
+    return [(chart.value(w), i) for w, i, _ in chart.neighbors(chart.origin)]
 
 
 def point_valence(s, x):
-    if not _in_support(s, x):
-        raise OutOfSupport(f"{x!r}")
-    return len(neighbors(s, x))
+    chart = OrbitChart(s, x)
+    return len(chart.neighbors(chart.origin))
 
 
 @dataclass
@@ -548,22 +650,25 @@ class OrbitGraphSlice:
 def orbit_bfs(s, x, depth):
     """Breadth-first slice of the orbit graph around x, to edge depth
     `depth`.  Frontier vertices are at distance exactly `depth` and are
-    not expanded."""
-    if not _in_support(s, x):
-        raise OutOfSupport(f"{x!r}")
-    vertices = {x}
+    not expanded.  Each edge (a, b, i) has a < b."""
+    chart = OrbitChart(s, x)
+    vertices = {chart.origin}
     edges = set()
-    layer = [x]
+    layer = [chart.origin]
     for _ in range(depth):
         nxt = []
         for v in layer:
-            for w, i in neighbors(s, v):
-                a, b = (v, w) if (w - v).sign() > 0 else (w, v)
-                edges.add((a, b, i))
+            for w, i, rises in chart.neighbors(v):
+                edges.add((v, w, i) if rises else (w, v, i))
                 if w not in vertices:
                     vertices.add(w)
                     nxt.append(w)
         layer = nxt
+    value = {c: chart.value(c) for c in vertices}
     return OrbitGraphSlice(
-        root=x, depth=depth, vertices=vertices, edges=edges, frontier=set(layer)
+        root=x,
+        depth=depth,
+        vertices=set(value.values()),
+        edges={(value[a], value[b], i) for a, b, i in edges},
+        frontier={value[c] for c in layer},
     )

@@ -1,6 +1,7 @@
 """Band complexes: machine moves, cycle detection, end criterion, pruning."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ from thinsections.bands import (
     CycleReport,
     SupportArc,
     _find_merge,
+    _prune_rounds,
+    _removal_round,
     _rips_step_tracked,
+    _wilson,
     collapse_free_subarc,
     combinatorial_signature,
     complex_from_iis,
@@ -32,6 +36,7 @@ from thinsections.bands import (
 )
 from thinsections.errors import (
     AuditError,
+    DepthExhausted,
     Halted,
     NotFound,
     NotFree,
@@ -661,6 +666,170 @@ def test_pruning_decay_follows_band_area(s1):
         (x - mx) ** 2 for x in xs
     )
     assert 0.2 < alpha < 0.6
+
+
+def test_pruning_wilson_intervals(s1):
+    assert _wilson(5, 10) == pytest.approx((0.2366, 0.7634), abs=1e-4)
+    rep = pruning_decay(s1, rounds=12, samples=10, seed=5, cap=20)
+    assert 0 < rep.exhausted < rep.samples
+    assert len(rep.wilson) == 12
+    for (lo, hi), e in zip(rep.wilson, rep.estimates):
+        assert 0 <= lo <= e <= hi <= 1
+    assert rep.wilson[-1][0] == 0.0  # no decided sample survives 12 rounds
+    none = pruning_decay(s1, rounds=3, samples=4, seed=0, cap=1)
+    assert none.exhausted == 4 and none.wilson == [(0.0, 1.0)] * 3
+
+
+def test_removal_round_raises_depth_exhausted(s1):
+    with pytest.raises(DepthExhausted):
+        _removal_round(s1, s1.field.rational(Fraction(1, 31)), 12, cap=20)
+
+
+def _rescan_prune_rounds(adj, degrees, immortal, max_rounds):
+    """Reference: every round rescans every vertex and recounts its
+    removed neighbours."""
+    removed = {}
+    for r in range(1, max_rounds + 1):
+        batch = []
+        for v, deg in degrees.items():
+            if v in removed or v in immortal:
+                continue
+            live = deg - sum(1 for w in adj[v] if w in removed)
+            if live <= 1:
+                batch.append(v)
+        if not batch:
+            break
+        for v in batch:
+            removed[v] = r
+    return removed
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_prune_rounds_matches_rescan(data):
+    # random forests of mostly long paths, plus random extra edges that
+    # close cycles; multi-edges, self-loops and isolated vertices occur
+    n = data.draw(st.integers(min_value=1, max_value=16))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    mult = st.sampled_from([1, 1, 1, 2])
+    edges = []
+    for v in range(1, n):
+        parent = data.draw(st.sampled_from([v - 1, v - 1, max(0, v - 3), None]))
+        if parent is not None:
+            edges.append((parent, v, data.draw(mult)))
+    edges += data.draw(st.lists(st.tuples(vertex, vertex, mult), max_size=n // 2))
+    immortal = frozenset(data.draw(st.sets(vertex, max_size=3)))
+    max_rounds = data.draw(st.integers(min_value=0, max_value=12))
+    adj = {v: [] for v in range(n)}
+    for a, b, m in edges:
+        adj[a] += [b] * m
+        adj[b] += [a] * m
+    degrees = {v: len(ws) for v, ws in adj.items()}
+    assert _prune_rounds(adj, degrees, immortal, max_rounds) == _rescan_prune_rounds(
+        adj, degrees, immortal, max_rounds
+    )
+
+
+def _exact_neighbors(s, x):
+    """Reference: memberships and translations decided on field elements."""
+    out = []
+    for i, p in enumerate(s.pairs):
+        for side in ("left", "right"):
+            lo, hi = p.interval(side)
+            if (x - lo).sign() >= 0 and (hi - x).sign() >= 0:
+                o = p.other(side)
+                y = x + (o[0] - lo)
+                if not (y - x).is_zero():
+                    out.append((y, i))
+    return out
+
+
+def _exact_removal_round(s, x, rounds, cap):
+    """Reference: the adaptive growth of _removal_round on field-element
+    vertices, peeled by the rescanning loop."""
+    adj = {}
+    edges_into = {x: []}
+    frontier = [x]
+    seen = {x}
+    depth = min(rounds, 4) + 2
+    expanded_to = 0
+    while True:
+        while expanded_to < depth:
+            nxt = []
+            for v in frontier:
+                if v not in adj:
+                    adj[v] = [w for w, _ in _exact_neighbors(s, v)]
+                    for w in adj[v]:
+                        edges_into.setdefault(w, []).append(v)
+                        if w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
+            frontier = nxt
+            expanded_to += 1
+            if len(seen) > cap:
+                raise DepthExhausted("cap")
+        boundary = frozenset(v for v in seen if v not in adj)
+        local = {v: adj[v] if v in adj else edges_into[v] for v in seen}
+        degrees = {v: len(ws) for v, ws in local.items()}
+        opt = _rescan_prune_rounds(local, degrees, boundary, rounds)
+        pess = _rescan_prune_rounds(local, degrees, frozenset(), rounds)
+        r_opt = opt.get(x, rounds + 1)
+        if r_opt == pess.get(x, rounds + 1):
+            return r_opt
+        depth += 2
+
+
+def _interval_exchange():
+    return IIS(
+        _QF,
+        (q(0), q(1)),
+        [
+            IntervalPair((q(0), q(Fraction(2, 5))), (q(Fraction(3, 5)), q(1))),
+            IntervalPair((q(Fraction(2, 5)), q(1)), (q(0), q(Fraction(3, 5)))),
+        ],
+    )
+
+
+def _round_or_exhausted(fn, *args):
+    try:
+        return fn(*args)
+    except DepthExhausted:
+        return "exhausted"
+
+
+@settings(max_examples=80)
+@given(
+    which=st.sampled_from(["s1", "s2", "iet"]),
+    # hypothesis draws small integers most often; seeding a generator
+    # spreads the points over the support
+    bits=st.one_of(
+        st.just(0),
+        st.integers(min_value=0, max_value=10 ** 9).map(
+            lambda k: random.Random(k).getrandbits(48)
+        ),
+    ),
+    rounds=st.integers(min_value=0, max_value=12),
+    cap=st.sampled_from([20, 300]),
+)
+def test_removal_round_matches_exact_growth(s1, s2, which, bits, rounds, cap):
+    s = {"s1": s1, "s2": s2, "iet": _interval_exchange()}[which]
+    lo, hi = s.support
+    x = lo + (hi - lo) * Fraction(bits, 1 << 48)
+    args = (s, x, rounds, cap)
+    assert _round_or_exhausted(_removal_round, *args) == _round_or_exhausted(
+        _exact_removal_round, *args
+    )
+
+
+def test_removal_round_matches_exact_growth_on_panel(s1):
+    # the benchmark's panel: pruning seeds 1-4, three samples each, drawn
+    # as pruning_decay draws them
+    lo, hi = s1.support
+    for seed in (1, 2, 3, 4):
+        rng = random.Random(seed)
+        for _ in range(3):
+            x = lo + (hi - lo) * Fraction(rng.getrandbits(48), 1 << 48)
+            assert _removal_round(s1, x, 40, 20000) == _exact_removal_round(s1, x, 40, 20000)
 
 
 # -- randomized move bookkeeping -----------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thinsections.bands import pruning_decay
 from thinsections.errors import (
     AmbiguousMove,
     InvalidSystem,
@@ -19,6 +20,7 @@ from thinsections.errors import (
 from thinsections.iis import (
     IIS,
     IntervalPair,
+    OrbitChart,
     affine_match,
     build_system,
     detect_self_similarity,
@@ -33,7 +35,7 @@ from thinsections.iis import (
     transmit,
     validate,
 )
-from thinsections.numberfield import rational_field
+from thinsections.numberfield import FieldElement, NumberField, rational_field
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -363,6 +365,92 @@ def test_orbit_equivalence_across_transmission(s1):
         b2 = orbit_bfs(s_prime, x, 2).vertices
         assert b1 <= orbit_bfs(s_prime, x, 4).vertices
         assert b2 <= orbit_bfs(s1, x, 4).vertices
+
+
+def _exact_neighbors(s, x):
+    """Reference: every membership and translation decided on field elements."""
+    out = []
+    for i, p in enumerate(s.pairs):
+        for side in ("left", "right"):
+            lo, hi = p.interval(side)
+            if (x - lo).sign() >= 0 and (hi - x).sign() >= 0:
+                o = p.other(side)
+                y = x + (o[0] - lo)
+                if not (y - x).is_zero():
+                    out.append((y, i))
+    return out
+
+
+def _endpoints(s):
+    pts = list(s.support)
+    for p in s.pairs:
+        pts += [*p.left, *p.right]
+    return pts
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_chart_neighbors_match_exact_on_boundaries(name, s1, s2, monkeypatch):
+    # every interval and support endpoint, plus u + c/2 (= a, on s1).  At
+    # x itself each bound is exactly zero or far from it, so the filter
+    # decides alone; the neighbours of x land on further endpoints, where
+    # the filter cannot decide and the exact sign must
+    s = {"s1": s1, "s2": s2}[name]
+    points = _endpoints(s)
+    if name == "s1":
+        a, b, c, u = system_params("s1")
+        points.append(u + c / 2)
+    exact_sign = FieldElement.sign
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return exact_sign(self)
+
+    def with_sign_calls(fn, *args):
+        calls[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(FieldElement, "sign", counted)
+            return fn(*args), calls[0]
+
+    fallbacks = 0
+    for x in points:
+        assert neighbors(s, x) == _exact_neighbors(s, x)
+        chart = OrbitChart(s, x)
+        first, n = with_sign_calls(chart.neighbors, chart.origin)
+        assert n == 0
+        for w, i, rises in first:
+            y = chart.value(w)
+            assert rises == ((y - x).sign() > 0)
+            got, n = with_sign_calls(chart.neighbors, w)
+            fallbacks += n
+            assert [(chart.value(v), j) for v, j, _ in got] == _exact_neighbors(s, y)
+    assert fallbacks > 0
+
+
+def test_orbits_reject_reducible_modulus():
+    # (x^2 - 2)(x - 3) with root sqrt(2): residues are not canonical, so
+    # integer keys would merge distinct points; a typed error says so
+    field = NumberField([6, -2, -3, 1], (1, 2))
+    assert not field.irreducible
+
+    def r(v):
+        return field.rational(Fraction(v))
+
+    s = IIS(
+        field,
+        (r(0), r(1)),
+        [
+            IntervalPair((r(0), r(Fraction(2, 5))), (r(Fraction(3, 5)), r(1))),
+            IntervalPair((r(Fraction(2, 5)), r(1)), (r(0), r(Fraction(3, 5)))),
+        ],
+    )
+    x = field.gen - r(1)
+    with pytest.raises(InvalidSystem, match="minimal_field"):
+        neighbors(s, x)
+    with pytest.raises(InvalidSystem, match="minimal_field"):
+        orbit_bfs(s, x, 2)
+    with pytest.raises(InvalidSystem, match="minimal_field"):
+        pruning_decay(s, rounds=3, samples=2)
 
 
 # -- randomized move bookkeeping -----------------------------------------------------
