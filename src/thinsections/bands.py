@@ -18,11 +18,18 @@ of its two endpoints among the arc's breakpoints.  Covers, merges, the
 dead-arc runs and the combinatorial signature are then read from these
 integers instead of comparing field elements again.
 
-Every step also produces the integer matrix expressing the new
-elementary-segment lengths in terms of the old ones, which is what
-cycle detection accumulates: a cycle is a later complex with the same
-combinatorial shape whose entire parameter vector is a common exact
-multiple of the earlier one.
+Every step also produces the two integer matrices that cycle detection
+accumulates: u expresses the new elementary-segment lengths over the
+old ones and v the new band lengths over the old ones.  Both are read
+from one ledger carried through the step's moves and written over the
+complex the step started from.  It holds every arc end and band end
+endpoint as a position, a start arc plus an integer row over the start
+segments, and every band's length as an integer row over the start
+bands.  The collapse writes positions from the spans, a merge adds two
+length rows, and a row of u is the difference of the positions of a
+new segment's two breakpoints, checked against its exact length.  A
+cycle is a later complex with the same combinatorial shape whose entire
+parameter vector is a common exact multiple of the earlier one.
 """
 
 import math
@@ -229,6 +236,7 @@ class FreeSubarc:
     kind: str  # "free" or "dead"
     band: int = -1
     role: str = ""
+    seg: int = -1  # index in segmentation(x)'s segs
 
 
 def find_free_subarcs(x):
@@ -241,175 +249,133 @@ def find_free_subarcs(x):
     # so two adjacent segments are never both dead, nor both covered by
     # the same one base alone.
     out = []
-    for ai, lo, hi, covers in segs:
+    for s, (ai, lo, hi, covers) in enumerate(segs):
         if len(covers) == 1:
             bi, role = covers[0]
-            out.append(FreeSubarc(ai, lo, hi, "free", bi, role))
+            out.append(FreeSubarc(ai, lo, hi, "free", bi, role, s))
         elif not covers:
-            out.append(FreeSubarc(ai, lo, hi, "dead"))
+            out.append(FreeSubarc(ai, lo, hi, "dead", seg=s))
     return out
 
 
-# -- bookkeeping helpers -----------------------------------------------------------
+# -- the step ledger ---------------------------------------------------------------
+#
+# A machine step carries one ledger, written over the segments of the
+# complex the step started from.  A position (a, row) is start arc a's lo
+# plus row . (start segment lengths).  The ledger of a complex is a pair
+# (arcs, bands): arcs[i] holds the positions of arc i's lo and hi, and
+# bands[b] is (integer length row over the start bands, ((bottom lo,
+# bottom hi), (top lo, top hi))) with the positions of its ends'
+# endpoints.
 
 
-class _Tracker:
-    """Expresses new segment lengths over the previous segment basis.
+def _start_positions(x):
+    """pos(arc, i): the position of breakpoint i of arc over x's own
+    segments, the arc's first i segments."""
+    breaks, segs, _ = segmentation(x)
+    first = _first_segments(breaks)
+    n = len(segs)
 
-    Anchors are previous breakpoints; a tracked position is an anchor
-    plus an integer combination of previous segments.  Differences of
-    tracked positions on the same previous arc are exact integer rows.
-    """
+    def pos(arc, i):
+        row = [0] * n
+        row[first[arc] : first[arc] + i] = [1] * i
+        return arc, row
 
-    def __init__(self, x):
-        self.breaks, segs, _ = segmentation(x)
-        self.dim = len(segs)
-        self.seg_index = {}
-        k = 0
-        for ai, pts in enumerate(self.breaks):
-            for i in range(len(pts) - 1):
-                self.seg_index[(ai, i)] = k
-                k += 1
-        self.values = segment_values(x)
-
-    def ordinal(self, arc, p):
-        pts = self.breaks[arc]
-        for i, q in enumerate(pts):
-            if (p - q).is_zero():
-                return i
-        return None
-
-    def span(self, arc, p, q):
-        """Integer row for q - p, both previous breakpoints of arc."""
-        i = self.ordinal(arc, p)
-        j = self.ordinal(arc, q)
-        if i is None or j is None:
-            raise AuditError("span endpoints are not previous breakpoints")
-        row = [0] * self.dim
-        sgn = 1
-        if i > j:
-            i, j = j, i
-            sgn = -1
-        for t in range(i, j):
-            row[self.seg_index[(arc, t)]] += sgn
-        return row
-
-    def diff(self, rep_hi, rep_lo):
-        """Row for value(rep_hi) - value(rep_lo); reps are (arc, anchor,
-        row) with position = anchor + value(row)."""
-        arc_h, anc_h, row_h = rep_hi
-        arc_l, anc_l, row_l = rep_lo
-        if arc_h != arc_l:
-            raise AuditError("anchor arcs differ")
-        base = self.span(arc_h, anc_l, anc_h)
-        return [bh - bl + bb for bh, bl, bb in zip(row_h, row_l, base)]
-
-    def value_of(self, row):
-        total = None
-        for coef, v in zip(row, self.values):
-            if coef:
-                term = v * coef
-                total = term if total is None else total + term
-        return total
+    return pos
 
 
-def _row_check(tracker, row, expected):
-    got = tracker.value_of(row)
-    if got is None:
-        ok = expected.is_zero()
-    else:
-        ok = (got - expected).is_zero()
-    if not ok:
-        raise AuditError("segment bookkeeping row does not match its value")
+def _ledger(x):
+    """The ledger of x over itself."""
+    breaks, _, spans = segmentation(x)
+    pos = _start_positions(x)
+    units = _unit_rows(len(x.bands))
+    arcs = [(pos(a, 0), pos(a, len(pts) - 1)) for a, pts in enumerate(breaks)]
+    bands = [
+        (units[bi], tuple((pos(a, i), pos(a, j)) for a, i, j in pair))
+        for bi, pair in enumerate(spans)
+    ]
+    return arcs, bands
 
 
-def _reindex_arcs(arcs):
-    """Sort arcs by position, return (sorted arcs, old->new index map)."""
-    order = sorted(range(len(arcs)), key=lambda i: arcs[i].lo)
-    remap = {old: new for new, old in enumerate(order)}
-    return [arcs[i] for i in order], remap
+def _break_positions(x, ledger):
+    """Position of every breakpoint of x, by arc and ordinal."""
+    breaks, _, spans = segmentation(x)
+    arcs, bands = ledger
+    out = [[None] * len(pts) for pts in breaks]
+    for at, (lo, hi) in zip(out, arcs):
+        at[0], at[-1] = lo, hi
+    for pair, (_, ends) in zip(spans, bands):
+        for (a, i, j), (lo, hi) in zip(pair, ends):
+            out[a][i], out[a][j] = lo, hi
+    return out
 
 
-def _band_key(b):
-    return (b.bottom.arc, b.bottom.lo, b.bottom.hi, b.top.arc, b.top.lo, b.top.hi)
+def _row_check(row, values, target, message):
+    """Raise AuditError(message) unless row . values == target exactly."""
+    acc = None
+    for coef, val in zip(row, values):
+        if coef:
+            term = val * coef
+            acc = term if acc is None else acc + term
+    if not (target.is_zero() if acc is None else (acc - target).is_zero()):
+        raise AuditError(message)
 
 
-def _flip_normalized(band):
-    b, t = band.bottom, band.top
-    swap = False
-    if t.arc < b.arc:
-        swap = True
-    elif t.arc == b.arc:
-        s = (t.lo - b.lo).sign()
-        if s < 0 or (s == 0 and (t.hi - b.hi).sign() < 0):
-            swap = True
-    if swap:
-        return Band(t, b, band.length)
-    return band
-
-
-def _normalized(x, band_rows=None):
-    """Sort arcs by position, remap ends, flip and sort bands.
-
-    When band_rows (per-band integer rows over some basis) is given,
-    returns (complex, rows reordered to match)."""
-    arcs, remap = _reindex_arcs(list(x.supports))
-    bands = []
-    for b in x.bands:
-        bands.append(
-            Band(
-                BandEnd(remap[b.bottom.arc], b.bottom.lo, b.bottom.hi),
-                BandEnd(remap[b.top.arc], b.top.lo, b.top.hi),
-                b.length,
-            )
-        )
-    bands = [_flip_normalized(b) for b in bands]
-    order = sorted(range(len(bands)), key=lambda i: _band_key(bands[i]))
-    out = BandComplex(x.field, arcs, [bands[i] for i in order])
-    if band_rows is None:
-        return out
-    return out, [band_rows[i] for i in order]
-
-
-def _transition_matrix(x_old, x_new, images):
-    """Rows expressing each segment of x_new over the segments of x_old.
-
-    `images` maps a position value that is not a previous breakpoint to
-    (anchor_arc, anchor_value, (span_arc, span_from, span_to)): the
-    position equals anchor + (span_to - span_from)."""
-    tr = _Tracker(x_old)
-    old_arc_of = []
-    for arc in x_new.supports:
-        hit = None
-        for oi, oarc in enumerate(x_old.supports):
-            if (arc.lo - oarc.lo).sign() >= 0 and (oarc.hi - arc.hi).sign() >= 0:
-                hit = oi
-                break
-        if hit is None:
-            raise AuditError("new arc is not contained in any old arc")
-        old_arc_of.append(hit)
-
-    def rep(p, old_arc):
-        if tr.ordinal(old_arc, p) is not None:
-            return (old_arc, p, [0] * tr.dim)
-        for key, (a_arc, a_val, span_spec) in images.items():
-            if (p - key).is_zero():
-                s_arc, s_from, s_to = span_spec
-                return (a_arc, a_val, tr.span(s_arc, s_from, s_to))
-        raise AuditError("breakpoint has no previous representation")
-
+def _transition_matrix(x_old, x_new, ledger):
+    """Rows expressing each segment of x_new over the segments of x_old,
+    given x_new's ledger over x_old: each row is the difference of the
+    positions of the segment's two breakpoints, checked exactly against
+    the segment's length."""
+    values = segment_values(x_old)
+    _, segs, _ = segmentation(x_new)
+    ends = [pq for at in _break_positions(x_new, ledger) for pq in zip(at, at[1:])]
     rows = []
-    _, new_segs, _ = segmentation(x_new)
-    for ai, lo, hi, _ in new_segs:
-        oa = old_arc_of[ai]
-        row = tr.diff(rep(hi, oa), rep(lo, oa))
-        _row_check(tr, row, hi - lo)
+    for (_, lo, hi, _), ((a, row_lo), (b, row_hi)) in zip(segs, ends):
+        if a != b:
+            raise AuditError("segment ends lie on different start arcs")
+        row = [h - l for h, l in zip(row_hi, row_lo)]
+        _row_check(row, values, hi - lo, "segment bookkeeping row does not match its value")
         rows.append(row)
     return rows
 
 
 def _unit_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _band_key(b):
+    return (b.bottom.arc, b.bottom.lo, b.bottom.hi, b.top.arc, b.top.lo, b.top.hi)
+
+
+def _flips(b, t):
+    """Whether the band with ends b, t is stored the other way round."""
+    if t.arc != b.arc:
+        return t.arc < b.arc
+    s = (t.lo - b.lo).sign()
+    return s < 0 or (s == 0 and (t.hi - b.hi).sign() < 0)
+
+
+def _normalized(x, ledger=None):
+    """Sort arcs by position, remap ends, flip and sort bands.
+
+    When x's ledger is given, returns (complex, ledger reordered and
+    flipped to match)."""
+    arc_order = sorted(range(len(x.supports)), key=lambda i: x.supports[i].lo)
+    remap = {old: new for new, old in enumerate(arc_order)}
+    bands = []
+    flips = []
+    for b in x.bands:
+        bottom = BandEnd(remap[b.bottom.arc], b.bottom.lo, b.bottom.hi)
+        top = BandEnd(remap[b.top.arc], b.top.lo, b.top.hi)
+        flips.append(_flips(bottom, top))
+        bands.append(Band(top, bottom, b.length) if flips[-1] else Band(bottom, top, b.length))
+    order = sorted(range(len(bands)), key=lambda i: _band_key(bands[i]))
+    out = BandComplex(x.field, [x.supports[i] for i in arc_order], [bands[i] for i in order])
+    if ledger is None:
+        return out
+    arcs_at, bands_at = ledger
+    bands_at = [(row, ends[::-1] if flip else ends) for (row, ends), flip in zip(bands_at, flips)]
+    return out, ([arcs_at[i] for i in arc_order], [bands_at[i] for i in order])
 
 
 # -- moves -------------------------------------------------------------------------
@@ -430,80 +396,96 @@ def _locate_free(x, arc, lo, hi):
     raise NotFree("interval is not a free subarc of any base")
 
 
-def _piece_index(raw_map, alpha, j0, j1, left_idx, right_idx, end):
-    """Raw arc index for a band end after arc alpha lost (j0, j1)."""
-    if end.arc != alpha:
-        return raw_map[end.arc]
-    if (j0 - end.hi).sign() >= 0:
-        if left_idx is None:
-            raise AuditError("end lies on a dropped arc piece")
-        return left_idx
-    if (end.lo - j1).sign() >= 0:
-        if right_idx is None:
-            raise AuditError("end lies on a dropped arc piece")
-        return right_idx
-    raise AuditError("band end straddles the collapsed subarc")
-
-
 def _collapse(x, rec):
+    """Collapse the free segment `rec` of x; returns the new complex and
+    its ledger over x."""
+    breaks, _, spans = segmentation(x)
+    k = _ROLES.index(rec.role)
     band = x.bands[rec.band]
-    e = band.bottom if rec.role == "bottom" else band.top
-    o = band.top if rec.role == "bottom" else band.bottom
-    alpha = e.arc
+    e, o = band.ends()[k], band.ends()[1 - k]
+    (alpha, ei, ej), (oarc, oi, oj) = spans[rec.band][k], spans[rec.band][1 - k]
+    t0 = rec.seg - _first_segments(breaks)[alpha]
+    t1 = t0 + 1
     j0, j1 = rec.lo, rec.hi
     arc = x.supports[alpha]
+    pos = _start_positions(x)
+    arcs_at, bands_at = _ledger(x)
 
     raw_arcs = []
+    raw_arcs_at = []
     raw_map = {}
     for i, a in enumerate(x.supports):
         if i != alpha:
             raw_map[i] = len(raw_arcs)
             raw_arcs.append(a)
+            raw_arcs_at.append(arcs_at[i])
     left_idx = right_idx = None
-    if (j0 - arc.lo).sign() > 0:
+    last = len(breaks[alpha]) - 1
+    if t0 > 0:
         left_idx = len(raw_arcs)
         raw_arcs.append(SupportArc(arc.lo, j0))
-    if (arc.hi - j1).sign() > 0:
+        raw_arcs_at.append((pos(alpha, 0), pos(alpha, t0)))
+    if t1 < last:
         right_idx = len(raw_arcs)
         raw_arcs.append(SupportArc(j1, arc.hi))
+        raw_arcs_at.append((pos(alpha, t1), pos(alpha, last)))
 
-    def place(end):
-        return BandEnd(
-            _piece_index(raw_map, alpha, j0, j1, left_idx, right_idx, end),
-            end.lo,
-            end.hi,
-        )
+    def piece(span):
+        """Raw arc of an end with this span once alpha lost segment t0."""
+        a, i, j = span
+        if a != alpha:
+            return raw_map[a]
+        if j <= t0:
+            return left_idx
+        if i >= t1:
+            return right_idx
+        raise AuditError("band end straddles the collapsed subarc")
 
     shift = o.lo - e.lo
+
+    def image(t, value):
+        """Position of `value`, the point of o over breakpoint t of e.  A
+        value equal to an old breakpoint of o's arc takes that
+        breakpoint's own position, so every end meeting there carries the
+        same row; any other value is o.lo plus the width from e.lo to
+        breakpoint t."""
+        if t == ei:
+            return pos(oarc, oi)
+        if t == ej:
+            return pos(oarc, oj)
+        for m in range(oi + 1, oj):
+            if (breaks[oarc][m] - value).is_zero():
+                return pos(oarc, m)
+        (_, base), (_, to), (_, fro) = pos(oarc, oi), pos(alpha, t), pos(alpha, ei)
+        return oarc, [b + p - q for b, p, q in zip(base, to, fro)]
+
     raw_bands = []
-    raw_rows = []
-    for bi, b in enumerate(x.bands):
+    raw_bands_at = []
+    for bi, (b, (sb, st)) in enumerate(zip(x.bands, spans)):
         if bi != rec.band:
-            raw_bands.append(Band(place(b.bottom), place(b.top), b.length))
-            raw_rows.append([int(k == bi) for k in range(len(x.bands))])
-            continue
-        for r0, r1 in ((e.lo, j0), (j1, e.hi)):
-            if (r1 - r0).sign() <= 0:
-                continue
-            rem_e = BandEnd(
-                _piece_index(raw_map, alpha, j0, j1, left_idx, right_idx, BandEnd(alpha, r0, r1)),
-                r0,
-                r1,
+            raw_bands.append(
+                Band(
+                    BandEnd(piece(sb), b.bottom.lo, b.bottom.hi),
+                    BandEnd(piece(st), b.top.lo, b.top.hi),
+                    b.length,
+                )
             )
-            rem_o = place(BandEnd(o.arc, r0 + shift, r1 + shift))
-            if rec.role == "bottom":
-                raw_bands.append(Band(rem_e, rem_o, band.length))
-            else:
-                raw_bands.append(Band(rem_o, rem_e, band.length))
-            raw_rows.append([int(k == rec.band) for k in range(len(x.bands))])
+            raw_bands_at.append(bands_at[bi])
+            continue
+        for (r0, i), (r1, j) in (((e.lo, ei), (j0, t0)), ((j1, t1), (e.hi, ej))):
+            if i >= j:
+                continue
+            lo, hi = r0 + shift, r1 + shift
+            ends = [BandEnd(piece((alpha, i, j)), r0, r1), BandEnd(piece((oarc, oi, oj)), lo, hi)]
+            ends_at = [(pos(alpha, i), pos(alpha, j)), (image(i, lo), image(j, hi))]
+            if k:
+                ends.reverse()
+                ends_at.reverse()
+            raw_bands.append(Band(*ends, band.length))
+            raw_bands_at.append((bands_at[rec.band][0], tuple(ends_at)))
 
     raw = BandComplex(x.field, raw_arcs, raw_bands)
-    out, rows = _normalized(raw, raw_rows)
-    images = {
-        j0 + shift: (o.arc, o.lo, (alpha, e.lo, j0)),
-        j1 + shift: (o.arc, o.lo, (alpha, e.lo, j1)),
-    }
-    return out, images, rows
+    return _normalized(raw, (raw_arcs_at, raw_bands_at))
 
 
 def collapse_free_subarc(x, arc, interval=None):
@@ -522,7 +504,7 @@ def collapse_free_subarc(x, arc, interval=None):
     else:
         lo, hi = interval
         rec = _locate_free(x, arc, lo, hi)
-    out, _, _ = _collapse(x, rec)
+    out, _ = _collapse(x, rec)
     return out
 
 
@@ -542,66 +524,56 @@ def _find_merge(x):
     return None
 
 
-def _merge_once(x, hit):
+def _merge_once(x, hit, ledger):
+    """Fuse the two bands glued at `hit` into one band between their far
+    ends; its length row is the sum of theirs."""
     (bi, ri), (bj, rj) = hit
+    arcs_at, bands_at = ledger
+    f1, f2 = 1 - _ROLES.index(ri), 1 - _ROLES.index(rj)
+    (row1, ends1), (row2, ends2) = bands_at[bi], bands_at[bj]
     b1, b2 = x.bands[bi], x.bands[bj]
-    far1 = b1.top if ri == "bottom" else b1.bottom
-    far2 = b2.top if rj == "bottom" else b2.bottom
-    merged = Band(far1, far2, b1.length + b2.length)
-    raw_bands = []
-    raw_rows = []
-    n = len(x.bands)
-    for k, b in enumerate(x.bands):
-        if k == bi:
-            row = [0] * n
-            row[bi] = 1
-            row[bj] = 1
-            raw_bands.append(merged)
-            raw_rows.append(row)
-        elif k == bj:
-            continue
-        else:
-            raw_bands.append(b)
-            raw_rows.append([int(t == k) for t in range(n)])
-    raw = BandComplex(x.field, list(x.supports), raw_bands)
-    return _normalized(raw, raw_rows)
+    merged = Band(b1.ends()[f1], b2.ends()[f2], b1.length + b2.length)
+    merged_at = ([p + q for p, q in zip(row1, row2)], (ends1[f1], ends2[f2]))
+    keep = [t for t in range(len(x.bands)) if t != bj]
+    raw = BandComplex(x.field, x.supports, [merged if t == bi else x.bands[t] for t in keep])
+    return _normalized(raw, (arcs_at, [merged_at if t == bi else bands_at[t] for t in keep]))
 
 
-def _merge(x):
-    v_total = _unit_rows(len(x.bands))
+def _merge(x, ledger):
     hits = []
     while True:
         hit = _find_merge(x)
         if hit is None:
-            return x, v_total, hits
+            return x, ledger, hits
         hits.append(hit)
-        x, v = _merge_once(x, hit)
-        v_total = _mat_mul(v, v_total)
+        x, ledger = _merge_once(x, hit, ledger)
 
 
 def merge_long_bands(x):
     """Fuse every chain of bands glued end to end along shared bases
     that meet no other band; lengths add along the chain."""
-    out, _, _ = _merge(x)
+    out, _, _ = _merge(x, _ledger(x))
     return out
 
 
-def _drop_dead(x):
+def _drop_dead(x, ledger):
     breaks, segs, spans = segmentation(x)
     first = _first_segments(breaks)
-    # runs of consecutive covered segments on one arc become the new arcs
+    at = _break_positions(x, ledger)
+    # runs [i, j] of consecutive covered segments on one arc become the new arcs
     runs = []
     run_at = []
-    for ai, lo, hi, covers in segs:
+    for s, (ai, _, _, covers) in enumerate(segs):
         if not covers:
             run_at.append(None)
             continue
+        t = s - first[ai]
         if run_at and run_at[-1] is not None and runs[-1][0] == ai:
-            runs[-1] = (ai, runs[-1][1], hi)
+            runs[-1][2] = t + 1
         else:
-            runs.append((ai, lo, hi))
+            runs.append([ai, t, t + 1])
         run_at.append(len(runs) - 1)
-    raw_arcs = [SupportArc(lo, hi) for _, lo, hi in runs]
+    raw_arcs = [SupportArc(breaks[a][i], breaks[a][j]) for a, i, j in runs]
 
     def locate(span):
         arc, i, _ = span
@@ -616,12 +588,12 @@ def _drop_dead(x):
         for b, (sb, st) in zip(x.bands, spans)
     ]
     raw = BandComplex(x.field, raw_arcs, raw_bands)
-    return _normalized(raw, _unit_rows(len(x.bands)))
+    return _normalized(raw, ([(at[a][i], at[a][j]) for a, i, j in runs], ledger[1]))
 
 
 def drop_dead_subarcs(x):
     """Delete every maximal support subarc carrying no base."""
-    out, _ = _drop_dead(x)
+    out, _ = _drop_dead(x, _ledger(x))
     return out
 
 
@@ -649,20 +621,20 @@ def _rips_step_tracked(x):
     # find_free_subarcs lists records by arc, then position
     best = frees[0]
     log = [{"move": "collapse", "arc": best.arc, "band": best.band, "end": best.role}]
-    x1, images, v1 = _collapse(x, best)
-    x2, v2, hits = _merge(x1)
+    x1, ledger = _collapse(x, best)
+    x2, ledger, hits = _merge(x1, ledger)
     for (bi, _), (bj, _) in hits:
         log.append({"move": "merge", "bands": [bi, bj]})
-    x3, v3 = _drop_dead(x2)
+    x3, ledger = _drop_dead(x2, ledger)
     dropped = len(segmentation(x2)[1]) - len(segmentation(x3)[1])
     if dropped:
         log.append({"move": "drop-dead", "segments": dropped})
-    # Every arc of x3 lies inside an arc of x, and every breakpoint of x3
-    # is a breakpoint of x or one of the two collapse images (merging only
-    # removes breakpoints, drop-dead only removes segments), so one matrix
-    # from x to x3 covers the whole step.
-    u = _transition_matrix(x, x3, images)
-    v = _mat_mul(v3, _mat_mul(v2, v1))
+    # The ledger written by the collapse and carried through the merges
+    # and the drop-dead holds x3's breakpoints as positions over x's
+    # segments and x3's band lengths as rows over x's bands: u subtracts
+    # positions, v is the band rows.
+    u = _transition_matrix(x, x3, ledger)
+    v = [row for row, _ in ledger[1]]
     return x3, u, v, log
 
 
@@ -747,7 +719,7 @@ def detect_rips_cycle(x, max_steps):
             v_period = _unit_rows(len(states[s]["lengths"]))
             for i in range(s, t):
                 v_period = _mat_mul(v_steps[i], v_period)
-            _audit_cycle(states[s], state, u_period, v_period)
+            _audit_cycle(u_period, ps, pt, v_period, states[s]["lengths"], state["lengths"])
             return CycleReport(
                 prefix_steps=s,
                 period_steps=t - s,
@@ -766,21 +738,21 @@ def detect_rips_cycle(x, max_steps):
     raise NotFound(f"no cycle within {max_steps} machine steps")
 
 
-def _audit_cycle(state_s, state_t, u_period, v_period):
-    ps, pt = state_s["params"], state_t["params"]
-    for row, target in zip(u_period, pt):
-        acc = None
-        for coef, val in zip(row, ps):
-            if coef:
-                term = val * coef
-                acc = term if acc is None else acc + term
-        ok = target.is_zero() if acc is None else (acc - target).is_zero()
-        if not ok:
-            raise AuditError("period matrix does not reproduce the segment values")
-    ls, lt = state_s["lengths"], state_t["lengths"]
-    for row, target in zip(v_period, lt):
-        if sum(c * l for c, l in zip(row, ls)) != target:
-            raise AuditError("period matrix does not reproduce the band lengths")
+def _audit_cycle(width_rows, params_start, params_end, length_rows, lengths_start, lengths_end):
+    """Check that the period matrices carry the start segment values and
+    band lengths onto the end ones exactly."""
+    for rows, start, end in (
+        (width_rows, params_start, params_end),
+        (length_rows, lengths_start, lengths_end),
+    ):
+        n = len(start)
+        if len(end) != n or len(rows) != n or any(len(row) != n for row in rows):
+            raise AuditError("period matrix is not square over the stored vectors")
+    for row, target in zip(width_rows, params_end):
+        _row_check(row, params_start, target, "width matrix does not reproduce the segment values")
+    for row, target in zip(length_rows, lengths_end):
+        if sum(c * l for c, l in zip(row, lengths_start)) != target:
+            raise AuditError("length matrix does not reproduce the band lengths")
 
 
 def one_end_criterion(report, eps=Fraction(1, 10**9)):

@@ -639,13 +639,6 @@ class OrbitGraphSlice:
     edges: set
     frontier: set
 
-    def adjacency(self):
-        adj = {v: [] for v in self.vertices}
-        for (a, b, i) in self.edges:
-            adj[a].append((b, i))
-            adj[b].append((a, i))
-        return adj
-
 
 def orbit_bfs(s, x, depth):
     """Breadth-first slice of the orbit graph around x, to edge depth

@@ -67,13 +67,6 @@ def mul(p, q):
     return poly(out)
 
 
-def mul_xk(p, k):
-    """Multiply by x**k."""
-    if not p:
-        return ZERO
-    return (Fraction(0),) * k + p
-
-
 def divmod_poly(f, g):
     """Return (q, r) with f = q*g + r and deg r < deg g."""
     if is_zero(g):

@@ -29,7 +29,6 @@ from .linalg import RatMatrix
 
 __all__ = [
     "LENGTH_CYCLE",
-    "STAGE_BAND_WIDTH_INDICES",
     "STAGE_ENTRY_MAPS",
     "STAGE_LABELS",
     "STAGE_LENGTHS",
@@ -104,10 +103,7 @@ STAGE_LABELS = {
     "s2": ("a'", "b'", "c'", "d'", "e'"),
 }
 
-# Which stage vector entries are band widths (the rest are gaps).
-STAGE_BAND_WIDTH_INDICES = {"s1": (0, 1, 3, 4), "s2": (0, 1, 2)}
-
-# Band lengths at the stage, in band order matching the width indices.
+# Band lengths at the stage, in band order.
 STAGE_LENGTHS = {"s1": (2, 1, 5, 5), "s2": (15, 14, 15)}
 
 _F = Fraction

@@ -15,7 +15,7 @@ a hand-edited file that breaks an invariant fails to load.
 from fractions import Fraction
 
 from . import polynomials as P
-from .bands import Band, BandComplex, BandEnd, SupportArc
+from .bands import Band, BandComplex, BandEnd, SupportArc, _audit_cycle
 from .errors import AuditError
 from .iis import IIS, IntervalPair
 from .linalg import RatMatrix
@@ -221,15 +221,7 @@ def cycle_report_from_json(obj, like=None):
     pt = [value_from_json(v, field) for v in obj["params_end"]]
     ls = [Fraction(s) for s in obj["lengths_start"]]
     lt = [Fraction(s) for s in obj["lengths_end"]]
-    for row, target in zip(wm.to_rows(), pt):
-        acc = field.zero
-        for coef, val in zip(row, ps):
-            acc = acc + val * coef
-        if not (acc - target).is_zero():
-            raise AuditError("width matrix does not reproduce the stored values")
-    for row, target in zip(lm.to_rows(), lt):
-        if sum(c * l for c, l in zip(row, ls)) != target:
-            raise AuditError("length matrix does not reproduce the stored lengths")
+    _audit_cycle(wm.to_rows(), ps, pt, lm.to_rows(), ls, lt)
     for a, b in zip(ps, pt):
         if not (b - contraction * a).is_zero():
             raise AuditError("stored contraction does not scale the values")

@@ -299,6 +299,55 @@ def test_rips_step_reference(s1, x1):
     assert stats[2] == (pytest.approx(float(c)), 1)
 
 
+def test_rips_step_on_overlapping_arcs():
+    # arcs are separate pieces of the support, so two may cover the same
+    # values; each new segment must be read over its own old arc
+    x = rational_complex(
+        [(0, 3), (0, 3)],
+        [((0, 0, 1), (1, 1, 2), 1), ((0, 1, 3), (1, 0, 2), 1)],
+    )
+    y, u, v, log = _rips_step_tracked(x)
+    assert log[0] == {"move": "collapse", "arc": 0, "band": 0, "end": "bottom"}
+    old, new = segment_values(x), segment_values(y)
+    assert len(u) == len(new) == 2
+    for row, target in zip(u, new):
+        assert len(row) == len(old)
+        assert sum((val * c for c, val in zip(row, old) if c), _QF.zero) == target
+    lengths = [b.length for b in x.bands]
+    assert len(v) == len(y.bands) == 1
+    for row, band in zip(v, y.bands):
+        assert sum(c * l for c, l in zip(row, lengths)) == band.length
+    assert u == [[0, 0, 1, 1, 0], [0, 1, 0, 0, 0]] and v == [[0, 1]]
+    assert rips_step(x)[1] == log
+
+
+def test_collapse_image_on_old_breakpoint_takes_its_row():
+    # collapsing [1, 3/2] of the base [1/2, 5/2] pushes 3/2 through the band
+    # onto 5/2, already a breakpoint of the other base [3/2, 7/2]: the new
+    # breakpoint keeps 5/2's own row over the old segments, so the segment
+    # [2, 5/2] reads -[1/2, 1] + [3/2, 5/2] rather than [1, 3/2]
+    s = IIS(
+        _QF,
+        (q(0), q("7/2")),
+        [
+            IntervalPair((q("1/2"), q(1)), (q(3), q("7/2"))),
+            IntervalPair((q("1/2"), q("5/2")), (q("3/2"), q("7/2"))),
+        ],
+    )
+    x = complex_from_iis(s)
+    y, u, v, _ = _rips_step_tracked(x)
+    old, new = segment_values(x), segment_values(y)
+    for row, target in zip(u, new):
+        assert sum((val * c for c, val in zip(row, old) if c), _QF.zero) == target
+    assert u == [
+        [0, 1, 0, 0, 0, 0],
+        [0, -1, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 1],
+    ]
+    assert v == [[1, 1], [0, 1]]
+
+
 def test_rips_step_halts_on_interval_exchange():
     iet = rational_complex(
         [(0, 1)],

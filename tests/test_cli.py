@@ -190,6 +190,24 @@ def test_run_rips_halts_nonzero(tmp_path, capsys):
     assert (emit / "summary.json").exists()
 
 
+def test_run_rips_on_overlapping_arcs(tmp_path, capsys):
+    from thinsections.bands import Band, BandComplex, BandEnd, SupportArc
+    from thinsections.numberfield import rational_field
+    from thinsections.serialize import complex_to_json
+
+    f = rational_field()
+    n = [f.rational(k) for k in range(4)]
+    arcs = [SupportArc(n[0], n[3]), SupportArc(n[0], n[3])]
+    bands = [
+        Band(BandEnd(0, n[0], n[1]), BandEnd(1, n[1], n[2]), 1),
+        Band(BandEnd(0, n[1], n[3]), BandEnd(1, n[0], n[2]), 1),
+    ]
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(complex_to_json(BandComplex(f, arcs, bands))))
+    assert main(["run", "rips", "--system", str(path), "--steps", "2"]) == 0
+    assert "2 machine steps completed" in capsys.readouterr().out
+
+
 def test_run_rejects_negative_steps():
     assert main(["run", "rauzy", "--system", "s1", "--steps", "-3"]) == 2
 
