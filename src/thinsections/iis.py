@@ -22,12 +22,13 @@ of the pair translations, so every move adds a fixed integer vector and
 a zero translation gives no edge.  Over an irreducible modulus residues
 are unique, so equal points have equal vectors and the vectors serve as
 hash keys; a reducible modulus is rejected.  Whether a vertex lies in an
-interval [lo, hi] is decided on integers, from floor/ceil bounds at
-scale 2^128 of each lam^j and of D (x - lo) and D (hi - x), taken once
-per chart from certified enclosures.  The filter answers only when its
-integer interval excludes the boundary (the Bronnimann-Burnikel-Pion
-dynamic filter); otherwise the exact point is built and its sign
-decides, as on every exact boundary hit.
+interval [lo, hi] is decided on integers by the sign filter of
+`numberfield`: the field's fixed-point bounds of lam^j bracket the
+vertex's offset, and floor/ceil bounds of D (x - lo) and D (hi - x) at
+the same scale come once per chart from certified enclosures.  The
+filter answers only when its integer interval excludes the boundary;
+otherwise the exact point is built and its sign decides, as on every
+exact boundary hit.
 """
 
 import math
@@ -45,7 +46,7 @@ from .errors import (
     SelfTransmission,
 )
 from .linalg import RatMatrix, char_poly, eigen_kernel
-from .numberfield import minimal_field
+from .numberfield import FIXED_BITS, minimal_field
 
 LEFT = "left"
 RIGHT = "right"
@@ -519,15 +520,13 @@ def scale_translate(s, k, t):
 
 # -- orbit graphs ----------------------------------------------------------------
 
-# Fixed-point scale of the chart's membership filter.  system_field refines
-# the bundled fields below 2^-128, so enclosures this narrow come cheap.
-_CHART_BITS = 128
 
-
-def _scaled_bounds(value, scale):
-    """Integers lo <= value * scale <= hi from a certified enclosure."""
-    vlo, vhi = value.enclosure(Fraction(1, scale))
-    return math.floor(vlo * scale), math.ceil(vhi * scale)
+def _scaled_bounds(value):
+    """Integers lo <= value 2^FIXED_BITS <= hi from a certified enclosure
+    of width 2^-128, which refines a coarser field first.  system_field
+    refines the bundled fields that far, so there it comes cheap."""
+    vlo, vhi = value.enclosure(Fraction(1, 2 ** 128))
+    return math.floor(vlo * 2 ** FIXED_BITS), math.ceil(vhi * 2 ** FIXED_BITS)
 
 
 class OrbitChart:
@@ -553,14 +552,10 @@ class OrbitChart:
         d = field.degree
         taus = [p.right[0] - p.left[0] for p in s.pairs]
         den = math.lcm(1, *(q.denominator for t in taus for q in t.coeffs))
-        scale = 1 << _CHART_BITS
-        powers = [_scaled_bounds(field.gen ** j, scale) for j in range(d)]
         self.x = x
         self._den = den
         self.origin = (0,) * d
         self._field = field
-        self._floor = tuple(lo for lo, _ in powers)
-        self._slack = max(hi - lo for lo, hi in powers)
         # One move per (pair, side) with a nonzero translation: pair index,
         # step vector, whether the step goes up the line, the scaled bounds
         # of den * (x - lo) and den * (hi - x), and the interval itself.
@@ -576,8 +571,8 @@ class OrbitChart:
                     i,
                     tuple(sgn * k for k in step),
                     rises == (sgn > 0),
-                    *_scaled_bounds((x - lo) * den, scale),
-                    *_scaled_bounds((hi - x) * den, scale),
+                    *_scaled_bounds((x - lo) * den),
+                    *_scaled_bounds((hi - x) * den),
                     lo,
                     hi,
                 ))
@@ -591,12 +586,12 @@ class OrbitChart:
     def neighbors(self, c):
         """(vertex, pair index, rises) for every move whose interval
         contains the point of c; `rises` says the neighbour lies above."""
-        # scale * (c . lam) lies within lin -/+ slack, so scale * den *
-        # (point - lo) lies in [alo + lin - slack, ahi + lin + slack], and
-        # likewise for hi - point.  Integers decide when that interval
-        # lies on one side of 0; otherwise the exact sign does.
-        lin = sum(map(operator.mul, c, self._floor))
-        slack = self._slack * sum(map(abs, c))
+        # 2^FIXED_BITS * (c . lam) lies within lin -/+ slack, so
+        # 2^FIXED_BITS * den * (point - lo) lies in [alo + lin - slack,
+        # ahi + lin + slack], and likewise for hi - point.  Integers decide
+        # when that interval lies on one side of 0; otherwise the exact
+        # sign does.
+        lin, slack = self._field.fixed_point(c)
         point = None
         out = []
         for i, step, rises, alo, ahi, blo, bhi, lo, hi in self._moves:

@@ -1,14 +1,26 @@
 """Exact arithmetic in Q(lam) for a real algebraic lam.
 
-A NumberField is a squarefree integer polynomial (the modulus) plus a
-rational interval isolating one of its real roots, the generator lam.
-FieldElements are polynomial residues of degree < deg(modulus) with
-rational coefficients.  Signs are decided exactly by refining the
-isolating interval until interval evaluation excludes zero; the zero
-test itself is purely algebraic, so every decision terminates.
+A NumberField is a squarefree polynomial (the modulus) plus a rational
+interval isolating one of its real roots, the generator lam.  A
+FieldElement is a polynomial residue of degree < deg(modulus): integer
+numerators, lowest degree first with no trailing zeros, over one
+positive denominator coprime to them.  Ring operations work on ints and
+reduce products over the primitive integer modulus; `coeffs`, the same
+residue as Fractions, is built on first use.
+
+Signs go through a fixed-point filter (Bronnimann-Burnikel-Pion, shared
+with `iis.OrbitChart`): the integer dot product of the numerators with
+the field's cached bounds of lam^j 2^FIXED_BITS brackets the value, and
+decides when the bracket excludes 0.  Otherwise the isolating interval
+is refined until interval evaluation excludes zero; the zero test is
+algebraic, so every decision terminates.  Enclosures and floats always
+take the interval path.
 """
 
+import math
+import operator
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import polynomials as P
 from .errors import (
@@ -20,6 +32,13 @@ from .errors import (
 )
 
 _REFINE_CAP = 10 ** 6
+
+# The bundled fields are refined below 2^-128, so there the interval, not
+# this scale, limits the filter.
+FIXED_BITS = 192
+
+# Signs the filter decided and signs it passed to the exact path.
+SIGN_FILTER = {"decided": 0, "fallback": 0}
 
 
 class NumberField:
@@ -42,8 +61,10 @@ class NumberField:
         self.modulus = modulus
         self.degree = P.degree(modulus)
         self._monic = P.monic(modulus)
+        self._int_modulus = tuple(int(c) for c in P.content_primitive(modulus)[1])
         self._lo = lo
         self._hi = hi
+        self._powers = None
         # Degree <= 3 with no rational roots is certified irreducible
         # (a reducible cubic or quadratic must have a linear factor).
         self.irreducible = self.degree == 1 or (
@@ -76,19 +97,48 @@ class NumberField:
             else:
                 hi = mid
         self._lo, self._hi = lo, hi
+        self._powers = None
 
     def refine_below(self, width):
         while self._hi - self._lo >= width:
             self.refine()
 
+    def fixed_point(self, num):
+        """(lin, slack) with sum_j num[j] lam^j 2^FIXED_BITS in
+        [lin - slack, lin + slack].  The centers and radii of the lam^j
+        2^FIXED_BITS are kept until the isolating interval is refined."""
+        if self._powers is None or len(num) > len(self._powers[0]):
+            scale, centers, radii = 2 ** FIXED_BITS, [], []
+            for j in range(max(self.degree, len(num))):
+                plo, phi = P.evaluate_interval(P.poly([0] * j + [1]), self._lo, self._hi)
+                f, c = math.floor(plo * scale), math.ceil(phi * scale)
+                centers.append((f + c) // 2)
+                radii.append(c - centers[-1])
+            self._powers = centers, radii
+        centers, radii = self._powers
+        return (sum(map(operator.mul, num, centers)),
+                sum(map(operator.mul, map(abs, num), radii)))
+
+    def _reduced(self, num, den):
+        """num / den (num a list of ints) modulo the primitive integer
+        modulus m: the top term t x^k becomes t x^k - (t / lead) x^(k-d) m,
+        after scaling num and den by lead when lead does not divide t."""
+        m, d = self._int_modulus, self.degree
+        while len(num) > d:
+            top = num.pop()
+            if top % m[-1]:
+                num, den = [v * m[-1] for v in num], den * m[-1]
+            else:
+                top //= m[-1]
+            for i, c in enumerate(m[:-1], len(num) - d):
+                num[i] -= top * c
+        return _element(self, num, den)
+
     def element(self, coeffs):
-        c = P.poly(coeffs)
-        if P.degree(c) >= self.degree:
-            c = P.pmod(c, self._monic)
-        return FieldElement(self, c)
+        return self._reduced(*_ints(P.poly(coeffs)))
 
     def rational(self, q):
-        return FieldElement(self, P.poly([Fraction(q)]))
+        return _element(self, *_ints([Fraction(q)]))
 
     def __eq__(self, other):
         """Same modulus and same root (intervals refined until decided)."""
@@ -148,15 +198,49 @@ def minimal_field(p, hint):
     return field_new(q, (lo, hi))
 
 
+def _ints(c):
+    """(numerators, denominator) of the Fraction tuple c, the numerators
+    a list of ints over the least common denominator."""
+    den = math.lcm(1, *(q.denominator for q in c))
+    return [q.numerator * (den // q.denominator) for q in c], den
+
+
+def _element(field, num, den):
+    """The canonical element num / den, num a list of ints, den > 0."""
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(den, *num) if den > 1 else 1
+    if g > 1:
+        num, den = [v // g for v in num], den // g
+    x = object.__new__(FieldElement)
+    x.field, x._num, x._den, x._coeffs, x._hash = field, tuple(num), den, None, None
+    return x
+
+
+def _combine(x, y, sign):
+    """(numerators, denominator) of x + sign * y, not yet canonical."""
+    a, b, den = x._num, y._num, x._den
+    if y._den != den:
+        a, b, den = [v * y._den for v in a], [v * den for v in b], den * y._den
+    return [p + sign * q for p, q in zip_longest(a, b, fillvalue=0)], den
+
+
 class FieldElement:
     """A residue polynomial evaluated at the field generator."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "_num", "_den", "_coeffs", "_hash")
 
     def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = P.poly(coeffs)
-        self._hash = None
+        c = P.poly(coeffs)
+        num, self._den = _ints(c)
+        self.field, self._num, self._coeffs, self._hash = field, tuple(num), c, None
+
+    @property
+    def coeffs(self):
+        """The residue as a tuple of Fractions, lowest degree first."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(v, self._den) for v in self._num)
+        return self._coeffs
 
     # -- construction helpers -------------------------------------------------
 
@@ -175,18 +259,18 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, P.add(self.coeffs, o.coeffs))
+        return _element(self.field, *_combine(self, o, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, P.neg(self.coeffs))
+        return _element(self.field, [-v for v in self._num], self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, P.sub(self.coeffs, o.coeffs))
+        return _element(self.field, *_combine(self, o, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -198,7 +282,11 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, P.pmod(P.mul(self.coeffs, o.coeffs), self.field._monic))
+        out = [0] * (len(self._num) + len(o._num))
+        for i, p in enumerate(self._num):
+            for j, q in enumerate(o._num, i):
+                out[j] += p * q
+        return self.field._reduced(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -249,7 +337,7 @@ class FieldElement:
     # -- decisions ---------------------------------------------------------------
 
     def is_zero(self):
-        if P.is_zero(self.coeffs):
+        if not self._num:
             return True
         if self.field.irreducible:
             return False
@@ -263,11 +351,19 @@ class FieldElement:
         return P.count_roots(chain, lo, hi) > 0
 
     def sign(self):
-        """Exact sign of the real number this element represents."""
+        """Exact sign of the real number this element represents: the
+        fixed-point filter's when its bracket excludes 0 (a zero slack,
+        as for constants, means lin is exact), else interval refinement's."""
+        lin, slack = self.field.fixed_point(self._num)
+        if abs(lin) > slack or not slack:
+            SIGN_FILTER["decided"] += 1
+            return (lin > 0) - (lin < 0)
+        SIGN_FILTER["fallback"] += 1
+        return self._exact_sign()
+
+    def _exact_sign(self):
         if self.is_zero():
             return 0
-        if P.degree(self.coeffs) == 0:
-            return 1 if self.coeffs[0] > 0 else -1
         f = self.field
         for _ in range(_REFINE_CAP):
             lo, hi = f.root_interval
@@ -308,6 +404,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.field.irreducible:
+            return self._num == o._num and self._den == o._den
         return (self - o).is_zero()
 
     def __lt__(self, other):

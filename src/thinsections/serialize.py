@@ -60,6 +60,8 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(rows):
+    if len({len(row) for row in rows}) > 1:
+        raise AuditError("matrix rows differ in length")
     return RatMatrix.from_rows([[Fraction(s) for s in row] for row in rows])
 
 

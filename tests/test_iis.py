@@ -35,7 +35,8 @@ from thinsections.iis import (
     transmit,
     validate,
 )
-from thinsections.numberfield import FieldElement, NumberField, rational_field
+from thinsections.numberfield import FieldElement, NumberField, field_new, rational_field
+from thinsections.serialize import iis_from_json, iis_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -425,6 +426,27 @@ def test_chart_neighbors_match_exact_on_boundaries(name, s1, s2, monkeypatch):
             fallbacks += n
             assert [(chart.value(v), j) for v, j, _ in got] == _exact_neighbors(s, y)
     assert fallbacks > 0
+
+
+def test_chart_refines_a_coarse_field(s1):
+    # s1 loaded with the 1/160-wide interval field_new leaves: the chart's
+    # enclosures refine the field before its filter reads the lam^j
+    # bounds, and every neighbour still matches the exact one
+    obj = iis_to_json(s1)
+    coarse = field_new(s1.field.modulus, (Fraction(1, 5), Fraction(3, 10)))
+    obj["field"]["root_interval"] = [str(v) for v in coarse.root_interval]
+    s = iis_from_json(obj)
+    lo, hi = s.field.root_interval
+    assert hi - lo > Fraction(1, 2 ** 20)
+    a0, b0 = s.support
+    for q in (Fraction(12345, 2 ** 20), Fraction(1, 3), Fraction(7, 8)):
+        x = a0 + (b0 - a0) * q
+        chart = OrbitChart(s, x)
+        lo, hi = s.field.root_interval
+        assert hi - lo < Fraction(1, 2 ** 128)
+        for w, _, _ in chart.neighbors(chart.origin):
+            got = [(chart.value(v), j) for v, j, _ in chart.neighbors(w)]
+            assert got == _exact_neighbors(s, chart.value(w))
 
 
 def test_orbits_reject_reducible_modulus():

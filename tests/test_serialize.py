@@ -189,6 +189,14 @@ def test_cycle_report_rejects_truncated_matrix(s1_cycle, key):
         cycle_report_from_json(obj)
 
 
+@pytest.mark.parametrize("key", ["width_matrix", "length_matrix"])
+def test_cycle_report_rejects_ragged_matrix(s1_cycle, key):
+    obj = _reload(cycle_report_to_json(s1_cycle))
+    obj[key][-1] = obj[key][-1][:-1]
+    with pytest.raises(AuditError):
+        cycle_report_from_json(obj)
+
+
 def test_cycle_report_rejects_tampered_contraction(s1_cycle):
     obj = _reload(cycle_report_to_json(s1_cycle))
     obj["contraction"]["poly"] = ["1/3"]
