@@ -3,8 +3,8 @@
 ``emit_segments`` and ``match_endpoints`` are array code over the lattice
 translates and over the segment endpoints; Python loops run only over the
 few plates, holes and walls of one fundamental domain.  ``flood_spanning``
-is the independent rasterised census that the tests hold the endpoint walk
-against; it stays a plain loop.
+is the independent rasterised census that the tests hold the endpoint
+pairing against; it stays a plain loop.
 """
 
 import numpy as np
@@ -35,8 +35,14 @@ def emit_segments(level, R, plates, walls, tang_y, e2y, period, e3y):
     blocks = [_emit_block(level, R, steps[i:i + _K3_BLOCK], steps, plates, walls,
                           tang_y, e2y, period, e3y)
               for i in range(0, steps.shape[0], _K3_BLOCK)]
-    return (np.concatenate([b[0] for b in blocks]),
-            np.concatenate([b[1] for b in blocks]), min(b[2] for b in blocks))
+    near = min(b[2] for b in blocks)
+    rows = np.cumsum([0] + [b[0].shape[0] for b in blocks])
+    seg, clip = np.empty((rows[-1], 4)), np.empty((rows[-1], 2), np.uint8)
+    # copy the blocks out one at a time, releasing each once it is copied
+    for k in range(len(blocks)):
+        seg[rows[k]:rows[k + 1]], clip[rows[k]:rows[k + 1]], _ = blocks[k]
+        blocks[k] = None
+    return seg, clip, near
 
 
 def _emit_block(level, R, k3s, steps, plates, walls, tang_y, e2y, period, e3y):
@@ -103,22 +109,38 @@ def match_endpoints(seg, clip, eps):
     """
     ends = seg.reshape(-1, 2)
     idx = np.flatnonzero(clip.ravel() == 0)
-    x = ends[idx, 0]
-    by_x = np.argsort(x, kind="stable")
-    run = np.zeros(idx.shape[0], np.int64)
-    run[by_x[1:]] = np.cumsum(np.diff(x[by_x]) > eps)
+    # each endpoint-length temporary is dropped as soon as it is used
+    run = _runs(ends[idx, 0], eps)
     order = np.lexsort((ends[idx, 1], run))
-    z = ends[idx[order], 1]
-    link = (run[order][1:] == run[order][:-1]) & (np.diff(z) <= eps)
-    # a chain of links pairs its 1st and 2nd endpoints, its 3rd and 4th, ...
-    pos = np.arange(link.shape[0])
-    chain_start = np.maximum.accumulate(np.where(link, 0, pos + 1))
-    lo = pos[link & ((pos - chain_start) % 2 == 0)]
-    a, b = idx[order[lo]], idx[order[lo + 1]]
+    run, idx = run[order], idx[order]
+    del order
+    link = np.diff(run) == 0
+    del run
+    link &= np.diff(ends[idx, 1]) <= eps
+    lo = _pair_starts(link)
+    del link
+    a, b = idx[lo], idx[lo + 1]
+    del idx, lo
     partner = np.full(ends.shape[0], -1, np.int64)
     partner[a] = b
     partner[b] = a
     return partner
+
+
+def _runs(x, eps):
+    """Run label of every x: sorted, a gap wider than eps starts a new run."""
+    by_x = np.argsort(x, kind="stable")
+    run = np.zeros(x.shape[0], np.int64)
+    run[by_x[1:]] = np.cumsum(np.diff(x[by_x]) > eps)
+    return run
+
+
+def _pair_starts(link):
+    """Positions i paired with i + 1: a chain of links pairs its 1st and
+    2nd endpoints, its 3rd and 4th, ..."""
+    pos = np.arange(link.shape[0])
+    chain_start = np.maximum.accumulate(np.where(link, 0, pos + 1))
+    return pos[link & ((pos - chain_start) % 2 == 0)]
 
 
 def flood_spanning(seg, R, pitch):

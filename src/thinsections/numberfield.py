@@ -232,8 +232,13 @@ class FieldElement:
 
     def __init__(self, field, coeffs):
         c = P.poly(coeffs)
-        num, self._den = _ints(c)
-        self.field, self._num, self._coeffs, self._hash = field, tuple(num), c, None
+        num, den = _ints(c)
+        if len(num) > field.degree:
+            # not a residue yet: reduce it as field.element does
+            r = field._reduced(num, den)
+            num, den, c = r._num, r._den, None
+        self.field, self._num, self._den = field, tuple(num), den
+        self._coeffs, self._hash = c, None
 
     @property
     def coeffs(self):

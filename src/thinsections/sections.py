@@ -4,8 +4,9 @@ A section of the surface by a plane x2 = level is a disjoint family of
 curves, drawn in (x1, x3) coordinates.  Tracing works on floats with numpy:
 the exact surface is compiled once to floats, every lattice translate
 meeting the requested window contributes horizontal (plate) and vertical
-(wall) segments, coincident endpoints are paired, and one walk along the
-pairs turns each connected component into one chain.  Tangency levels are
+(wall) segments, coincident endpoints are paired, and whole-array pointer
+jumping along the pairs orders every connected component into one chain,
+after which one pass classifies all components.  Tangency levels are
 guarded against up front, so the float arithmetic only ever joins endpoints
 that agree to machine precision; the tolerance eps is a safety margin, not
 a smoothing parameter.
@@ -87,46 +88,102 @@ def _emit(surface, level, R, eps):
     return seg, clip
 
 
-def _classify(seg_rows, closed, R, eps):
-    xs = np.concatenate([seg_rows[:, 0], seg_rows[:, 2]])
-    zs = np.concatenate([seg_rows[:, 1], seg_rows[:, 3]])
+def _classify(rows, first, closed, R, eps):
+    """Window class of every component at once.
+
+    ``rows`` are the member segments of all components one after another,
+    component k starting at row first[k]; each component's bounding box
+    comes from one reduceat over its rows.
+    """
+    lo = np.minimum.reduceat(np.minimum(rows[:, :2], rows[:, 2:]), first)
+    hi = np.maximum.reduceat(np.maximum(rows[:, :2], rows[:, 2:]), first)
     tol = max(eps, 1e-9)
-    spans_x = xs.min() <= -R + tol and xs.max() >= R - tol
-    spans_z = zs.min() <= -R + tol and zs.max() >= R - tol
-    diameter = max(xs.max() - xs.min(), zs.max() - zs.min())
-    if spans_x or spans_z or diameter >= R:
-        return "spanning"
-    if closed:
-        return "closed"
-    return "boundary-clipped"
+    spans = ((lo <= -R + tol) & (hi >= R - tol)).any(axis=1)
+    diameter = (hi - lo).max(axis=1)
+    spanning = spans | (diameter >= R)
+    code = np.where(spanning, 0, np.where(closed, 2, 1))
+    return [WINDOW_CLASSES[k] for k in code.tolist()]
+
+
+def _jump(pred, root, steps):
+    """Pointer jumping over predecessor links (list ranking, Wyllie 1979).
+
+    After ``steps`` rounds every node within 2**steps links of a root
+    points at that root and holds its distance from it; a node on a cycle
+    of predecessors points at another node of its cycle.
+    """
+    ptr = np.where(root, np.arange(pred.shape[0]), pred)
+    rank = (~root).astype(np.int64)
+    for _ in range(steps):
+        rank += rank[ptr]
+        ptr = ptr[ptr]
+    return ptr, rank
+
+
+def _chain_order(partner):
+    """One direction of every component, as nodes in chain order.
+
+    Node e is segment e >> 1 entered at endpoint e.  Returns the kept nodes
+    sorted by component and by place in it, the offset of each component
+    among them and each component's closed flag.  Temporaries stay local,
+    so they are freed before _chains builds its points.
+    """
+    n2 = partner.shape[0]
+    node = np.arange(n2)
+    free = partner < 0
+    pred = partner ^ 1
+    steps = n2.bit_length()
+    root, rank = _jump(pred, free, steps)
+    cyc = ~free[root]
+    keep = ~cyc & (root < root[node ^ 1])
+    if cyc.any():
+        low, ptr = node.copy(), np.where(cyc, pred, node)
+        for _ in range(steps):
+            low = np.minimum(low, low[ptr])
+            ptr = ptr[ptr]
+        _, cyc_rank = _jump(pred, ~cyc | (low == node), steps)
+        keep |= cyc & (low % 2 == 0)
+        root = np.where(cyc, n2 + low, root)
+        rank = np.where(cyc, cyc_rank, rank)
+    kept = np.flatnonzero(keep)
+    order = kept[np.lexsort((rank[kept], root[kept]))]
+    key = root[order]
+    first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+    return order, first, key[first] >= n2
 
 
 def _chains(seg, partner):
-    """Walk the segments into one point chain per connected component.
+    """Order the segments into one point chain per connected component.
 
     Every endpoint has at most one partner, so a component is a path or a
-    cycle.  A path is walked from its first free endpoint, a cycle from its
-    first segment, and a cycle's chain ends on its first point.  Returns
-    (segment indices, chain, closed) per component.
+    cycle.  A node is a segment entered at one of its endpoints e; the node
+    before it is the segment entered at partner[e] ^ 1, and a node entered
+    at a free endpoint starts a path.  Pointer jumping gives every node its
+    start and its place.  A path keeps the direction that starts at its
+    smaller free endpoint.  Each direction of a cycle is cut at its
+    smallest entering endpoint, found by jumping with a running minimum;
+    the direction kept is the one cut at 2 * (its first segment), and its
+    chain ends on its first point.
+
+    Returns (members, first, chains, closed): the segment indices of every
+    component one after another, the offset of each component in them, a
+    tuple of (x1, x3) points per component and a closed flag per
+    component.  Paths come first, by starting endpoint, then cycles, by
+    first segment.
     """
-    ends = seg.reshape(-1, 2)
-    used = bytearray(seg.shape[0])
-
-    def walk(start):
-        e, exits = start, []
-        while True:
-            used[e >> 1] = 1
-            exits.append(e ^ 1)
-            e = partner[e ^ 1]
-            if e < 0 or used[e >> 1]:
-                break
-        pts = list(map(tuple, ends[[start] + exits].tolist()))
-        if e == start:
-            pts[-1] = pts[0]
-        return [x >> 1 for x in exits], tuple(pts), e == start
-
-    out = [walk(e) for e in np.flatnonzero(partner < 0).tolist() if not used[e >> 1]]
-    return out + [walk(2 * i) for i in range(len(used)) if not used[i]]
+    order, first, closed = _chain_order(partner)
+    # a chain is its start endpoint, then the exit endpoint of each member
+    at = first + np.arange(first.shape[0])
+    stop = np.append(at[1:], order.shape[0] + first.shape[0])
+    exits = np.ones(stop[-1], bool)
+    exits[at] = False
+    idx = np.empty(stop[-1], np.int64)
+    idx[exits] = order ^ 1
+    idx[at] = order[first]
+    idx[stop[closed] - 1] = order[first[closed]]
+    pts = list(zip(*seg.reshape(-1, 2)[idx].T.tolist()))
+    chains = [tuple(pts[a:b]) for a, b in zip(at.tolist(), stop.tolist())]
+    return order >> 1, first, chains, closed
 
 
 def trace_section(surface, level, R, eps=DEFAULT_EPS):
@@ -141,10 +198,9 @@ def trace_section(surface, level, R, eps=DEFAULT_EPS):
     if seg.shape[0] == 0:
         return ()
     partner = _kernels.match_endpoints(seg, clip, eps)
-    components = [
-        SectionComponent((chain,), _classify(seg[members], closed, R, eps))
-        for members, chain, closed in _chains(seg, partner)
-    ]
+    members, first, chains, closed = _chains(seg, partner)
+    classes = _classify(seg[members], first, closed, R, eps)
+    components = [SectionComponent((chain,), c) for chain, c in zip(chains, classes)]
     rank = {c: i for i, c in enumerate(WINDOW_CLASSES)}
     components.sort(key=lambda c: (rank[c.window_class], c.polylines))
     return tuple(components)
@@ -160,7 +216,7 @@ def component_census(components):
 def grid_census(surface, level, R, pitch=1.0 / 64, eps=DEFAULT_EPS):
     """Flood-fill cross-check: (components, spanning) on a pitch grid.
 
-    Deliberately coarse and independent of the endpoint-matching walk; the
+    Deliberately coarse and independent of the endpoint pairing; the
     pitch must stay well below the 1/5 feature separation of the surfaces.
     """
     seg, _clip = _emit(surface, level, R, eps)

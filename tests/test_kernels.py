@@ -1,15 +1,16 @@
 """The numpy section kernels against plain loop references.
 
-The references below walk the lattice translates and the endpoint runs one
-at a time, in the order the vectorised kernels promise, with the same
-float operations; the kernels must reproduce them exactly.
+The references below walk the lattice translates, the endpoint runs and
+the chains of paired endpoints one at a time, in the order the vectorised
+kernels promise, with the same float operations; the kernels must
+reproduce them exactly.
 """
 
 import numpy as np
 import pytest
 
 from thinsections import _kernels
-from thinsections.sections import _compiled
+from thinsections.sections import _chains, _classify, _compiled, _emit, sample_levels
 from thinsections.surface import build_surface
 
 
@@ -105,3 +106,114 @@ def test_kernels_match_loop_references(surface, level, R):
     assert seg.dtype == np.float64 and clip.dtype == np.uint8
     partner = _kernels.match_endpoints(seg, clip, 1e-9)
     assert np.array_equal(partner, _reference_match(seg, clip, 1e-9))
+
+
+def _reference_chains(seg, partner):
+    # paths from their first free endpoint, then cycles from their first
+    # segment; a cycle's chain ends on its first point
+    ends = seg.reshape(-1, 2)
+    used = bytearray(seg.shape[0])
+
+    def walk(start):
+        e, exits = start, []
+        while True:
+            used[e >> 1] = 1
+            exits.append(e ^ 1)
+            e = partner[e ^ 1]
+            if e < 0 or used[e >> 1]:
+                break
+        pts = list(map(tuple, ends[[start] + exits].tolist()))
+        if e == start:
+            pts[-1] = pts[0]
+        return [x >> 1 for x in exits], tuple(pts), e == start
+
+    out = [walk(e) for e in np.flatnonzero(partner < 0).tolist() if not used[e >> 1]]
+    return out + [walk(2 * i) for i in range(len(used)) if not used[i]]
+
+
+def _reference_classify(rows, closed, R, eps):
+    xs = np.concatenate([rows[:, 0], rows[:, 2]])
+    zs = np.concatenate([rows[:, 1], rows[:, 3]])
+    tol = max(eps, 1e-9)
+    spans_x = xs.min() <= -R + tol and xs.max() >= R - tol
+    spans_z = zs.min() <= -R + tol and zs.max() >= R - tol
+    diameter = max(xs.max() - xs.min(), zs.max() - zs.min())
+    if spans_x or spans_z or diameter >= R:
+        return "spanning"
+    return "closed" if closed else "boundary-clipped"
+
+
+def _check_chains(seg, partner, R, eps=1e-9):
+    members, first, chains, closed = _chains(seg, partner)
+    bounds = np.append(first, members.shape[0]).tolist()
+    got = [(members[a:b].tolist(), chain, bool(c))
+           for a, b, chain, c in zip(bounds, bounds[1:], chains, closed)]
+    ref = _reference_chains(seg, partner)
+    assert got == ref
+    assert repr(chains) == repr([chain for _, chain, _ in ref])
+    classes = _classify(seg[members], first, closed, R, eps)
+    assert classes == [_reference_classify(seg[m], c, R, eps) for m, _, c in ref]
+    return ref
+
+
+@pytest.mark.parametrize("R", [5.0, 10.0, 20.0, 50.0])
+def test_chains_match_walk_on_sampled_levels(surface, R):
+    for level in sample_levels(surface, 3, 0, 50.0):
+        seg, clip = _emit(surface, level, R, 1e-9)
+        _check_chains(seg, _kernels.match_endpoints(seg, clip, 1e-9), R)
+
+
+def _pairs(n_ends, *pairs):
+    partner = np.full(n_ends, -1, np.int64)
+    for a, b in pairs:
+        partner[a], partner[b] = b, a
+    return partner
+
+
+# unit square, stored bottom, top, left, right; the left side's lower end
+# is paired with the corner but sits 5e-10 above it
+SQUARE = ([(0, 0, 1, 0), (0, 1, 1, 1), (0, 5e-10, 0, 1), (1, 0, 1, 1)],
+          [(0, 4), (1, 6), (2, 5), (3, 7)])
+# (0,0)-(1,0)-(2,0)-(3,0) stored middle, right, left: the smaller free
+# endpoint (3) lies on segment 1, the lowest-numbered segment is interior
+PATH = ([(1, 0, 2, 0), (2, 0, 3, 0), (0, 0, 1, 0)], [(0, 5), (1, 2)])
+LONE = ([(0, 2, 0, 3)], [])
+# two segments over the same two points
+LENS = ([(0, 0, 1, 0), (0, 0, 1, 0)], [(0, 2), (1, 3)])
+
+
+def _union(*cases):
+    rows, pairs = [], []
+    for seg, case_pairs in cases:
+        pairs += [(a + 2 * len(rows), b + 2 * len(rows)) for a, b in case_pairs]
+        rows += seg
+    return rows, pairs
+
+
+@pytest.mark.parametrize("case, expect", [
+    (SQUARE, [([0, 3, 1, 2], ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)),
+               True)]),
+    (PATH, [([1, 0, 2], ((3.0, 0.0), (2.0, 0.0), (1.0, 0.0), (0.0, 0.0)), False)]),
+    (LONE, [([0], ((0.0, 2.0), (0.0, 3.0)), False)]),
+    (LENS, [([0, 1], ((0.0, 0.0), (1.0, 0.0), (0.0, 0.0)), True)]),
+    (_union(LONE, SQUARE, PATH, LENS), None),
+    (_union(LENS, PATH, SQUARE, LONE), None),
+])
+def test_chains_match_walk_on_hand_built_pairs(case, expect):
+    rows, pairs = case
+    seg = np.array(rows, float)
+    got = _check_chains(seg, _pairs(2 * seg.shape[0], *pairs), 5.0)
+    if expect is not None:
+        assert got == expect
+
+
+def test_chains_match_walk_on_clipped_path():
+    # window |x|, |z| <= 1: an L from the left edge to the top edge, and a
+    # second piece whose clipped end sits on the same boundary point
+    seg = np.array([(-1.0, 0.0, 0.5, 0.0), (0.5, 0.0, 0.5, 1.0), (-1.0, -0.5, -1.0, 0.0)])
+    clip = np.array([(1, 0), (0, 1), (0, 1)], np.uint8)
+    partner = _kernels.match_endpoints(seg, clip, 1e-9)
+    assert partner.tolist() == [-1, 2, 1, -1, -1, -1]
+    got = _check_chains(seg, partner, 1.0)
+    assert got == [([0, 1], ((-1.0, 0.0), (0.5, 0.0), (0.5, 1.0)), False),
+                   ([2], ((-1.0, -0.5), (-1.0, 0.0)), False)]

@@ -105,13 +105,21 @@ def test_fixed_elements_are_canonical(name):
     _check(f.rational(Fraction(-6, 4)), (Fraction(-3, 2),))
 
 
+def test_constructor_reduces_a_multiple_of_the_modulus():
+    f = NumberField([1, -4, 0, 1], (Fraction(0), Fraction(1, 2)))
+    x = FieldElement(f, (1, -4, 0, 1))
+    assert x.coeffs == ()
+    assert x.is_zero() and x == f.zero
+    assert x.sign() == 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), coeff_lists, coeff_lists, st.integers(-3, 4))
 def test_every_path_gives_the_fraction_residue(name, a, b, n):
     f = FIELDS[name]()
     monic = P.monic(f.modulus)
-    # The constructor keeps non-reduced input as given; element() reduces.
-    _check(FieldElement(f, a), P.poly(a))
+    # The constructor reduces input of degree >= the field's, as element() does.
+    _check(FieldElement(f, a), _residue(f, a))
     x, y = f.element(a), f.element(b)
     ra, rb = _residue(f, a), _residue(f, b)
     _check(x, ra)
