@@ -2,9 +2,7 @@
 
 ``emit_segments`` and ``match_endpoints`` are array code over the lattice
 translates and over the segment endpoints; Python loops run only over the
-few plates, holes and walls of one fundamental domain.  ``flood_spanning``
-is the independent rasterised census that the tests hold the endpoint
-pairing against; it stays a plain loop.
+few plates, holes and walls of one fundamental domain.
 """
 
 import numpy as np
@@ -142,82 +140,3 @@ def _pair_starts(link):
     chain_start = np.maximum.accumulate(np.where(link, 0, pos + 1))
     return pos[link & ((pos - chain_start) % 2 == 0)]
 
-
-def flood_spanning(seg, R, pitch):
-    """Grid flood-fill census over rasterized segments.
-
-    Independent cross-check for the endpoint-matching path: occupancy on a
-    square grid of the given pitch, 4-connected components, and a count of
-    components touching two opposite window edges.  Returns (components,
-    spanning components).
-    """
-    W = int(np.floor(2.0 * R / pitch)) + 1
-    occ = np.zeros((W, W), np.uint8)
-    for i in range(seg.shape[0]):
-        c0 = int(np.floor((seg[i, 0] + R) / pitch))
-        r0 = int(np.floor((seg[i, 1] + R) / pitch))
-        c1 = int(np.floor((seg[i, 2] + R) / pitch))
-        r1 = int(np.floor((seg[i, 3] + R) / pitch))
-        if c0 < 0:
-            c0 = 0
-        if r0 < 0:
-            r0 = 0
-        if c1 > W - 1:
-            c1 = W - 1
-        if r1 > W - 1:
-            r1 = W - 1
-        if c0 == c1:
-            for r in range(r0, r1 + 1):
-                occ[r, c0] = 1
-        else:
-            for c in range(c0, c1 + 1):
-                occ[r0, c] = 1
-    stack = np.empty(W * W, np.int64)
-    seen = np.zeros((W, W), np.uint8)
-    n_comp = 0
-    n_span = 0
-    for r0 in range(W):
-        for c0 in range(W):
-            if occ[r0, c0] == 0 or seen[r0, c0] == 1:
-                continue
-            n_comp += 1
-            top = 0
-            stack[top] = r0 * W + c0
-            top += 1
-            seen[r0, c0] = 1
-            t_left = False
-            t_right = False
-            t_bot = False
-            t_top = False
-            while top > 0:
-                top -= 1
-                cell = stack[top]
-                r = cell // W
-                c = cell % W
-                if c == 0:
-                    t_left = True
-                if c == W - 1:
-                    t_right = True
-                if r == 0:
-                    t_bot = True
-                if r == W - 1:
-                    t_top = True
-                if r > 0 and occ[r - 1, c] == 1 and seen[r - 1, c] == 0:
-                    seen[r - 1, c] = 1
-                    stack[top] = (r - 1) * W + c
-                    top += 1
-                if r < W - 1 and occ[r + 1, c] == 1 and seen[r + 1, c] == 0:
-                    seen[r + 1, c] = 1
-                    stack[top] = (r + 1) * W + c
-                    top += 1
-                if c > 0 and occ[r, c - 1] == 1 and seen[r, c - 1] == 0:
-                    seen[r, c - 1] = 1
-                    stack[top] = r * W + (c - 1)
-                    top += 1
-                if c < W - 1 and occ[r, c + 1] == 1 and seen[r, c + 1] == 0:
-                    seen[r, c + 1] = 1
-                    stack[top] = r * W + (c + 1)
-                    top += 1
-            if (t_left and t_right) or (t_bot and t_top):
-                n_span += 1
-    return n_comp, n_span

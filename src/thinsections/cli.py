@@ -24,7 +24,7 @@ from .errors import (
     NotFound,
     ThinSectionsError,
 )
-from .iis import RIGHT, SimilarityReport, affine_match, build_system, rauzy_step
+from .iis import IIS, RIGHT, SimilarityReport, affine_match, build_system, rauzy_step
 from .sections import component_census, sample_levels, trace_section
 from .serialize import (
     complex_from_json,
@@ -63,22 +63,24 @@ def _cmd_verify(args):
 # -- run --------------------------------------------------------------------------
 
 
-def _load_spec(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_spec(path, kind):
+    """The system or complex in a JSON file; unreadable or malformed
+    input is a usage error."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if "pairs" in payload:
+            return iis_from_json(payload)
+        if "bands" in payload and kind == "rips":
+            return complex_from_json(payload)
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ThinSectionsError(f"{path}: {type(exc).__name__}: {exc}") from None
+    raise ThinSectionsError(f"{path}: not a usable {kind} input")
 
 
 def _system_for(kind, spec):
-    if spec in ("s1", "s2"):
-        s = build_system(spec)
-        return s if kind == "rauzy" else complex_from_iis(s)
-    payload = _load_spec(spec)
-    if "pairs" in payload:
-        s = iis_from_json(payload)
-        return s if kind == "rauzy" else complex_from_iis(s)
-    if "bands" in payload and kind == "rips":
-        return complex_from_json(payload)
-    raise ThinSectionsError(f"{spec}: not a usable {kind} input")
+    s = build_system(spec) if spec in ("s1", "s2") else _load_spec(spec, kind)
+    return complex_from_iis(s) if kind == "rips" and isinstance(s, IIS) else s
 
 
 def _emit_state(n, to_json, to_svg, emit_dir, svg_dir):
@@ -212,7 +214,11 @@ def _cmd_section(args):
     R = args.radius
     explicit = args.level is not None
     if explicit:
-        levels = [float(Fraction(part)) for part in args.level.split(",")]
+        try:
+            levels = [float(Fraction(part)) for part in args.level.split(",")]
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ThinSectionsError(
+                f"--level {args.level!r}: not a list of finite numbers") from None
     else:
         levels = sample_levels(surface, args.levels, args.seed, R)
         print(f"sampled {len(levels)} levels with seed {args.seed}")

@@ -442,30 +442,28 @@ def detect_self_similarity(s, max_steps, policy="right"):
 
     if policy in (RIGHT, LEFT):
         sides = [policy] * max_steps
-        schedules = [sides]
     elif policy == "alternate-rl":
-        schedules = [[(RIGHT, LEFT)[k % 2] for k in range(max_steps)]]
+        sides = [(RIGHT, LEFT)[k % 2] for k in range(max_steps)]
     elif policy == "alternate-lr":
-        schedules = [[(LEFT, RIGHT)[k % 2] for k in range(max_steps)]]
+        sides = [(LEFT, RIGHT)[k % 2] for k in range(max_steps)]
     elif policy == "search":
-        schedules = None
+        sides = None
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
-    if schedules is not None:
-        for sides in schedules:
-            cur = s
-            log = []
-            for n, side in enumerate(sides, start=1):
-                nxt = step_or_none(cur, side)
-                if nxt is None:
-                    break
-                cur, moves = nxt
-                log.extend(moves)
-                hit = affine_match(s, cur)
-                if hit is not None:
-                    k, t = hit
-                    return SimilarityReport(n, k, t, tuple(log))
+    if sides is not None:
+        cur = s
+        log = []
+        for n, side in enumerate(sides, start=1):
+            nxt = step_or_none(cur, side)
+            if nxt is None:
+                break
+            cur, moves = nxt
+            log.extend(moves)
+            hit = affine_match(s, cur)
+            if hit is not None:
+                k, t = hit
+                return SimilarityReport(n, k, t, tuple(log))
         return None
 
     # Breadth-first over side sequences, deduplicating states.

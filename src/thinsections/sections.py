@@ -24,7 +24,6 @@ __all__ = [
     "SectionComponent",
     "trace_section",
     "component_census",
-    "grid_census",
     "sample_levels",
     "DEFAULT_EPS",
 ]
@@ -211,18 +210,6 @@ def component_census(components):
     for comp in components:
         counts[comp.window_class] += 1
     return counts
-
-
-def grid_census(surface, level, R, pitch=1.0 / 64, eps=DEFAULT_EPS):
-    """Flood-fill cross-check: (components, spanning) on a pitch grid.
-
-    Deliberately coarse and independent of the endpoint pairing; the
-    pitch must stay well below the 1/5 feature separation of the surfaces.
-    """
-    seg, _clip = _emit(surface, level, R, eps)
-    if seg.shape[0] == 0:
-        return 0, 0
-    return _kernels.flood_spanning(seg, float(R), float(pitch))
 
 
 def sample_levels(surface, count, seed, R, eps=DEFAULT_EPS):

@@ -218,6 +218,18 @@ def test_run_rejects_unusable_input(tmp_path):
     assert main(["run", "rips", "--system", str(path), "--steps", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "content", [None, "not json", "3", '{"pairs": 3}'],
+    ids=["missing", "not-json", "not-object", "no-field"])
+def test_run_rejects_unreadable_system(tmp_path, capsys, content):
+    path = tmp_path / "system.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["run", "rips", "--system", str(path), "--steps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
 @pytest.mark.parametrize("arc", [-1, 3])
 def test_run_rips_rejects_unknown_arc(tmp_path, capsys, arc):
     from thinsections.bands import complex_from_iis
@@ -293,6 +305,13 @@ def test_section_rejects_fewer_than_one_level(capsys):
         assert main(["section", "--example", "1", "--levels", n, "--radius", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--levels" in err
+
+
+@pytest.mark.parametrize("level", ["abc", "nan", "1e400", "0.1,,0.2"])
+def test_section_rejects_bad_level(capsys, level):
+    assert main(["section", "--example", "1", "--radius", "5", "--level", level]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--level" in err
 
 
 def test_section_requires_levels_or_level():

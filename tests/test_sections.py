@@ -11,7 +11,6 @@ from thinsections.iis import system_params
 from thinsections.sections import (
     SectionComponent,
     component_census,
-    grid_census,
     sample_levels,
     trace_section,
     _emit,
@@ -209,15 +208,7 @@ def test_spanning_component_grows_with_window(ex1):
         assert len(parents) == 1
 
 
-# -- censuses against the grid oracle -------------------------------------------
-
-
-def test_grid_census_agrees_with_endpoint_walk(ex1, ex2):
-    for surface in (ex1, ex2):
-        for level in (0.15, 0.52):
-            comps = trace_section(surface, level, 10.0)
-            n_grid, _span = grid_census(surface, level, 10.0)
-            assert n_grid == len(comps)
+# -- window censuses -----------------------------------------------------------
 
 
 def _edge_spanning(components, R, tol=1e-9):
