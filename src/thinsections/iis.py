@@ -164,21 +164,25 @@ class IIS:
         return f"IIS([{float(lo):.4f},{float(hi):.4f}]; {body})"
 
 
+def _bundled(name):
+    """(field, parameters) of a bundled system, built once from its matrix."""
+    if name not in _FIELD_CACHE:
+        m = SYSTEM_MATRIX[name]
+        field = minimal_field(char_poly(m), _ROOT_HINT[name])
+        field.refine_below(Fraction(1, 2 ** 128))
+        _FIELD_CACHE[name] = (field, tuple(eigen_kernel(m, field.gen)))
+    return _FIELD_CACHE[name]
+
+
 def system_field(name):
     """The number field of a bundled system, built from its matrix."""
-    if name not in _FIELD_CACHE:
-        cp = char_poly(SYSTEM_MATRIX[name])
-        field = minimal_field(cp, _ROOT_HINT[name])
-        field.refine_below(Fraction(1, 2 ** 128))
-        _FIELD_CACHE[name] = field
-    return _FIELD_CACHE[name]
+    return _bundled(name)[0]
 
 
 def system_params(name):
     """Eigenvector coordinates of a bundled system, unit sum on the
     first three entries."""
-    field = system_field(name)
-    return eigen_kernel(SYSTEM_MATRIX[name], field.gen)
+    return _bundled(name)[1]
 
 
 def build_system(spec):

@@ -13,12 +13,14 @@ a smoothing parameter.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .errors import EmptyWindow, NearSaddle
+from .surface import _floor_towards
 
 __all__ = [
     "SectionComponent",
@@ -80,7 +82,15 @@ def _emit(surface, level, R, eps):
     level = float(level)
     if not np.isfinite(level):
         raise ValueError("section level must be finite")
-    seg, clip, near = _kernels.emit_segments(level, R, *_compiled(surface))
+    compiled = _compiled(surface)
+    traced = level
+    if not 0.0 <= level < compiled[4]:
+        # e2 - e1 = (0, P, 0) leaves the section unchanged: shift the level
+        # into [0, P) (compiled[4] is P as a float) exactly, as floats
+        # would lose its place in the period
+        exact, period = surface.field.rational(Fraction(level)), surface.plate_period
+        traced = float(exact - _floor_towards(exact, period) * period)
+    seg, clip, near = _kernels.emit_segments(traced, R, *compiled)
     if near < eps:
         raise NearSaddle(
             "level %.12g is within %.3g of a tangency face" % (level, eps))

@@ -52,6 +52,9 @@ class Rect:
             (two * c2 - self.x2[1], two * c2 - self.x2[0]),
         )
 
+    def sides(self):
+        return (self.x1[1] - self.x1[0], self.x2[1] - self.x2[0])
+
     def same_as(self, other):
         return all(
             (a - b).is_zero()
@@ -281,16 +284,9 @@ def central_symmetry_point(surface):
 
 def _plate_rects(plate):
     """Decompose outer-minus-holes into exact rectangles (vertical strips)."""
-    cuts = [plate.outer.x1[0], plate.outer.x1[1]]
-    for h in plate.holes:
-        cuts.extend(h.x1)
-    cuts.sort()
-    dedup = [cuts[0]]
-    for v in cuts[1:]:
-        if not (v - dedup[-1]).is_zero():
-            dedup.append(v)
+    cuts = _dedup_sorted([*plate.outer.x1] + [v for h in plate.holes for v in h.x1])
     rects = []
-    for lo, hi in zip(dedup, dedup[1:]):
+    for lo, hi in zip(cuts, cuts[1:]):
         mid_blocks = sorted(
             (h.x2 for h in plate.holes
              if (h.x1[0] - lo).sign() <= 0 and (hi - h.x1[1]).sign() <= 0),
@@ -307,30 +303,39 @@ def _plate_rects(plate):
 
 
 def _faces(surface):
-    """Flatten the surface into axis-plane faces (axis, value, u-range, v-range).
+    """Flatten the surface into faces (axis, (x1, x2, x3 ranges)): boxes
+    whose range along ``axis`` is the face's plane, (value, value).
 
-    axis "z": plate pieces, coordinates (u, v) = (x1, x2)
-    axis "x": vertical tube faces, (u, v) = (x2, x3)
-    axis "y": tangency tube faces, (u, v) = (x1, x3)
+    axis 2: plate pieces; axis 0: vertical tube faces; axis 1: tangency
+    tube faces.
     """
     out = []
     for plate in surface.plates:
-        for u, v in _plate_rects(plate):
-            out.append(("z", plate.level, u, v))
+        for x1, x2 in _plate_rects(plate):
+            out.append((2, (x1, x2, (plate.level, plate.level))))
     for w in surface.walls:
-        axis = "x" if w.orient == "v" else "y"
-        out.append((axis, w.fixed, w.span, w.x3))
+        flat = (w.fixed, w.fixed)
+        out.append((0, (flat, w.span, w.x3)) if w.orient == "v" else (1, (w.span, flat, w.x3)))
     return out
 
 
 def _floor_towards(value, unit):
-    """Largest integer n with n*unit <= value, by float guess + exact check."""
+    """Largest integer n with n*unit <= value, by float guess + exact check.
+
+    A guess that misses is replaced by a new guess from the exact
+    remainder, so the rounds needed grow with the digits of value/unit,
+    not with its size.
+    """
     n = int(float(value) // float(unit))
-    while (value - (n + 1) * unit).sign() >= 0:
-        n += 1
-    while (value - n * unit).sign() < 0:
-        n -= 1
-    return n
+    while True:
+        over = value - (n + 1) * unit
+        if over.sign() >= 0:
+            n += 1 + max(0, int(float(over) // float(unit)))
+            continue
+        rest = value - n * unit
+        if rest.sign() >= 0:
+            return n
+        n += min(-1, int(float(rest) // float(unit)))
 
 
 def _split_range(lo, hi, unit):
@@ -342,56 +347,35 @@ def _split_range(lo, hi, unit):
     return [(n, lo, cut), (n + 1, cut, hi)]
 
 
-def _canonical_faces(surface, faces):
-    """Translate faces into the fundamental cell, splitting where they wrap.
+def _into_cell(surface, boxes):
+    """Translate tagged boxes (tag, (x1, x2, x3 ranges)) by lattice vectors
+    into the cell [0, 1) x [0, P) x [0, 1), splitting a box where it wraps.
 
-    Lattice translations act on a face by shifting its plane value and
-    ranges; e1 and e3 shifts also move the x2 coordinate, which is the
-    plane value for "y" faces and the u or v range otherwise.
+    One reduction step per lattice direction, each cutting one range at
+    multiples of its unit: along e1 the x1 range at integers, along e3 the
+    x3 range at integers, then along e2 - e1 = (0, P, 0) the x2 range at
+    multiples of the plate period P.  e1 and e3 also drag x2 by their
+    x2-components.  A point (all ranges degenerate) is never split, so
+    lattice translates of one point reduce to the same cell point.
     """
-    field = surface.field
-    one = field.rational(1)
-    period = surface.plate_period
-    e1y = surface.lattice[0][1]
-    e3y = surface.lattice[2][1]
-    out = []
-    for axis, value, u, v in faces:
-        if axis == "z":
-            k3 = _floor_towards(value, one)
-            pieces = [(value - k3, u, (v[0] - k3 * e3y, v[1] - k3 * e3y))]
-            split = []
-            for val, (u0, u1), vv in pieces:
-                for k1, s0, s1 in _split_range(u0, u1, one):
-                    split.append((val, (s0 - k1, s1 - k1),
-                                  (vv[0] - k1 * e1y, vv[1] - k1 * e1y)))
-            for val, uu, (v0, v1) in split:
-                for m, s0, s1 in _split_range(v0, v1, period):
-                    out.append(("z", val, uu, (s0 - m * period, s1 - m * period)))
-        elif axis == "x":
-            k1 = _floor_towards(value, one)
-            val = value - k1
-            u = (u[0] - k1 * e1y, u[1] - k1 * e1y)
-            for k3, s0, s1 in _split_range(v[0], v[1], one):
-                uu = (u[0] - k3 * e3y, u[1] - k3 * e3y)
-                for m, t0, t1 in _split_range(uu[0], uu[1], period):
-                    out.append(("x", val, (t0 - m * period, t1 - m * period),
-                                (s0 - k3, s1 - k3)))
-        else:
-            for k1, u0, u1 in _split_range(u[0], u[1], one):
-                val1 = value - k1 * e1y
-                for k3, v0, v1 in _split_range(v[0], v[1], one):
-                    val2 = val1 - k3 * e3y
-                    m = _floor_towards(val2, period)
-                    out.append(("y", val2 - m * period,
-                                (u0 - k1, u1 - k1), (v0 - k3, v1 - k3)))
-    return out
+    e1y, e3y = surface.lattice[0][1], surface.lattice[2][1]
+    for axis, unit, drag in ((0, 1, e1y), (2, 1, e3y), (1, surface.plate_period, None)):
+        out = []
+        for tag, box in boxes:
+            for k, lo, hi in _split_range(*box[axis], unit):
+                moved = list(box)
+                moved[axis] = (lo - k * unit, hi - k * unit)
+                if k and drag is not None:
+                    moved[1] = (moved[1][0] - k * drag, moved[1][1] - k * drag)
+                out.append((tag, tuple(moved)))
+        boxes = out
+    return boxes
 
 
 def _dedup_sorted(vals):
-    vals = sorted(vals)
-    kept = [vals[0]]
-    for v in vals[1:]:
-        if not (v - kept[-1]).is_zero():
+    kept = []
+    for v in sorted(vals):
+        if not kept or not (v - kept[-1]).is_zero():
             kept.append(v)
     return kept
 
@@ -411,22 +395,24 @@ def _atom_set(rects, cuts_u, cuts_v):
 def _same_union(rects_a, rects_b):
     if not rects_a or not rects_b:
         return not rects_a and not rects_b
-    cuts_u = _dedup_sorted([r[0][0] for r in rects_a + rects_b]
-                           + [r[0][1] for r in rects_a + rects_b])
-    cuts_v = _dedup_sorted([r[1][0] for r in rects_a + rects_b]
-                           + [r[1][1] for r in rects_a + rects_b])
+    both = rects_a + rects_b
+    cuts_u = _dedup_sorted([v for r in both for v in r[0]])
+    cuts_v = _dedup_sorted([v for r in both for v in r[1]])
     return _atom_set(rects_a, cuts_u, cuts_v) == _atom_set(rects_b, cuts_u, cuts_v)
 
 
-def _group_by_plane(faces):
+def _group_by_plane(boxes):
+    """Faces by plane: ((axis, value), rectangles in the other two ranges)."""
     groups = []
-    for axis, value, u, v in faces:
+    for axis, box in boxes:
+        value = box[axis][0]
+        rect = tuple(r for i, r in enumerate(box) if i != axis)
         for key, rects in groups:
             if key[0] == axis and (key[1] - value).is_zero():
-                rects.append((u, v))
+                rects.append(rect)
                 break
         else:
-            groups.append(((axis, value), [(u, v)]))
+            groups.append(((axis, value), [rect]))
     return groups
 
 
@@ -437,19 +423,11 @@ def check_central_symmetry(surface, point):
     compared plane by plane as exact unions of rectangles, so pieces that
     the reflection shears across cell boundaries still match.
     """
-    p1, p2, p3 = point
-    centers = {"z": (p1, p2, p3), "x": (p2, p3, p1), "y": (p1, p3, p2)}
-    reflected = []
-    for axis, value, u, v in _faces(surface):
-        cu, cv, cw = centers[axis]
-        reflected.append((
-            axis,
-            2 * cw - value,
-            (2 * cu - u[1], 2 * cu - u[0]),
-            (2 * cv - v[1], 2 * cv - v[0]),
-        ))
-    original = _group_by_plane(_canonical_faces(surface, _faces(surface)))
-    image = _group_by_plane(_canonical_faces(surface, reflected))
+    faces = _faces(surface)
+    reflected = [(axis, tuple((2 * p - hi, 2 * p - lo) for p, (lo, hi) in zip(point, box)))
+                 for axis, box in faces]
+    original = _group_by_plane(_into_cell(surface, faces))
+    image = _group_by_plane(_into_cell(surface, reflected))
     if len(original) != len(image):
         return False
     for key, rects in original:
@@ -494,54 +472,35 @@ def _reassemble_tubes(surface):
     return tubes
 
 
-def _lattice_translates(surface, bound=2):
-    field = surface.field
-    e1, e2, e3 = surface.lattice
-    rng = range(-bound, bound + 1)
-    for k1 in rng:
-        for k2 in rng:
-            for k3 in rng:
-                yield (
-                    (k1, k2, k3),
-                    tuple(k1 * e1[i] + k2 * e2[i] + k3 * e3[i] for i in range(3)),
-                )
-
-
 def euler_characteristic(surface):
     """Euler characteristic of the closed quotient surface.
 
     Audits the gluing pattern: each plate closes into a torus-with-holes
     under the horizontal lattice, every tube end is matched either by a
-    plate hole at its height or by another tube end shifted by a lattice
-    vector, and nothing is matched twice.  The characteristic is then the
+    plate hole at its height or by another tube end shifted by any nonzero
+    lattice vector, and nothing is matched twice.  The characteristic is then the
     hole count of the plates with the sign flipped, tubes contributing
     zero.
     """
-    field = surface.field
-    one = field.rational(1)
-    period = surface.plate_period
-    e1, e2 = surface.lattice[0], surface.lattice[1]
-    if not (e1[0] - one).is_zero() or not (e2[0] - one).is_zero():
-        raise AuditError("plate lattice must shift x1 by exactly one")
-    if not (e2[1] - e1[1] - period).is_zero():
+    e1, e2, e3 = surface.lattice
+    ends = e1[::2] + e2[::2] + e3[::2]  # (x1, x3) of each basis vector
+    if any(not (v - k).is_zero() for v, k in zip(ends, (1, 0, 1, 0, 0, 1))):
+        raise AuditError("lattice must be e1, e2 = (1, *, 0) and e3 = (0, *, 1)")
+    if not (e2[1] - e1[1] - surface.plate_period).is_zero():
         raise AuditError("x2-period of the lattice must match the plate height")
     for plate in surface.plates:
-        if not (plate.outer.x1[1] - plate.outer.x1[0] - one).is_zero():
+        if not (plate.outer.x1[1] - plate.outer.x1[0] - 1).is_zero():
             raise AuditError("plate width must equal the x1-period")
         for h in plate.holes:
             if not h.strictly_inside(plate.outer):
                 raise AuditError("plate hole touches the outer boundary")
 
-    circles = []
-    for rect, (z0, z1) in _reassemble_tubes(surface):
-        circles.append([rect, z0, None])
-        circles.append([rect, z1, None])
-    holes = []
-    for pi, plate in enumerate(surface.plates):
-        for h in plate.holes:
-            holes.append([h, plate.level, pi, None])
+    circles = [[rect, z, None] for rect, zs in _reassemble_tubes(surface) for z in zs]
+    holes = [[h, plate.level, pi, None]
+             for pi, plate in enumerate(surface.plates) for h in plate.holes]
 
-    translates = list(_lattice_translates(surface))
+    corners = [(None, ((r.x1[0], r.x1[0]), (r.x2[0], r.x2[0]), (z, z))) for r, z, _ in circles]
+    cells = [box for _, box in _into_cell(surface, corners)]
     for ci, (rect, z, _) in enumerate(circles):
         for hole in holes:
             if (hole[1] - z).is_zero() and hole[0].same_as(rect):
@@ -550,17 +509,14 @@ def euler_characteristic(surface):
                 hole[3] = ci
                 circles[ci][2] = ("plate", hole[2])
         for cj in range(ci + 1, len(circles)):
-            orect, oz, _ = circles[cj]
-            for ks, vec in translates:
-                if ks == (0, 0, 0):
-                    continue
-                if not (z + vec[2] - oz).is_zero():
-                    continue
-                if orect.same_as(rect.translated(vec[0], vec[1])):
-                    if circles[ci][2] is not None or circles[cj][2] is not None:
-                        raise AuditError("boundary circle glued twice")
-                    circles[ci][2] = ("tube", cj)
-                    circles[cj][2] = ("tube", ci)
+            # glued when a nonzero lattice vector takes this end onto the other
+            if (cells[ci] != cells[cj] or rect.sides() != circles[cj][0].sides()
+                    or corners[ci] == corners[cj]):
+                continue
+            if circles[ci][2] is not None or circles[cj][2] is not None:
+                raise AuditError("boundary circle glued twice")
+            circles[ci][2] = ("tube", cj)
+            circles[cj][2] = ("tube", ci)
     if any(c[2] is None for c in circles):
         raise AuditError("unmatched tube end; the surface is not closed")
     if any(h[3] is None for h in holes):

@@ -16,6 +16,7 @@ from thinsections.bands import (
     CycleReport,
     SupportArc,
     _find_merge,
+    _normalized,
     _prune_rounds,
     _removal_round,
     _rips_step_tracked,
@@ -479,6 +480,32 @@ def test_s1_recorded_cycle_embeds_spectrally(rep1):
 def test_s1_recorded_matrices_match_up_to_relabeling(rep1):
     assert rep1.width_matrix.rows == ref.WIDTH_CYCLE["s1"].rows
     assert rep1.length_matrix.rows == ref.LENGTH_CYCLE["s1"].rows
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_cycle_repeats_for_five_periods(request, name):
+    # past cycle entry the machine repeats the detected period: the shape
+    # recurs every period, and after j periods the segment values have
+    # contracted by contraction**j and the band lengths grown by the
+    # length matrix to the j-th power, exactly
+    rep = request.getfixturevalue("rep" + name[1])
+    prefix, period = rep.prefix_steps, rep.period_steps
+    x = _normalized(complex_from_iis(build_system(name)))
+    run = [x]
+    for _ in range(prefix + 5 * period):
+        x, _ = rips_step(x)
+        run.append(x)
+    sigs = [combinatorial_signature(y) for y in run]
+    for t in range(prefix, prefix + 4 * period + 1):
+        assert sigs[t] == sigs[t + period]
+    params, lengths = segment_values(run[prefix]), [b.length for b in run[prefix].bands]
+    scale = rep.contraction
+    for j in range(1, 6):
+        later = run[prefix + j * period]
+        lengths = rep.length_matrix.apply(lengths)
+        assert all((v - scale * p).is_zero() for v, p in zip(segment_values(later), params))
+        assert [b.length for b in later.bands] == list(lengths)
+        scale = scale * rep.contraction
 
 
 # -- cycle detection: second system ------------------------------------------------

@@ -307,6 +307,12 @@ def test_section_rejects_fewer_than_one_level(capsys):
         assert err.startswith("error:") and "--levels" in err
 
 
+def test_section_at_a_far_level(capsys):
+    # the level is reduced modulo the plate period exactly, not in floats
+    assert main(["section", "--example", "1", "--radius", "5", "--level", "1e20"]) == 0
+    assert "24 components" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("level", ["abc", "nan", "1e400", "0.1,,0.2"])
 def test_section_rejects_bad_level(capsys, level):
     assert main(["section", "--example", "1", "--radius", "5", "--level", level]) == 2

@@ -216,6 +216,12 @@ def test_oracle_matches_trace_on_explicit_levels(surfaces, example):
     assert skipped == ([0.29250440723273] if example == 1 else [])
 
 
+def test_oracle_matches_trace_far_from_the_fundamental_period(surfaces):
+    _assert_agrees(surfaces[1], 1e15, 5.0)
+    exact = exact_section(surfaces[1], 1e15, 5.0)
+    assert (len(exact), sum(e[2] for e in exact)) == (24, 436)
+
+
 @settings(max_examples=25)
 @given(st.integers(0, int(_PERIOD * 2 ** 9) - 1))
 def test_oracle_matches_trace_at_random_levels(surfaces, k):

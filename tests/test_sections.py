@@ -1,11 +1,12 @@
 """Plane-section tracing: windows, censuses, kernels, level sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from thinsections import _kernels
+from thinsections import _kernels, iis
 from thinsections.errors import EmptyWindow, NearSaddle
 from thinsections.iis import system_params
 from thinsections.sections import (
@@ -15,7 +16,7 @@ from thinsections.sections import (
     trace_section,
     _emit,
 )
-from thinsections.surface import build_surface
+from thinsections.surface import _floor_towards, build_surface
 
 SEED = 20260815
 
@@ -57,6 +58,25 @@ def test_near_saddle_rejected(ex1):
 def test_nonfinite_level_rejected(ex1):
     with pytest.raises(ValueError):
         trace_section(ex1, float("nan"), 5.0)
+
+
+@pytest.fixture
+def own_ex1(monkeypatch):
+    """Example 1 over a field of its own: reducing a level near 1e300
+    exactly refines the field's isolating interval to about 2^-1000, which
+    would carry over to every later user of the shared field."""
+    monkeypatch.setattr(iis, "_FIELD_CACHE", {})
+    return build_surface(1)
+
+
+@pytest.mark.parametrize("level", [1e15, -1e15, 1e20, 1e300])
+def test_far_level_traces_as_its_exact_reduction(own_ex1, level):
+    # e2 - e1 = (0, P, 0) maps the section at level L onto the one at
+    # L - k*P; the float level alone would lose its place in the period
+    exact, period = own_ex1.field.rational(Fraction(level)), own_ex1.plate_period
+    reduced = float(exact - _floor_towards(exact, period) * period)
+    assert 0.0 <= reduced < float(period)
+    assert trace_section(own_ex1, level, 5.0) == trace_section(own_ex1, reduced, 5.0)
 
 
 # -- component structure -------------------------------------------------------

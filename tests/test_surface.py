@@ -247,6 +247,18 @@ def test_euler_characteristic(ex1, ex2):
         assert (2 - chi) // 2 == 3
 
 
+@pytest.mark.parametrize("example", (1, 2))
+def test_lattice_basis_does_not_matter(example):
+    # (e1, e2, e3 + 3(e2 - e1)) spans the same lattice; the gluing of the
+    # tube ends then needs a vector with a coefficient of 3 in this basis
+    S = build_surface(example)
+    e1, e2, e3 = S.lattice
+    e3b = tuple(e3[i] + 3 * (e2[i] - e1[i]) for i in range(3))
+    T = PLSurface(S.field, S.plates, S.walls, (e1, e2, e3b), "rebased")
+    assert euler_characteristic(T) == -4
+    assert check_central_symmetry(T, central_symmetry_point(T)) is True
+
+
 def test_euler_audit_rejects_missing_wall(ex1):
     broken = PLSurface(ex1.field, ex1.plates, ex1.walls[1:], ex1.lattice, "broken")
     with pytest.raises(AuditError):
