@@ -56,7 +56,7 @@ class SupportArc:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        if (hi - lo).sign() <= 0:
+        if hi <= lo:
             raise AuditError("support arc must have positive length")
         self.lo = lo
         self.hi = hi
@@ -95,7 +95,7 @@ class Band:
     def __init__(self, bottom, top, length):
         if (bottom.width() - top.width()).sign() != 0:
             raise AuditError("band bases must have equal width")
-        if bottom.width().sign() <= 0:
+        if bottom.hi <= bottom.lo:
             raise AuditError("band width must be positive")
         self.bottom = bottom
         self.top = top
@@ -133,7 +133,7 @@ class BandComplex:
                 if type(e.arc) is not int or not 0 <= e.arc < len(self.supports):
                     raise InvalidSystem(f"band end names no support arc: {e.arc!r}")
                 arc = self.supports[e.arc]
-                if (e.lo - arc.lo).sign() < 0 or (arc.hi - e.hi).sign() < 0:
+                if e.lo < arc.lo or arc.hi < e.hi:
                     raise AuditError("band base escapes its support arc")
 
     def __repr__(self):
@@ -193,7 +193,7 @@ def segmentation(x):
     for pts in tagged:
         out = []
         for v, tag in sorted(pts, key=lambda pt: pt[0]):
-            if not out or not (v - out[-1]).is_zero():
+            if not out or v != out[-1]:
                 out.append(v)
             if tag is not None:
                 bi, k, slot = tag
@@ -351,8 +351,8 @@ def _flips(b, t):
     """Whether the band with ends b, t is stored the other way round."""
     if t.arc != b.arc:
         return t.arc < b.arc
-    s = (t.lo - b.lo).sign()
-    return s < 0 or (s == 0 and (t.hi - b.hi).sign() < 0)
+    s = t.lo.compare(b.lo)
+    return s < 0 or (s == 0 and t.hi < b.hi)
 
 
 def _normalized(x, ledger=None):
@@ -391,7 +391,7 @@ def _locate_free(x, arc, lo, hi):
     for rec in recs:
         if rec.kind != "free" or rec.arc != arc:
             continue
-        if (lo - rec.lo).sign() >= 0 and (rec.hi - hi).sign() >= 0:
+        if rec.lo <= lo and hi <= rec.hi:
             raise NotMaximal("subarc is properly contained in a free subarc")
     raise NotFree("interval is not a free subarc of any base")
 
@@ -710,8 +710,7 @@ def detect_rips_cycle(x, max_steps):
             k = pt[0] / ps[0]
             if not all((b - k * a).is_zero() for a, b in zip(ps, pt)):
                 continue
-            ks = k.sign()
-            if ks <= 0 or (k - x.field.one).sign() >= 0:
+            if not 0 < k < 1:
                 continue
             u_period = _unit_rows(len(ps))
             for i in range(s, t):

@@ -86,10 +86,9 @@ class IntervalPair:
         self.left = tuple(left)
         self.right = tuple(right)
         (a, b), (c, d) = self.left, self.right
-        w1 = b - a
-        if w1.sign() <= 0:
+        if b <= a:
             raise InvalidSystem("interval width must be positive")
-        if not (w1 - (d - c)).is_zero():
+        if not ((b - a) - (d - c)).is_zero():
             raise InvalidSystem("pair widths differ")
 
     @property
@@ -107,7 +106,8 @@ class IntervalPair:
 
     def canonical(self):
         (a, b), (c, d) = self.left, self.right
-        if (c - a).sign() < 0 or ((c - a).is_zero() and (d - b).sign() < 0):
+        s = c.compare(a)
+        if s < 0 or (s == 0 and d < b):
             return (c, d, a, b)
         return (a, b, c, d)
 
@@ -125,11 +125,11 @@ class IIS:
         self.support = tuple(support)
         self.pairs = tuple(pairs)
         a, b = self.support
-        if (b - a).sign() <= 0:
+        if b <= a:
             raise InvalidSystem("support must have positive length")
         for p in self.pairs:
             for lo, hi in p.intervals():
-                if (lo - a).sign() < 0 or (b - hi).sign() < 0:
+                if lo < a or b < hi:
                     raise InvalidSystem("subinterval escapes the support")
 
     @property
@@ -223,14 +223,7 @@ def validate(s):
     a0, b0 = s.support
     starts = [iv[0] for _, _, iv in s.intervals()]
     ends = [iv[1] for _, _, iv in s.intervals()]
-    lo = starts[0]
-    for x in starts[1:]:
-        if (x - lo).sign() < 0:
-            lo = x
-    hi = ends[0]
-    for x in ends[1:]:
-        if (x - hi).sign() > 0:
-            hi = x
+    lo, hi = min(starts), max(ends)
     total = s.field.zero
     for p in s.pairs:
         total = total + p.width
@@ -252,7 +245,7 @@ def validate(s):
 
 
 def _contains(outer, inner):
-    return (inner[0] - outer[0]).sign() >= 0 and (outer[1] - inner[1]).sign() >= 0
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
 def transmit(s, i, j, which_side_of_j, which_of_i=None):
@@ -327,19 +320,10 @@ def reduce(s, side):
     for _, _, (lo, hi) in s.intervals():
         crit.append(lo)
         crit.append(hi)
-    interior = [
-        p for p in crit if (p - tgt[0]).sign() > 0 and (tgt[1] - p).sign() > 0
-    ]
+    interior = [p for p in crit if tgt[0] < p < tgt[1]]
     if not interior:
         raise PreconditionFailed("no critical point interior to the end interval")
-    u = interior[0]
-    for p in interior[1:]:
-        if side == RIGHT:
-            if (p - u).sign() > 0:
-                u = p
-        else:
-            if (p - u).sign() < 0:
-                u = p
+    u = max(interior) if side == RIGHT else min(interior)
     if side == RIGHT:
         new_tgt = (tgt[0], u)
         new_partner = (partner[0], partner[1] - (tgt[1] - u))
@@ -370,7 +354,7 @@ def rauzy_step(s, side, with_log=False):
         raise NoAdmissibleMove("both end intervals belong to the same pair")
     width1 = s.pairs[i1].width
     width2 = s.pairs[i2].width
-    sg = (width1 - width2).sign()
+    sg = width1.compare(width2)
     if sg == 0:
         raise AmbiguousMove("end intervals have equal widths")
     if sg < 0:
@@ -495,31 +479,6 @@ def detect_self_similarity(s, max_steps, policy="right"):
     return None
 
 
-def mirror_system(s):
-    """Reflect through the support midpoint: x -> A + B - x."""
-    a0, b0 = s.support
-    m = a0 + b0
-
-    def flip(iv):
-        return (m - iv[1], m - iv[0])
-
-    pairs = [IntervalPair(flip(p.left), flip(p.right)) for p in s.pairs]
-    return IIS(s.field, s.support, pairs)
-
-
-def scale_translate(s, k, t):
-    """The affine image k*s + t, k > 0."""
-    if k.sign() <= 0:
-        raise InvalidSystem("scale factor must be positive")
-
-    def img(iv):
-        return (k * iv[0] + t, k * iv[1] + t)
-
-    support = img(s.support)
-    pairs = [IntervalPair(img(p.left), img(p.right)) for p in s.pairs]
-    return IIS(s.field, support, pairs)
-
-
 # -- orbit graphs ----------------------------------------------------------------
 
 
@@ -549,7 +508,7 @@ class OrbitChart:
                 "with the minimal modulus (see minimal_field)"
             )
         a0, b0 = s.support
-        if (x - a0).sign() < 0 or (b0 - x).sign() < 0:
+        if x < a0 or b0 < x:
             raise OutOfSupport(f"{x!r}")
         d = field.degree
         taus = [p.right[0] - p.left[0] for p in s.pairs]

@@ -100,11 +100,6 @@ class RatMatrix:
         s = Fraction(s)
         return RatMatrix(self.rows, self.cols, [a * s for a in self.entries])
 
-    def transpose(self):
-        return RatMatrix(
-            self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)]
-        )
-
     def apply(self, vec):
         """Matrix times a vector of anything supporting + and *."""
         if len(vec) != self.cols:

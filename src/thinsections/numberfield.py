@@ -15,6 +15,16 @@ decides when the bracket excludes 0.  Otherwise the isolating interval
 is refined until interval evaluation excludes zero; the zero test is
 algebraic, so every decision terminates.  Enclosures and floats always
 take the interval path.
+
+Order is one primitive, `compare` (and <, <=, >, >= through it).  Each
+element caches its own bracket, integers lo <= value 2^FIXED_BITS <= hi,
+on first use; two elements whose brackets are disjoint are ordered by
+them without building their difference, and only overlapping brackets
+fall back to the sign of the difference.  A cached bracket never goes
+stale: refining the field only shrinks the isolating interval, and
+putting back an earlier interval (as `sections` does after a far-level
+reduction) restores one that also isolated the root, so the bounds
+taken at any time enclose the value for good.
 """
 
 import math
@@ -97,6 +107,11 @@ class NumberField:
             else:
                 hi = mid
         self._lo, self._hi = lo, hi
+        self._powers = None
+
+    def _restore(self, interval):
+        """Put back `interval`, an earlier isolating interval of lam."""
+        self._lo, self._hi = interval
         self._powers = None
 
     def refine_below(self, width):
@@ -213,7 +228,8 @@ def _element(field, num, den):
     if g > 1:
         num, den = [v // g for v in num], den // g
     x = object.__new__(FieldElement)
-    x.field, x._num, x._den, x._coeffs, x._hash = field, tuple(num), den, None, None
+    x.field, x._num, x._den = field, tuple(num), den
+    x._coeffs = x._hash = x._bounds = None
     return x
 
 
@@ -228,7 +244,7 @@ def _combine(x, y, sign):
 class FieldElement:
     """A residue polynomial evaluated at the field generator."""
 
-    __slots__ = ("field", "_num", "_den", "_coeffs", "_hash")
+    __slots__ = ("field", "_num", "_den", "_coeffs", "_hash", "_bounds")
 
     def __init__(self, field, coeffs):
         c = P.poly(coeffs)
@@ -238,7 +254,7 @@ class FieldElement:
             r = field._reduced(num, den)
             num, den, c = r._num, r._den, None
         self.field, self._num, self._den = field, tuple(num), den
-        self._coeffs, self._hash = c, None
+        self._coeffs, self._hash, self._bounds = c, None, None
 
     @property
     def coeffs(self):
@@ -413,17 +429,45 @@ class FieldElement:
             return self._num == o._num and self._den == o._den
         return (self - o).is_zero()
 
+    def _bracket(self):
+        """(lo, hi), integers with lo <= value 2^FIXED_BITS <= hi, taken
+        once (a bracket never goes stale; see the module docstring)."""
+        if self._bounds is None:
+            lin, slack = self.field.fixed_point(self._num)
+            self._bounds = ((lin - slack) // self._den, -((-lin - slack) // self._den))
+        return self._bounds
+
+    def _order(self, o):
+        """-1, 0 or 1 as self <, = or > the element o of the same field."""
+        if self._num == o._num and self._den == o._den:
+            return 0
+        alo, ahi = self._bracket()
+        blo, bhi = o._bracket()
+        if ahi < blo or bhi < alo:
+            SIGN_FILTER["decided"] += 1
+            return -1 if ahi < blo else 1
+        return (self - o).sign()
+
+    def compare(self, other):
+        """-1, 0 or 1 as self <, = or > other (a field element, int or
+        Fraction): disjoint cached brackets decide, else the sign of the
+        difference."""
+        o = self._coerce(other)
+        if o is NotImplemented:
+            raise TypeError(f"cannot order a field element and {type(other).__name__}")
+        return self._order(o)
+
     def __lt__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self - o).sign() < 0
+        return self._order(o) < 0
 
     def __le__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self - o).sign() <= 0
+        return self._order(o) <= 0
 
     def __gt__(self, other):
         return not self <= other

@@ -87,9 +87,15 @@ def _emit(surface, level, R, eps):
     if not 0.0 <= level < compiled[4]:
         # e2 - e1 = (0, P, 0) leaves the section unchanged: shift the level
         # into [0, P) (compiled[4] is P as a float) exactly, as floats
-        # would lose its place in the period
-        exact, period = surface.field.rational(Fraction(level)), surface.plate_period
-        traced = float(exact - _floor_towards(exact, period) * period)
+        # would lose its place in the period.  The reduction refines the
+        # shared field as far as the level's size needs; the interval it
+        # had before is put back afterwards, as it isolates the root too.
+        field, period = surface.field, surface.plate_period
+        exact, saved = field.rational(Fraction(level)), field.root_interval
+        try:
+            traced = float(exact - _floor_towards(exact, period) * period)
+        finally:
+            field._restore(saved)
     seg, clip, near = _kernels.emit_segments(traced, R, *compiled)
     if near < eps:
         raise NearSaddle(

@@ -36,21 +36,10 @@ class Rect:
     def __init__(self, x1, x2):
         lo1, hi1 = x1
         lo2, hi2 = x2
-        if not (hi1 - lo1).sign() > 0 or not (hi2 - lo2).sign() > 0:
+        if hi1 <= lo1 or hi2 <= lo2:
             raise InvalidSystem("rectangle sides must have positive length")
         self.x1 = (lo1, hi1)
         self.x2 = (lo2, hi2)
-
-    def translated(self, d1, d2):
-        return Rect((self.x1[0] + d1, self.x1[1] + d1), (self.x2[0] + d2, self.x2[1] + d2))
-
-    def reflected(self, c1, c2):
-        """Image under the point reflection x -> 2c - x of the plane."""
-        two = 2
-        return Rect(
-            (two * c1 - self.x1[1], two * c1 - self.x1[0]),
-            (two * c2 - self.x2[1], two * c2 - self.x2[0]),
-        )
 
     def sides(self):
         return (self.x1[1] - self.x1[0], self.x2[1] - self.x2[0])
@@ -63,18 +52,18 @@ class Rect:
 
     def strictly_inside(self, other):
         return (
-            (self.x1[0] - other.x1[0]).sign() > 0
-            and (other.x1[1] - self.x1[1]).sign() > 0
-            and (self.x2[0] - other.x2[0]).sign() > 0
-            and (other.x2[1] - self.x2[1]).sign() > 0
+            other.x1[0] < self.x1[0]
+            and self.x1[1] < other.x1[1]
+            and other.x2[0] < self.x2[0]
+            and self.x2[1] < other.x2[1]
         )
 
     def disjoint_from(self, other):
         return (
-            (self.x1[1] - other.x1[0]).sign() <= 0
-            or (other.x1[1] - self.x1[0]).sign() <= 0
-            or (self.x2[1] - other.x2[0]).sign() <= 0
-            or (other.x2[1] - self.x2[0]).sign() <= 0
+            self.x1[1] <= other.x1[0]
+            or other.x1[1] <= self.x1[0]
+            or self.x2[1] <= other.x2[0]
+            or other.x2[1] <= self.x2[0]
         )
 
     def __repr__(self):
@@ -289,15 +278,15 @@ def _plate_rects(plate):
     for lo, hi in zip(cuts, cuts[1:]):
         mid_blocks = sorted(
             (h.x2 for h in plate.holes
-             if (h.x1[0] - lo).sign() <= 0 and (hi - h.x1[1]).sign() <= 0),
+             if h.x1[0] <= lo and hi <= h.x1[1]),
             key=lambda yy: yy[0],
         )
         y = plate.outer.x2[0]
         for b0, b1 in mid_blocks:
-            if (b0 - y).sign() > 0:
+            if y < b0:
                 rects.append(((lo, hi), (y, b0)))
             y = b1
-        if (plate.outer.x2[1] - y).sign() > 0:
+        if y < plate.outer.x2[1]:
             rects.append(((lo, hi), (y, plate.outer.x2[1])))
     return rects
 
@@ -342,7 +331,7 @@ def _split_range(lo, hi, unit):
     """Split [lo, hi] at multiples of ``unit`` (width at most one period)."""
     n = _floor_towards(lo, unit)
     cut = (n + 1) * unit
-    if (hi - cut).sign() <= 0:
+    if hi <= cut:
         return [(n, lo, hi)]
     return [(n, lo, cut), (n + 1, cut, hi)]
 
@@ -375,7 +364,7 @@ def _into_cell(surface, boxes):
 def _dedup_sorted(vals):
     kept = []
     for v in sorted(vals):
-        if not kept or not (v - kept[-1]).is_zero():
+        if not kept or v != kept[-1]:
             kept.append(v)
     return kept
 
@@ -384,10 +373,10 @@ def _atom_set(rects, cuts_u, cuts_v):
     covered = set()
     for (u0, u1), (v0, v1) in rects:
         for i in range(len(cuts_u) - 1):
-            if (cuts_u[i] - u0).sign() < 0 or (u1 - cuts_u[i + 1]).sign() < 0:
+            if cuts_u[i] < u0 or u1 < cuts_u[i + 1]:
                 continue
             for j in range(len(cuts_v) - 1):
-                if (cuts_v[j] - v0).sign() >= 0 and (v1 - cuts_v[j + 1]).sign() >= 0:
+                if v0 <= cuts_v[j] and cuts_v[j + 1] <= v1:
                     covered.add((i, j))
     return covered
 

@@ -88,7 +88,7 @@ def _exact_row(claim, recorded, residues, computed, note=""):
 
 def _within(value, target, tol):
     d = value - target
-    return (d - tol).sign() <= 0 and ((-d) - tol).sign() <= 0
+    return d <= tol and -d <= tol
 
 
 def _decimal_row(claim, recorded, pairs, tol, places, note=""):

@@ -24,13 +24,11 @@ from thinsections.iis import (
     affine_match,
     build_system,
     detect_self_similarity,
-    mirror_system,
     neighbors,
     orbit_bfs,
     point_valence,
     rauzy_step,
     reduce,
-    scale_translate,
     system_params,
     transmit,
     validate,
@@ -49,6 +47,31 @@ def s1():
 @pytest.fixture(scope="module")
 def s2():
     return build_system("s2")
+
+
+def mirror_system(s):
+    """Reflect through the support midpoint: x -> A + B - x."""
+    a0, b0 = s.support
+    m = a0 + b0
+
+    def flip(iv):
+        return (m - iv[1], m - iv[0])
+
+    pairs = [IntervalPair(flip(p.left), flip(p.right)) for p in s.pairs]
+    return IIS(s.field, s.support, pairs)
+
+
+def scale_translate(s, k, t):
+    """The affine image k*s + t, k > 0."""
+    if k <= 0:
+        raise InvalidSystem("scale factor must be positive")
+
+    def img(iv):
+        return (k * iv[0] + t, k * iv[1] + t)
+
+    support = img(s.support)
+    pairs = [IntervalPair(img(p.left), img(p.right)) for p in s.pairs]
+    return IIS(s.field, support, pairs)
 
 
 def rational_system(support, pairs):

@@ -79,6 +79,16 @@ def test_far_level_traces_as_its_exact_reduction(own_ex1, level):
     assert trace_section(own_ex1, level, 5.0) == trace_section(own_ex1, reduced, 5.0)
 
 
+def test_far_level_leaves_the_shared_field_interval(ex1):
+    # the exact reduction of 1e300 needs an interval near 2^-1000 wide;
+    # the bundled field gets its own interval back afterwards
+    before = ex1.field.root_interval
+    comps = trace_section(ex1, 1e300, 5.0)
+    assert ex1.field.root_interval == before
+    assert before[1] - before[0] > Fraction(1, 2 ** 200)
+    assert comps == trace_section(ex1, 1e300, 5.0)
+
+
 # -- component structure -------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """The integer representation of field elements and the fixed-point sign
-filter: canonical residues built by every path, and filtered signs
-checked against interval refinement on a separate copy of the field."""
+filter: canonical residues built by every path, and filtered signs and
+the bracket order of `compare` checked against interval refinement on a
+separate copy of the field."""
 
 import json
 import math
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thinsections import polynomials as P
-from thinsections.errors import DivisionByZero
-from thinsections.iis import system_field
+from thinsections.bands import Band, BandComplex, BandEnd, SupportArc
+from thinsections.errors import AuditError, DivisionByZero, InvalidSystem
+from thinsections.iis import IIS, IntervalPair, system_field
 from thinsections.numberfield import (
     FIXED_BITS,
     SIGN_FILTER,
@@ -203,3 +205,111 @@ def test_coarse_fallback_refines_then_the_filter_decides():
     assert x.sign() == 1
     assert SIGN_FILTER["fallback"] == before["fallback"] + 1
     assert SIGN_FILTER["decided"] == before["decided"] + 1
+
+
+# -- the order ---------------------------------------------------------------------
+
+ORDER_FIELDS = ["s1", "s2", "coarse", "quartic", "rational"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ORDER_FIELDS), coeff_lists, coeff_lists,
+       st.one_of(st.none(), st.integers(1, 300)))
+def test_compare_is_the_exact_order(name, a, b, k):
+    f = FIELDS[name]()
+    x, y = f.element(a), f.element(b)
+    pairs = [(x, y), (y, x), (x, x), (x, y + x - y)]
+    if k is not None:
+        r = x.approximate(Fraction(1, 2 ** k))
+        near = x - r
+        pairs += [(near, f.zero), (f.zero, near), (x, f.rational(r)), (near, y - y),
+                  (x, x + Fraction(1, 2 ** k))]
+    for u, v in pairs:
+        assert u.compare(v) == _reference_sign(u - v)
+
+
+def test_a_bracket_cached_before_refine_still_orders():
+    f = _coarse()
+    lam = f.gen
+    # lam = 0.2541... against values inside and outside the 1/16 interval
+    xs = [lam, lam * lam, 1 - lam, f.rational(Fraction(1, 4)), f.rational(Fraction(1, 2)),
+          lam - Fraction(1, 4), lam * lam - lam + Fraction(1, 5)]
+    cached = [x._bracket() for x in xs]
+    f.refine(40)
+    before = dict(SIGN_FILTER)
+    for u in xs:
+        for v in xs:
+            assert u.compare(v) == _reference_sign(u - v)
+    # the stale brackets were kept, and some pairs were decided by them
+    assert [x._bounds for x in xs] == cached
+    assert any(a[1] < b[0] for a in cached for b in cached)
+    assert SIGN_FILTER["decided"] > before["decided"]
+
+
+@pytest.mark.parametrize("name", ORDER_FIELDS)
+def test_compare_coerces_rationals(name):
+    f = FIELDS[name]()
+    x = f.gen * 3 - Fraction(1, 7)
+    for q in (0, 1, -2, Fraction(5, 7), Fraction(-1, 3), x.approximate(Fraction(1, 2 ** 250))):
+        assert x.compare(q) == x.compare(f.rational(q))
+        assert (x < q) == (x.compare(f.rational(q)) < 0)
+    with pytest.raises(TypeError):
+        x.compare("1")
+    with pytest.raises(TypeError):
+        x < "1"
+
+
+@pytest.mark.parametrize("name", ["s1", "coarse", "quartic", "rational"])
+def test_equal_residues_compare_without_a_sign(name, monkeypatch):
+    f = FIELDS[name]()
+    c = (Fraction(1, 3), -2, Fraction(5, 2))
+    x, y = f.element(c), f.element(c)
+
+    def no_sign(self):
+        raise AssertionError("sign called")
+
+    monkeypatch.setattr(FieldElement, "sign", no_sign)
+    assert x is not y
+    assert x.compare(y) == 0 and x <= y and not x < y
+
+
+def _tiny(f):
+    """A positive element below 2^-200 whose bracket is not exact."""
+    d = f.gen - f.gen.approximate(Fraction(1, 2 ** 200))
+    return d if d > 0 else -d
+
+
+def test_band_audit_catches_a_near_tie():
+    # one band on the arc [0, 1]: its ends flush with the arc are accepted,
+    # and overshooting either end by eps is not
+    f = FIELDS["s1"]()
+    eps, w = _tiny(f), f.gen / 4
+    arc = SupportArc(f.zero, f.one)
+
+    def band(lo, hi):
+        return Band(BandEnd(0, lo, lo + w), BandEnd(0, hi - w, hi), 1)
+
+    BandComplex(f, [arc], [band(f.zero, f.one)])
+    for lo, hi in ((-eps, 1 - eps), (eps, 1 + eps)):
+        b = band(lo, hi)
+        before = dict(SIGN_FILTER)
+        with pytest.raises(AuditError):
+            BandComplex(f, [arc], [b])
+        assert SIGN_FILTER["fallback"] > before["fallback"]
+
+
+def test_iis_audit_catches_a_near_tie():
+    f = FIELDS["s1"]()
+    eps, w = _tiny(f), f.gen / 4
+    support = (f.zero, f.one)
+
+    def pair(lo, hi):
+        return IntervalPair((lo, lo + w), (hi - w, hi))
+
+    IIS(f, support, [pair(f.zero, f.one)])
+    for lo, hi in ((-eps, 1 - eps), (eps, 1 + eps)):
+        p = pair(lo, hi)
+        before = dict(SIGN_FILTER)
+        with pytest.raises(InvalidSystem):
+            IIS(f, support, [p])
+        assert SIGN_FILTER["fallback"] > before["fallback"]

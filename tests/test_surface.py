@@ -41,6 +41,16 @@ def q(field, num, den=1):
 # -- rectangles ------------------------------------------------------------
 
 
+def translated(rect, d1, d2):
+    return Rect((rect.x1[0] + d1, rect.x1[1] + d1), (rect.x2[0] + d2, rect.x2[1] + d2))
+
+
+def reflected(rect, c1, c2):
+    """Image under the point reflection x -> 2c - x of the plane."""
+    return Rect((2 * c1 - rect.x1[1], 2 * c1 - rect.x1[0]),
+                (2 * c2 - rect.x2[1], 2 * c2 - rect.x2[0]))
+
+
 def test_rect_requires_positive_sides():
     f = system_field("s1")
     with pytest.raises(InvalidSystem):
@@ -52,7 +62,7 @@ def test_rect_requires_positive_sides():
 def test_rect_reflection_is_involutive(ex1):
     t2 = ex1.plates[0].holes[0]
     c1, c2 = q(ex1.field, 1, 2), q(ex1.field, 1, 3)
-    back = t2.reflected(c1, c2).reflected(c1, c2)
+    back = reflected(reflected(t2, c1, c2), c1, c2)
     assert back.same_as(t2)
 
 
@@ -229,7 +239,7 @@ def test_shifted_tube_breaks_symmetry(ex1, p1):
 
     d = q(f, 1, 100)
     t2, t3 = ex1.plates[0].holes
-    t2s = t2.translated(f.zero, d)
+    t2s = translated(t2, f.zero, d)
     plate_a = Plate(ex1.plates[0].outer, (t2s, t3), ex1.plates[0].level)
     walls = _tube_walls(t2s, (f.zero, q(f, 1, 4))) + ex1.walls[4:]
     broken = PLSurface(f, (plate_a, ex1.plates[1]), walls, ex1.lattice, "broken")
@@ -273,7 +283,7 @@ def test_euler_audit_rejects_unmatched_hole(ex1, p1):
 
     t2, t3 = ex1.plates[0].holes
     moved = Plate(ex1.plates[0].outer,
-                  (t2.translated(f.zero, q(f, 1, 50)), t3),
+                  (translated(t2, f.zero, q(f, 1, 50)), t3),
                   ex1.plates[0].level)
     broken = PLSurface(ex1.field, (moved, ex1.plates[1]), ex1.walls,
                        ex1.lattice, "broken")
