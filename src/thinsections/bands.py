@@ -802,53 +802,116 @@ def _prune_rounds(adj, degrees, immortal, max_rounds):
     return removed
 
 
+class _Ball:
+    """Breadth-first ball around the origin of an orbit chart, grown one
+    level at a time.  `dist` maps every vertex found to its distance from
+    the origin (at most `level`), `adj` every expanded vertex (distance
+    below `level`) to its neighbours with multiplicity, and `edges_into`
+    every vertex w to the expanded vertices one level below w that have
+    w as a neighbour."""
+
+    def __init__(self, chart):
+        self.chart = chart
+        self.root = chart.origin
+        self.adj = {}
+        self.edges_into = {self.root: []}
+        self.dist = {self.root: 0}
+        self.frontier = [self.root]
+        self.level = 0
+
+    def grow(self):
+        """Expand the frontier, finding every vertex at distance level + 1."""
+        adj, edges_into, dist = self.adj, self.edges_into, self.dist
+        below = self.level + 1
+        nxt = []
+        for v in self.frontier:
+            ws = adj[v] = [w for w, _, _ in orbit_neighbors(self.chart, v)]
+            for w in ws:
+                k = dist.get(w)
+                if k is None:
+                    dist[w] = below
+                    edges_into[w] = [v]
+                    nxt.append(w)
+                elif k == below:
+                    edges_into[w].append(v)
+        self.frontier = nxt
+        self.level = below
+
+
+def _round_bounds(ball, depth, rounds):
+    """(r_pess, r_opt): the rounds at which the root is pruned (rounds + 1
+    when it survives them all) on the ball cut at `depth` <= ball.level,
+    with its boundary mortal and immortal.
+
+    The cut keeps the vertices at distance <= depth: those below depth
+    with all their edges, those at depth (the boundary) with their edges
+    from one level below only.  Missing edges make a mortal boundary go no
+    later than in the whole graph and an immortal one never goes, so
+    r_pess <= r_opt, with the root's true round between them; deepening
+    the cut tightens both, r_pess never falling and r_opt never rising.
+    What the boundary does reaches the root one edge per round, so from
+    depth >= rounds on the two agree.
+    """
+    dist, adj, edges_into = ball.dist, ball.adj, ball.edges_into
+    local = {}
+    boundary = []
+    for v, k in dist.items():
+        if k < depth:
+            local[v] = adj[v]
+        elif k == depth:
+            local[v] = edges_into[v]
+            boundary.append(v)
+    degrees = {v: len(ws) for v, ws in local.items()}
+    opt = _prune_rounds(local, degrees, frozenset(boundary), rounds)
+    pess = _prune_rounds(local, degrees, frozenset(), rounds)
+    return pess.get(ball.root, rounds + 1), opt.get(ball.root, rounds + 1)
+
+
 def _removal_round(s, x, rounds, cap):
     """Round at which x is pruned, or rounds + 1 when it survives them
-    all; decided by growing a neighborhood until the optimistic and
-    pessimistic simulations agree.  Vertices are keyed by their integer
-    vectors on the orbit chart of x."""
-    chart = OrbitChart(s, x)
-    root = chart.origin
-    adj = {}
-    edges_into = {root: []}
-    frontier = [root]
-    seen = {root}
-    depth = min(rounds, 4) + 2
-    expanded_to = 0
+    all; decided by growing a ball of its orbit graph until the optimistic
+    and pessimistic simulations agree.  Vertices are keyed by their
+    integer vectors on the orbit chart of x.
+
+    The result is the one of the schedule that evaluates the depths
+    d0, d0 + 2, d0 + 4, ... (d0 = min(rounds, 4) + 2) until one settles,
+    and raises DepthExhausted when the ball exceeds `cap` vertices on the
+    way; this function evaluates fewer of them.  By `_round_bounds`, the
+    interval [r_pess, r_opt] shrinks as the depth grows, so once it is a
+    point it stays that point: every settled depth gives the first
+    settled depth's answer.  The depths evaluated here step along that
+    schedule by 2, 4, 8, ... up to `last`, its first depth >= rounds,
+    which always settles.  When the ball exceeds the cap after level L,
+    the +2 schedule would have evaluated every schedule depth <= L - 1
+    and nothing deeper, so the deepest of those decides: its round if it
+    settles, DepthExhausted if not (or if it was already evaluated, or
+    there is none).
+    """
+    ball = _Ball(OrbitChart(s, x))
+    d0 = min(rounds, 4) + 2
+    last = max(d0, rounds + (rounds - d0) % 2)
+    # evaluated: the deepest depth evaluated so far, d0 - 2 before any
+    depth, gap, evaluated = d0, 2, d0 - 2
     while True:
-        while expanded_to < depth:
-            nxt = []
-            for v in frontier:
-                if v not in adj:
-                    adj[v] = [w for w, _, _ in orbit_neighbors(chart, v)]
-                    for w in adj[v]:
-                        edges_into.setdefault(w, []).append(v)
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-            frontier = nxt
-            expanded_to += 1
-            if len(seen) > cap:
+        while ball.level < depth:
+            ball.grow()
+            if len(ball.dist) > cap:
+                deepest = d0 + (ball.level - 1 - d0) // 2 * 2
+                if deepest > evaluated:
+                    r_pess, r_opt = _round_bounds(ball, deepest, rounds)
+                    if r_pess == r_opt:
+                        return r_opt
                 raise DepthExhausted(
                     f"neighborhood exceeded {cap} vertices before round status settled"
                 )
-        boundary = frozenset(v for v in seen if v not in adj)
-        degrees = {}
-        local = {}
-        for v in seen:
-            if v in adj:
-                degrees[v] = len(adj[v])
-                local[v] = adj[v]
-            else:
-                local[v] = edges_into[v]
-                degrees[v] = len(local[v])
-        opt = _prune_rounds(local, degrees, boundary, rounds)
-        pess = _prune_rounds(local, degrees, frozenset(), rounds)
-        r_opt = opt.get(root, rounds + 1)
-        r_pess = pess.get(root, rounds + 1)
-        if r_opt == r_pess:
+        r_pess, r_opt = _round_bounds(ball, depth, rounds)
+        if r_pess == r_opt:
             return r_opt
-        depth += 2
+        if depth == last:
+            raise AuditError(f"round status did not settle at depth {depth} >= {rounds}")
+        evaluated = depth
+        depth = min(depth + gap, last)
+        gap *= 2
 
 
 # Two-sided 95% normal quantile of the Wilson score intervals.
@@ -908,8 +971,12 @@ def pruning_decay(s, rounds, samples, seed=0, cap=20000):
     its orbit chart (optimistic and pessimistic boundary assumptions must
     agree), peeled with live edge counts; samples whose neighborhood
     exceeds `cap` vertices are excluded and counted in `exhausted`.  The
-    report carries a Wilson 95% interval per round.  Raises InvalidSystem
-    when the field's modulus is not certified irreducible."""
+    neighborhood is evaluated at depths doubling their step, and the
+    result and the exhausted samples are those of evaluating every second
+    depth (see `_removal_round`); the system's half of the orbit chart is
+    built once for all samples.  The report carries a Wilson 95% interval
+    per round.  Raises InvalidSystem when the field's modulus is not
+    certified irreducible."""
     rng = random.Random(seed)
     lo, hi = s.support
     width = hi - lo

@@ -25,10 +25,12 @@ hash keys; a reducible modulus is rejected.  Whether a vertex lies in an
 interval [lo, hi] is decided on integers by the sign filter of
 `numberfield`: the field's fixed-point bounds of lam^j bracket the
 vertex's offset, and floor/ceil bounds of D (x - lo) and D (hi - x) at
-the same scale come once per chart from certified enclosures.  The
-filter answers only when its integer interval excludes the boundary;
-otherwise the exact point is built and its sign decides, as on every
-exact boundary hit.
+the same scale bracket the rest.  Those are differences of certified
+enclosures: of D lo and D hi, taken once per system and cached on it,
+and of D x, taken once per chart; an end equal to x gets the exact
+bound 0.  The filter answers only when its integer interval excludes
+the boundary; otherwise the exact point is built and its sign decides,
+as on every exact boundary hit.
 """
 
 import math
@@ -116,14 +118,20 @@ class IntervalPair:
 
 
 class IIS:
-    """Support interval plus identified interval pairs, all exact."""
+    """Support interval plus identified interval pairs, all exact.
 
-    __slots__ = ("field", "support", "pairs")
+    A system is immutable (every move builds a new one), so the half of
+    an OrbitChart that does not depend on its point is built by the first
+    chart and cached in the `_chart` slot.
+    """
+
+    __slots__ = ("field", "support", "pairs", "_chart")
 
     def __init__(self, field, support, pairs):
         self.field = field
         self.support = tuple(support)
         self.pairs = tuple(pairs)
+        self._chart = None
         a, b = self.support
         if b <= a:
             raise InvalidSystem("support must have positive length")
@@ -490,6 +498,35 @@ def _scaled_bounds(value):
     return math.floor(vlo * 2 ** FIXED_BITS), math.ceil(vhi * 2 ** FIXED_BITS)
 
 
+def _system_chart(s):
+    """(den, moves): the half of an orbit chart that does not depend on
+    its point.  One move per (pair, side) with a nonzero translation: pair
+    index, step vector, whether the step goes up the line, the interval
+    (lo, hi) and the scaled bounds of den * lo and den * hi."""
+    field = s.field
+    d = field.degree
+    taus = [p.right[0] - p.left[0] for p in s.pairs]
+    den = math.lcm(1, *(q.denominator for t in taus for q in t.coeffs))
+    moves = []
+    for i, (p, tau) in enumerate(zip(s.pairs, taus)):
+        if tau.is_zero():
+            continue
+        step = [int(q * den) for q in tau.coeffs]
+        step += [0] * (d - len(step))
+        rises = tau.sign() > 0
+        for (lo, hi), sgn in ((p.left, 1), (p.right, -1)):
+            moves.append((
+                i,
+                tuple(sgn * k for k in step),
+                rises == (sgn > 0),
+                lo,
+                hi,
+                _scaled_bounds(lo * den),
+                _scaled_bounds(hi * den),
+            ))
+    return den, tuple(moves)
+
+
 class OrbitChart:
     """Integer coordinates on the orbit of a point x of the support.
 
@@ -498,6 +535,13 @@ class OrbitChart:
     denominator of the pairs' translation coefficients; vertex
     `origin` is x itself.  Interval membership is decided by a fixed-point
     filter with an exact fallback (see the module docstring).
+
+    The system's half (den, the moves and the scaled bounds of den * lo
+    and den * hi for every interval) is built by the first chart on a
+    system and kept on it; a chart then takes one enclosure, of den * x,
+    and bounds den * (x - lo) by [xlo - lhi, xhi - llo] and den * (hi - x)
+    by [hlo - xhi, hhi - xlo].  An end equal to x gets the exact bound
+    (0, 0), so at x itself the filter decides alone.
     """
 
     def __init__(self, s, x):
@@ -510,33 +554,28 @@ class OrbitChart:
         a0, b0 = s.support
         if x < a0 or b0 < x:
             raise OutOfSupport(f"{x!r}")
-        d = field.degree
-        taus = [p.right[0] - p.left[0] for p in s.pairs]
-        den = math.lcm(1, *(q.denominator for t in taus for q in t.coeffs))
+        if s._chart is None:
+            s._chart = _system_chart(s)
+        den, moves = s._chart
         self.x = x
         self._den = den
-        self.origin = (0,) * d
+        self.origin = (0,) * field.degree
         self._field = field
-        # One move per (pair, side) with a nonzero translation: pair index,
-        # step vector, whether the step goes up the line, the scaled bounds
-        # of den * (x - lo) and den * (hi - x), and the interval itself.
-        self._moves = []
-        for i, (p, tau) in enumerate(zip(s.pairs, taus)):
-            if tau.is_zero():
-                continue
-            step = [int(q * den) for q in tau.coeffs]
-            step += [0] * (d - len(step))
-            rises = tau.sign() > 0
-            for (lo, hi), sgn in ((p.left, 1), (p.right, -1)):
-                self._moves.append((
-                    i,
-                    tuple(sgn * k for k in step),
-                    rises == (sgn > 0),
-                    *_scaled_bounds((x - lo) * den),
-                    *_scaled_bounds((hi - x) * den),
-                    lo,
-                    hi,
-                ))
+        xlo, xhi = _scaled_bounds(x * den)
+        # Per move: pair index, step, rises, the scaled bounds of
+        # den * (x - lo) and den * (hi - x), and the interval itself.
+        self._moves = [
+            (
+                i,
+                step,
+                rises,
+                *((0, 0) if x == lo else (xlo - lhi, xhi - llo)),
+                *((0, 0) if x == hi else (hlo - xhi, hhi - xlo)),
+                lo,
+                hi,
+            )
+            for i, step, rises, lo, hi, (llo, lhi), (hlo, hhi) in moves
+        ]
 
     def value(self, c):
         """The exact point of vertex c."""

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thinsections import bands
 from thinsections import polynomials as P
 from thinsections import reference as ref
 from thinsections.bands import (
@@ -15,11 +16,13 @@ from thinsections.bands import (
     BandEnd,
     CycleReport,
     SupportArc,
+    _Ball,
     _find_merge,
     _normalized,
     _prune_rounds,
     _removal_round,
     _rips_step_tracked,
+    _round_bounds,
     _wilson,
     collapse_free_subarc,
     combinatorial_signature,
@@ -43,7 +46,7 @@ from thinsections.errors import (
     NotFree,
     NotMaximal,
 )
-from thinsections.iis import IIS, IntervalPair, build_system, system_params
+from thinsections.iis import IIS, IntervalPair, OrbitChart, build_system, system_params
 from thinsections.linalg import RatMatrix, char_poly, mat_over_field, perron_root_interval
 from thinsections.numberfield import rational_field
 
@@ -744,6 +747,26 @@ def test_pruning_decay_follows_band_area(s1):
     assert 0.2 < alpha < 0.6
 
 
+# pruning_decay(s1, 320, 60, seed=1, cap=200000).survivors as runs of
+# (count, rounds in a row), recorded with the +2 regrowth schedule and
+# the per-chart system bounds that came before the current ones
+_S1_320_RUNS = (
+    (54, 2), (48, 1), (45, 1), (41, 1), (40, 1), (39, 1), (38, 1), (36, 1),
+    (35, 2), (34, 2), (32, 1), (31, 6), (30, 3), (29, 6), (28, 1), (27, 1),
+    (26, 1), (25, 1), (24, 4), (23, 14), (22, 6), (21, 6), (19, 6), (18, 9),
+    (17, 14), (16, 3), (15, 52), (14, 42), (13, 55), (12, 26), (11, 2),
+    (10, 11), (9, 37),
+)
+
+
+@pytest.mark.slow
+def test_pruning_decay_long_range(s1):
+    # 320 rounds: the range a fitted decay exponent needs
+    rep = pruning_decay(s1, rounds=320, samples=60, seed=1, cap=200000)
+    assert rep.exhausted == 0
+    assert rep.survivors == [k for k, n in _S1_320_RUNS for _ in range(n)]
+
+
 def test_pruning_wilson_intervals(s1):
     assert _wilson(5, 10) == pytest.approx((0.2366, 0.7634), abs=1e-4)
     rep = pruning_decay(s1, rounds=12, samples=10, seed=5, cap=20)
@@ -873,6 +896,11 @@ def _round_or_exhausted(fn, *args):
         return "exhausted"
 
 
+def _point(s, bits):
+    lo, hi = s.support
+    return lo + (hi - lo) * Fraction(bits, 1 << 48)
+
+
 @settings(max_examples=80)
 @given(
     which=st.sampled_from(["s1", "s2", "iet"]),
@@ -884,27 +912,96 @@ def _round_or_exhausted(fn, *args):
             lambda k: random.Random(k).getrandbits(48)
         ),
     ),
-    rounds=st.integers(min_value=0, max_value=12),
-    cap=st.sampled_from([20, 300]),
+    # beyond 12 rounds the doubling schedule skips depths of the +2 one
+    rounds=st.integers(min_value=0, max_value=40),
+    cap=st.sampled_from([20, 60, 300]),
 )
 def test_removal_round_matches_exact_growth(s1, s2, which, bits, rounds, cap):
     s = {"s1": s1, "s2": s2, "iet": _interval_exchange()}[which]
-    lo, hi = s.support
-    x = lo + (hi - lo) * Fraction(bits, 1 << 48)
-    args = (s, x, rounds, cap)
+    args = (s, _point(s, bits), rounds, cap)
     assert _round_or_exhausted(_removal_round, *args) == _round_or_exhausted(
         _exact_removal_round, *args
     )
 
 
+def test_removal_round_exhaustion_matches_exact_growth(s1, s2, monkeypatch):
+    # at caps 60 and 300 the ball overflows between two evaluated depths
+    # of the doubling schedule; the deepest skipped depth then decides,
+    # as the +2 schedule would: a round when it settles, DepthExhausted
+    # when it does not
+    skipped = []
+
+    def recorded(ball, depth, rounds):
+        # no depth past the first one >= rounds is grown or evaluated
+        assert depth <= ball.level <= rounds + 1
+        out = _round_bounds(ball, depth, rounds)
+        if depth < ball.level:
+            skipped.append(out[0] == out[1])
+        return out
+
+    monkeypatch.setattr(bands, "_round_bounds", recorded)
+    for s in (s1, s2):
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            for _ in range(3):
+                x = _point(s, rng.getrandbits(48))
+                for rounds in (20, 40):
+                    for cap in (60, 300):
+                        args = (s, x, rounds, cap)
+                        assert _round_or_exhausted(_removal_round, *args) == (
+                            _round_or_exhausted(_exact_removal_round, *args)
+                        )
+    assert True in skipped and False in skipped
+
+
+def test_removal_round_stops_at_the_first_depth_past_rounds(s1, monkeypatch):
+    # a depth >= rounds always settles; were it not to, the search fails
+    # with an audit error instead of regrowing the same depth forever
+    depths = []
+
+    def unsettled(ball, depth, rounds):
+        depths.append(depth)
+        return 1, 2
+
+    monkeypatch.setattr(bands, "_round_bounds", unsettled)
+    with pytest.raises(AuditError):
+        _removal_round(s1, s1.field.rational(Fraction(1, 31)), 21, 20000)
+    assert depths == [6, 8, 12, 20, 22]
+
+
+@settings(max_examples=60)
+@given(
+    which=st.sampled_from(["s1", "s2", "iet"]),
+    bits=st.integers(min_value=0, max_value=10 ** 9).map(
+        lambda k: random.Random(k).getrandbits(48)
+    ),
+    rounds=st.integers(min_value=0, max_value=24),
+    depths=st.lists(st.integers(min_value=1, max_value=24), min_size=2, max_size=2, unique=True),
+)
+def test_round_bounds_sandwich(s1, s2, which, bits, rounds, depths):
+    # the doubling schedule rests on r_pess(d) <= r_pess(d') <= r_opt(d')
+    # <= r_opt(d) for d < d', and on every depth >= rounds settling
+    s = {"s1": s1, "s2": s2, "iet": _interval_exchange()}[which]
+    d, d2 = sorted(depths)
+    ball = _Ball(OrbitChart(s, _point(s, bits)))
+    while ball.level < d2:
+        ball.grow()
+    pess, opt = _round_bounds(ball, d, rounds)
+    pess2, opt2 = _round_bounds(ball, d2, rounds)
+    assert 1 <= pess <= pess2 <= opt2 <= opt <= rounds + 1
+    if d >= rounds:
+        assert pess == opt
+    if d2 >= rounds:
+        assert pess2 == opt2
+
+
 def test_removal_round_matches_exact_growth_on_panel(s1):
     # the benchmark's panel: pruning seeds 1-4, three samples each, drawn
     # as pruning_decay draws them
-    lo, hi = s1.support
     for seed in (1, 2, 3, 4):
         rng = random.Random(seed)
         for _ in range(3):
-            x = lo + (hi - lo) * Fraction(rng.getrandbits(48), 1 << 48)
+            x = _point(s1, rng.getrandbits(48))
             assert _removal_round(s1, x, 40, 20000) == _exact_removal_round(s1, x, 40, 20000)
 
 

@@ -1,12 +1,14 @@
 """Interval identification systems: construction, moves, self-similarity, orbits."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thinsections import polynomials
 from thinsections.bands import pruning_decay
 from thinsections.errors import (
     AmbiguousMove,
@@ -33,7 +35,13 @@ from thinsections.iis import (
     transmit,
     validate,
 )
-from thinsections.numberfield import FieldElement, NumberField, field_new, rational_field
+from thinsections.numberfield import (
+    FIXED_BITS,
+    FieldElement,
+    NumberField,
+    field_new,
+    rational_field,
+)
 from thinsections.serialize import iis_from_json, iis_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -470,6 +478,55 @@ def test_chart_refines_a_coarse_field(s1):
         for w, _, _ in chart.neighbors(chart.origin):
             got = [(chart.value(v), j) for v, j, _ in chart.neighbors(w)]
             assert got == _exact_neighbors(s, chart.value(w))
+
+
+def test_chart_takes_one_enclosure_after_the_first(s1, s2, monkeypatch):
+    # the first chart on a system builds its half (den, the moves, the
+    # bounds of den * lo and den * hi) and keeps it; a second chart
+    # evaluates one interval polynomial, the enclosure of den * x (made
+    # at a point already charted once, which may have refined the field
+    # for that enclosure)
+    evaluated = []
+    original = polynomials.evaluate_interval
+
+    def counted(coeffs, lo, hi):
+        evaluated.append(tuple(coeffs))
+        return original(coeffs, lo, hi)
+
+    monkeypatch.setattr(polynomials, "evaluate_interval", counted)
+    for base in (s1, s2):
+        s = IIS(base.field, base.support, base.pairs)
+        a0, b0 = s.support
+        rng = random.Random(3)
+        for _ in range(4):
+            x = a0 + (b0 - a0) * Fraction(rng.getrandbits(48), 1 << 48)
+            OrbitChart(s, x)
+            evaluated.clear()
+            chart = OrbitChart(s, x)
+            assert evaluated == [(x * chart._den).coeffs]
+
+
+@settings(max_examples=60)
+@given(
+    which=st.sampled_from(["s1", "s2"]),
+    q=st.one_of(
+        st.integers(min_value=0, max_value=10 ** 9).map(
+            lambda k: Fraction(random.Random(k).getrandbits(48), 1 << 48)
+        ),
+        st.sampled_from([Fraction(0), Fraction(1)]),
+    ),
+)
+def test_chart_bounds_bracket_the_exact_offsets(s1, s2, which, q):
+    # every move's integer bounds bracket 2^FIXED_BITS den (x - lo) and
+    # 2^FIXED_BITS den (hi - x), compared exactly
+    s = {"s1": s1, "s2": s2}[which]
+    a0, b0 = s.support
+    x = a0 + (b0 - a0) * q
+    chart = OrbitChart(s, x)
+    scale = chart._den * 2 ** FIXED_BITS
+    for _, _, _, alo, ahi, blo, bhi, lo, hi in chart._moves:
+        assert alo <= (x - lo) * scale <= ahi
+        assert blo <= (hi - x) * scale <= bhi
 
 
 def test_orbits_reject_reducible_modulus():
