@@ -48,6 +48,7 @@ from .errors import (
 )
 from .iis import OrbitChart
 from .linalg import RatMatrix, perron_root_interval
+from .numberfield import common_denominator, dot_minus
 
 orbit_neighbors = OrbitChart.neighbors
 
@@ -310,14 +311,10 @@ def _break_positions(x, ledger):
     return out
 
 
-def _row_check(row, values, target, message):
-    """Raise AuditError(message) unless row . values == target exactly."""
-    acc = None
-    for coef, val in zip(row, values):
-        if coef:
-            term = val * coef
-            acc = term if acc is None else acc + term
-    if not (target.is_zero() if acc is None else (acc - target).is_zero()):
+def _row_check(row, common, target, message):
+    """Raise AuditError(message) unless row . values == target exactly,
+    the values given as common_denominator(values)."""
+    if not dot_minus(row, common, target).is_zero():
         raise AuditError(message)
 
 
@@ -326,7 +323,7 @@ def _transition_matrix(x_old, x_new, ledger):
     given x_new's ledger over x_old: each row is the difference of the
     positions of the segment's two breakpoints, checked exactly against
     the segment's length."""
-    values = segment_values(x_old)
+    values = common_denominator(segment_values(x_old))
     _, segs, _ = segmentation(x_new)
     ends = [pq for at in _break_positions(x_new, ledger) for pq in zip(at, at[1:])]
     rows = []
@@ -747,8 +744,9 @@ def _audit_cycle(width_rows, params_start, params_end, length_rows, lengths_star
         n = len(start)
         if len(end) != n or len(rows) != n or any(len(row) != n for row in rows):
             raise AuditError("period matrix is not square over the stored vectors")
+    common = common_denominator(params_start)
     for row, target in zip(width_rows, params_end):
-        _row_check(row, params_start, target, "width matrix does not reproduce the segment values")
+        _row_check(row, common, target, "width matrix does not reproduce the segment values")
     for row, target in zip(length_rows, lengths_end):
         if sum(c * l for c, l in zip(row, lengths_start)) != target:
             raise AuditError("length matrix does not reproduce the band lengths")

@@ -6,6 +6,7 @@ the Faddeev-LeVerrier recursion, kernels via Gaussian elimination with
 exact pivot decisions, and Perron roots via real root isolation.
 """
 
+import operator
 import warnings
 from fractions import Fraction
 
@@ -126,19 +127,45 @@ class RatMatrix:
 
 
 def char_poly(m):
-    """det(xI - M), exact, monic; Faddeev-LeVerrier recursion."""
+    """det(xI - M), exact, monic; Faddeev-LeVerrier recursion on the
+    integer matrix B = D M (D the lcm of the denominators), where every
+    division by k is exact, and c_k(M) = c_k(B) / D^k."""
     if not m.is_square():
         raise NotSquare("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = RatMatrix.identity(n)
+    num, den = P.integer_form(m.entries)
+    b = [num[i * n : (i + 1) * n] for i in range(n)]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk, ck = [[0] * n for _ in range(n)], 1
     for k in range(1, n + 1):
-        mk = m * mk
-        ck = -mk.trace() / k
-        coeffs[n - k] = ck
-        mk = mk + RatMatrix.identity(n).scale(ck)
+        # B (M_{k-1} + c I), with M_0 = 0 and c = 1 at first
+        mk = [[sum(map(operator.mul, row, col)) + ck * v for col, v in zip(zip(*mk), row)]
+              for row in b]
+        ck = -sum(mk[i][i] for i in range(n)) // k
+        coeffs[n - k] = Fraction(ck, den ** k)
     return P.poly(coeffs)
+
+
+def bareiss_solve(rows, rhs):
+    """(z, det) with z / det the solution of the square integer system
+    rows . z = rhs, by fraction-free elimination (Bareiss 1968): every
+    entry stays an integer minor, so z is integral.  (None, 0) if singular."""
+    n = len(rows)
+    a = [[*row, b] for row, b in zip(rows, rhs)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return None, 0
+        a[k], a[p] = a[p], a[k]
+        for row in a[k + 1 :]:
+            row[k + 1 :] = [(v * a[k][k] - row[k] * w) // prev
+                            for v, w in zip(row[k + 1 :], a[k][k + 1 :])]
+        prev = a[k][k]
+    z = [0] * n  # back-substitution; prev is +-det now
+    for i in reversed(range(n)):
+        z[i] = (prev * a[i][n] - sum(map(operator.mul, a[i][i + 1 : n], z[i + 1 :]))) // a[i][i]
+    return z, prev
 
 
 def mat_over_field(m, field):

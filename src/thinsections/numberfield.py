@@ -4,8 +4,8 @@ A NumberField is a squarefree polynomial (the modulus) plus a rational
 interval isolating one of its real roots, the generator lam.  A
 FieldElement is a polynomial residue of degree < deg(modulus): integer
 numerators, lowest degree first with no trailing zeros, over one
-positive denominator coprime to them.  Ring operations work on ints and
-reduce products over the primitive integer modulus; `coeffs`, the same
+positive denominator coprime to them.  Ring operations and `inverse`
+work on ints over the primitive integer modulus; `coeffs`, the same
 residue as Fractions, is built on first use.
 
 Signs go through a fixed-point filter (Bronnimann-Burnikel-Pion, shared
@@ -40,6 +40,7 @@ from .errors import (
     NotIsolating,
     NotSquarefree,
 )
+from .linalg import bareiss_solve
 
 _REFINE_CAP = 10 ** 6
 
@@ -150,10 +151,11 @@ class NumberField:
         return _element(self, num, den)
 
     def element(self, coeffs):
-        return self._reduced(*_ints(P.poly(coeffs)))
+        return self._reduced(*P.integer_form(P.poly(coeffs)))
 
     def rational(self, q):
-        return _element(self, *_ints([Fraction(q)]))
+        q = q if isinstance(q, int) else Fraction(q)
+        return _element(self, [q.numerator], q.denominator)
 
     def __eq__(self, other):
         """Same modulus and same root (intervals refined until decided)."""
@@ -213,13 +215,6 @@ def minimal_field(p, hint):
     return field_new(q, (lo, hi))
 
 
-def _ints(c):
-    """(numerators, denominator) of the Fraction tuple c, the numerators
-    a list of ints over the least common denominator."""
-    den = math.lcm(1, *(q.denominator for q in c))
-    return [q.numerator * (den // q.denominator) for q in c], den
-
-
 def _element(field, num, den):
     """The canonical element num / den, num a list of ints, den > 0."""
     while num and not num[-1]:
@@ -248,7 +243,7 @@ class FieldElement:
 
     def __init__(self, field, coeffs):
         c = P.poly(coeffs)
-        num, den = _ints(c)
+        num, den = P.integer_form(c)
         if len(num) > field.degree:
             # not a residue yet: reduce it as field.element does
             r = field._reduced(num, den)
@@ -312,24 +307,25 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1 / self by one fraction-free solve M z = e_0 on ints: column j
+        of M is lead^j (num lam^j mod m), m the primitive modulus with
+        leading coefficient lead, and the inverse is sum den lead^j z_j lam^j.
+        det M = 0 exactly when self shares a factor with the modulus."""
         if self.is_zero():
             raise DivisionByZero("zero element")
-        m = self.field._monic
-        # Extended Euclid on (coeffs, modulus).
-        r0, r1 = self.coeffs, m
-        s0, s1 = P.ONE, P.ZERO
-        while not P.is_zero(r1):
-            q, r = P.divmod_poly(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, P.sub(s0, P.mul(q, s1))
-        if P.degree(r0) > 0:
+        m, d = self.field._int_modulus, self.field.degree
+        cols = [[*self._num] + [0] * (d - len(self._num))]
+        while len(cols) < d:
+            cols.append([m[-1] * v - cols[-1][-1] * c for v, c in zip([0, *cols[-1]], m[:-1])])
+        z, det = bareiss_solve(list(zip(*cols)), [1] + [0] * (d - 1))
+        if not det:
             # Nonzero at lam but not invertible mod a reducible modulus.
             raise DivisionByZero(
                 "element shares a factor with the modulus; rebuild the field "
                 "with the minimal modulus (see minimal_field)"
             )
-        inv = P.scale(s0, 1 / r0[0])
-        return FieldElement(self.field, P.pmod(inv, m))
+        s = 1 if det > 0 else -1
+        return _element(self.field, [s * self._den * m[-1] ** j * v for j, v in enumerate(z)], s * det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -487,6 +483,26 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{P.to_string(self.coeffs, 'lam')}>"
+
+
+def common_denominator(values):
+    """(nums, den): the elements `values` as integer residues over one den."""
+    den = math.lcm(1, *(v._den for v in values))
+    return [[c * (den // v._den) for c in v._num] for v in values], den
+
+
+def dot_minus(row, common, target):
+    """row . values - target as one element built from its integer residue,
+    for a row of rationals and values given as common_denominator(values)."""
+    (nums, den), (row, rden) = common, P.integer_form(row)
+    den, tden = den * rden, target._den
+    acc = [-den * c for c in target._num] + [0] * (target.field.degree - len(target._num))
+    for coef, num in zip(row, nums):
+        if coef:
+            coef *= tden
+            for k, c in enumerate(num):
+                acc[k] += coef * c
+    return _element(target.field, acc, den * tden)
 
 
 def sign_of(x):

@@ -3,8 +3,11 @@
 A polynomial is a tuple of Fraction coefficients, lowest degree first,
 with no trailing zeros (the zero polynomial is the empty tuple).  All
 arithmetic is exact.  Real roots are isolated with Sturm chains.
+`evaluate` and `evaluate_interval` take and return Fractions but run
+Horner on ints over common denominators and divide once at the end.
 """
 
+import math
 from fractions import Fraction
 
 ZERO = ()
@@ -129,41 +132,46 @@ def is_squarefree(p):
     return degree(gcd(p, derivative(p))) <= 0
 
 
+def integer_form(values):
+    """(numerators, den): the Fractions `values` as a list of ints over
+    their least common denominator."""
+    den = math.lcm(1, *(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
 def evaluate(p, x):
-    """Horner evaluation at a rational point."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
+    """Horner evaluation at a rational point: with p = num / den and
+    x = a / d, acc = sum num[k] a^k d^(n-k) on ints, p(x) = acc / (den d^n)."""
+    num, den = integer_form(p)
+    (a,), d = integer_form([Fraction(x)])
+    acc, dk = 0, 1
+    for c in reversed(num):
+        acc, dk = acc * a + c * dk, dk * d
+    return Fraction(acc * d, den * dk)
 
 
 def evaluate_interval(p, lo, hi):
     """Exact interval Horner: bounds for {p(x): lo <= x <= hi}.
 
-    Bounds may be loose but always contain the true range.
+    Bounds may be loose but always contain the true range.  With the ends
+    a / d and b / d, each step's bounds are scaled by the positive den d^k,
+    so min and max pick what interval Horner on Fractions picks.
     """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    vlo, vhi = Fraction(0), Fraction(0)
-    for a in reversed(p):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(cands) + a, max(cands) + a
-    return vlo, vhi
+    num, den = integer_form(p)
+    (a, b), d = integer_form([Fraction(lo), Fraction(hi)])
+    vlo, vhi, dk = 0, 0, 1
+    for c in reversed(num):
+        cands = (vlo * a, vlo * b, vhi * a, vhi * b)
+        vlo, vhi, dk = min(cands) + c * dk, max(cands) + c * dk, dk * d
+    return Fraction(vlo * d, den * dk), Fraction(vhi * d, den * dk)
 
 
 def content_primitive(p):
     """Return (content, primitive integer polynomial) for rational p."""
     if is_zero(p):
         return Fraction(0), ZERO
-    from math import gcd as igcd, lcm
-    den = 1
-    for a in p:
-        den = lcm(den, a.denominator)
-    ints = [int(a * den) for a in p]
-    g = 0
-    for v in ints:
-        g = igcd(g, abs(v))
+    ints, den = integer_form(p)
+    g = math.gcd(*ints)
     if leading(p) < 0:
         g = -g
     return Fraction(g, den), tuple(Fraction(v // g) for v in ints)

@@ -120,19 +120,25 @@ def _classify(rows, first, closed, R, eps):
     return [WINDOW_CLASSES[k] for k in code.tolist()]
 
 
-def _jump(pred, root, steps):
+def _jump(pred, root):
     """Pointer jumping over predecessor links (list ranking, Wyllie 1979).
 
-    After ``steps`` rounds every node within 2**steps links of a root
-    points at that root and holds its distance from it; a node on a cycle
-    of predecessors points at another node of its cycle.
+    A node on a path of predecessors ends pointing at its root, holding
+    its distance from it; a node on a cycle points at another node of its
+    cycle.  Round t brings the nodes at distance (2^(t-1), 2^t] to their
+    root, so the first round that brings none is the last.
     """
     ptr = np.where(root, np.arange(pred.shape[0]), pred)
     rank = (~root).astype(np.int64)
-    for _ in range(steps):
-        rank += rank[ptr]
+    left = -1
+    while True:
+        step = rank[ptr]  # 0 exactly where ptr is a root
+        count = np.count_nonzero(step)
+        if count == left:
+            return ptr, rank
+        left = count
+        rank += step
         ptr = ptr[ptr]
-    return ptr, rank
 
 
 def _chain_order(partner):
@@ -147,16 +153,15 @@ def _chain_order(partner):
     node = np.arange(n2)
     free = partner < 0
     pred = partner ^ 1
-    steps = n2.bit_length()
-    root, rank = _jump(pred, free, steps)
+    root, rank = _jump(pred, free)
     cyc = ~free[root]
     keep = ~cyc & (root < root[node ^ 1])
     if cyc.any():
         low, ptr = node.copy(), np.where(cyc, pred, node)
-        for _ in range(steps):
+        for _ in range(n2.bit_length()):
             low = np.minimum(low, low[ptr])
             ptr = ptr[ptr]
-        _, cyc_rank = _jump(pred, ~cyc | (low == node), steps)
+        _, cyc_rank = _jump(pred, ~cyc | (low == node))
         keep |= cyc & (low % 2 == 0)
         root = np.where(cyc, n2 + low, root)
         rank = np.where(cyc, cyc_rank, rank)

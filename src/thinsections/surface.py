@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from .errors import AuditError, InvalidSystem
 from .iis import system_field, system_params
+from .linalg import bareiss_solve
+from .polynomials import integer_form
 
 __all__ = [
     "Rect",
@@ -197,24 +199,6 @@ def _rational_coeffs(x, dim):
     return [Fraction(c) for c in cs[:dim]]
 
 
-def _solve_rational(mat, rhs):
-    """Solve a square rational system; return None if singular."""
-    n = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
 def x2_shift_coefficients(surface, value):
     """Integer (k1, k2, k3) with value = sum k_i * x2(e_i), or None.
 
@@ -228,11 +212,12 @@ def x2_shift_coefficients(surface, value):
     cols = [_rational_coeffs(e[1], dim) for e in surface.lattice]
     if dim != 3:
         raise AuditError("shift-group test expects a cubic field")
-    mat = [[cols[j][i] for j in range(3)] for i in range(3)]
-    sol = _solve_rational(mat, _rational_coeffs(value, dim))
-    if sol is None or any(s.denominator != 1 for s in sol):
+    rows = [integer_form([*(c[i] for c in cols), b])[0]
+            for i, b in enumerate(_rational_coeffs(value, dim))]
+    z, det = bareiss_solve([r[:3] for r in rows], [r[3] for r in rows])
+    if not det or any(v % det for v in z):
         return None
-    ks = tuple(int(s) for s in sol)
+    ks = tuple(v // det for v in z)
     check = sum((surface.lattice[i][1] * ks[i] for i in range(3)), surface.field.zero)
     if not (check - value).is_zero():
         raise AuditError("shift certificate failed to reproduce the value")

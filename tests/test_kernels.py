@@ -8,6 +8,7 @@ reproduce them exactly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thinsections import _kernels
 from thinsections.sections import _chains, _classify, _compiled, _emit, sample_levels
@@ -205,6 +206,28 @@ def test_chains_match_walk_on_hand_built_pairs(case, expect):
     got = _check_chains(seg, _pairs(2 * seg.shape[0], *pairs), 5.0)
     if expect is not None:
         assert got == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 1000, 1025])
+def test_chains_match_walk_on_one_long_path_and_cycle(n):
+    # pointer jumping stops after the first round that brings no node to
+    # its root: paths whose length is at or next to a power of two, and a
+    # cycle of the same length beside them
+    rows = np.arange(8.0 * n).reshape(-1, 4)
+    path = [(2 * i + 1, 2 * i + 2) for i in range(n - 1)]
+    cycle = [(2 * (n + i) + 1, 2 * (n + (i + 1) % n)) for i in range(n)]
+    _check_chains(rows, _pairs(4 * n, *path, *cycle), 5.0)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(min_value=1, max_value=300), free=st.integers(min_value=0, max_value=7),
+       rnd=st.randoms(use_true_random=False))
+def test_chains_match_walk_on_random_pairings(n, free, rnd):
+    ends = list(range(2 * n))
+    rnd.shuffle(ends)
+    paired = ends[min(free, 2 * n):]
+    pairs = list(zip(paired[::2], paired[1::2]))
+    _check_chains(np.arange(4.0 * n).reshape(-1, 4), _pairs(2 * n, *pairs), 5.0)
 
 
 def test_chains_match_walk_on_clipped_path():

@@ -10,6 +10,7 @@ from thinsections.errors import NegativeEntries, NotAnEigenvalue, NotSquare
 from thinsections.iis import SYSTEM_MATRIX, system_field
 from thinsections.linalg import (
     RatMatrix,
+    bareiss_solve,
     char_poly,
     eigen_kernel,
     mat_over_field,
@@ -50,6 +51,26 @@ def test_char_poly_frozen_values():
 
 
 int_entries = st.integers(min_value=-4, max_value=4)
+
+
+def _reference_char_poly(m):
+    """Faddeev-LeVerrier on the rational matrix itself."""
+    n = m.rows
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = RatMatrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m * mk
+        coeffs[n - k] = -mk.trace() / k
+        mk = mk + RatMatrix.identity(n).scale(coeffs[n - k])
+    return P.poly(coeffs)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=5), st.data())
+def test_char_poly_matches_rational_recursion(n, data):
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    m = RatMatrix(n, n, data.draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    assert char_poly(m) == _reference_char_poly(m)
 
 
 @settings(max_examples=120)
@@ -129,3 +150,36 @@ def test_perron_root_guards():
         perron_root(RatMatrix.from_rows([[-1]]), Fraction(1, 10))
     with pytest.raises(NotSquare):
         perron_root(RatMatrix.zero(2, 3), Fraction(1, 10))
+
+
+def _reference_solve(mat, rhs):
+    """Gauss-Jordan on Fractions; None if singular."""
+    n = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col]
+        aug[col] = [v / inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=0, max_value=5), st.data())
+def test_bareiss_solve_matches_rational_elimination(n, data):
+    # small entries make singular systems common
+    entries = st.integers(min_value=-3, max_value=3)
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhs = data.draw(st.lists(st.integers(min_value=-50, max_value=50), min_size=n, max_size=n))
+    z, det = bareiss_solve(rows, rhs)
+    ref = _reference_solve(rows, rhs)
+    if ref is None:
+        assert (z, det) == (None, 0)
+    else:
+        assert det and [Fraction(v, det) for v in z] == ref

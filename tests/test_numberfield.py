@@ -12,7 +12,9 @@ from thinsections.errors import (
     NotIsolating,
     NotSquarefree,
 )
+from thinsections.iis import system_field, system_params
 from thinsections.numberfield import (
+    FieldElement,
     NumberField,
     approximate,
     field_new,
@@ -232,3 +234,89 @@ def test_float_matches_enclosure(c):
     x = _F.element(c)
     lo, hi = x.enclosure(Fraction(1, 2 ** 40))
     assert float(lo) - 1e-9 <= float(x) <= float(hi) + 1e-9
+
+
+def _reference_inverse(x):
+    """Extended Euclid on Fraction polynomials."""
+    if x.is_zero():
+        raise DivisionByZero("zero element")
+    m = x.field._monic
+    r0, r1 = x.coeffs, m
+    s0, s1 = P.ONE, P.ZERO
+    while not P.is_zero(r1):
+        q, r = P.divmod_poly(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, P.sub(s0, P.mul(q, s1))
+    if P.degree(r0) > 0:
+        raise DivisionByZero("element shares a factor with the modulus")
+    inv = P.scale(s0, 1 / r0[0])
+    return FieldElement(x.field, P.pmod(inv, m))
+
+
+_INVERSE_FIELDS = {
+    "s1": system_field("s1"),
+    "s2": system_field("s2"),
+    "x^3 - 4x + 1": _F,
+    "rational": rational_field(),
+    "reducible quartic": field_new(QUARTIC, (Fraction(1, 5), Fraction(3, 10))),
+    # a modulus that is not monic: 3x^2 - 1
+    "3x^2 - 1": field_new([-1, 0, 3], (Fraction(0), Fraction(1))),
+}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(_INVERSE_FIELDS)), st.lists(coeff, min_size=0, max_size=5))
+def test_inverse_matches_extended_euclid(name, c):
+    x = _INVERSE_FIELDS[name].element(c)
+    try:
+        ref = _reference_inverse(x)
+    except DivisionByZero as err:
+        with pytest.raises(DivisionByZero) as got:
+            x.inverse()
+        assert str(got.value).split(";")[0] == str(err)
+        return
+    got = x.inverse()
+    assert (got._num, got._den) == (ref._num, ref._den)
+    assert (x * got - 1).is_zero()
+
+
+@pytest.mark.parametrize("cofactor", [[1], [2, -1], [0, 3], [Fraction(1, 3), 0, 5]])
+def test_inverse_of_a_factor_of_a_reducible_modulus_raises(cofactor):
+    f = _INVERSE_FIELDS["reducible quartic"]
+    # (x - 1) times a unit-free cofactor: nonzero at lam, shares x - 1
+    x = f.element(P.mul(P.poly([-1, 1]), P.poly(cofactor)))
+    assert not x.is_zero()
+    with pytest.raises(DivisionByZero, match="shares a factor with the modulus"):
+        x.inverse()
+    with pytest.raises(DivisionByZero, match="zero element"):
+        f.element(P.mul(P.poly(CUBIC), P.poly(cofactor))).inverse()
+
+
+def test_float_takes_one_interval_evaluation_on_a_refined_field(monkeypatch):
+    # float() and enclosure() evaluate through the module attribute
+    # polynomials.evaluate_interval, once, on a field already refined
+    # below 2^-128, and refine nothing
+    calls = []
+    evaluate_interval, refine = P.evaluate_interval, NumberField.refine
+
+    def counted_evaluate(coeffs, lo, hi):
+        calls.append("evaluate_interval")
+        return evaluate_interval(coeffs, lo, hi)
+
+    def counted_refine(self, steps=1):
+        calls.append("refine")
+        return refine(self, steps)
+
+    monkeypatch.setattr(P, "evaluate_interval", counted_evaluate)
+    monkeypatch.setattr(NumberField, "refine", counted_refine)
+    for name in ("s1", "s2"):
+        f = system_field(name)
+        lo, hi = f.root_interval
+        assert hi - lo < Fraction(1, 2 ** 128)
+        for x in (f.gen, f.gen ** 2 - 3, *system_params(name)):
+            calls.clear()
+            float(x)
+            assert calls == ["evaluate_interval"]
+            calls.clear()
+            x.enclosure(Fraction(1, 2 ** 56))
+            assert calls == ["evaluate_interval"]

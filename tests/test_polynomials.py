@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from thinsections import polynomials as P
 
@@ -125,6 +125,64 @@ def test_evaluate_interval_sound(p, a, b):
     for t in (lo, hi, (lo + hi) / 2):
         v = P.evaluate(p, t)
         assert box[0] <= v <= box[1]
+
+
+def _reference_evaluate(p, x):
+    """Horner on Fractions."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
+
+
+def _reference_evaluate_interval(p, lo, hi):
+    """Interval Horner on Fractions."""
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    vlo, vhi = Fraction(0), Fraction(0)
+    for a in reversed(p):
+        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(cands) + a, max(cands) + a
+    return vlo, vhi
+
+
+# non-dyadic, negative and integer points, and far ones with large
+# denominators as the refined isolating intervals have
+points = st.one_of(
+    small_fracs,
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=3 ** 40),
+)
+wide_polys = st.lists(
+    st.fractions(min_value=-10 ** 4, max_value=10 ** 4, max_denominator=10 ** 6),
+    min_size=0, max_size=8,
+).map(P.poly)
+
+
+@settings(max_examples=200)
+@given(st.one_of(polys, wide_polys), points)
+def test_evaluate_matches_fraction_horner(p, x):
+    got = P.evaluate(p, x)
+    assert type(got) is Fraction
+    assert got == _reference_evaluate(p, x)
+
+
+@settings(max_examples=200)
+@given(st.one_of(polys, wide_polys), points, points, st.booleans())
+def test_evaluate_interval_matches_fraction_interval_horner(p, a, b, degenerate):
+    lo, hi = sorted((a, b))
+    if degenerate:
+        hi = lo
+    got = P.evaluate_interval(p, lo, hi)
+    assert all(type(v) is Fraction for v in got)
+    assert got == _reference_evaluate_interval(p, lo, hi)
+
+
+def test_evaluate_on_the_empty_polynomial():
+    assert P.evaluate((), Fraction(2, 3)) == _reference_evaluate((), Fraction(2, 3)) == 0
+    assert P.evaluate_interval((), Fraction(-1, 3), Fraction(5, 7)) == (0, 0)
+    assert P.evaluate_interval((), Fraction(5, 7), Fraction(5, 7)) == (0, 0)
 
 
 def test_root_bound_covers_roots():
