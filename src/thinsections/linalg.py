@@ -82,16 +82,8 @@ class RatMatrix:
         if isinstance(other, RatMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            out = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(other.cols):
-                    out.append(
-                        sum(
-                            (ri[k] * other[k, j] for k in range(self.cols)),
-                            Fraction(0),
-                        )
-                    )
+            out = [sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0))
+                   for ri in map(self.row, range(self.rows)) for j in range(other.cols)]
             return RatMatrix(self.rows, other.cols, out)
         return RatMatrix(self.rows, self.cols, [a * Fraction(other) for a in self.entries])
 
@@ -188,11 +180,7 @@ def kernel_basis(rows):
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, n):
-            if not a[i][c].is_zero():
-                pivot = i
-                break
+        pivot = next((i for i in range(r, n) if not a[i][c].is_zero()), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
@@ -242,9 +230,7 @@ def eigen_kernel(m, mu, unit_sum_indices=None):
     v = basis[0]
     if unit_sum_indices is None:
         unit_sum_indices = tuple(range(min(3, n)))
-    s = field.zero
-    for i in unit_sum_indices:
-        s = s + v[i]
+    s = sum((v[i] for i in unit_sum_indices), field.zero)
     if s.is_zero():
         raise NotAnEigenvalue("designated coordinates sum to zero; cannot normalize")
     inv = s.inverse()
@@ -268,7 +254,4 @@ def perron_root_interval(m, eps):
     intervals = P.isolate_real_roots(cp)
     if not intervals:
         raise NotAnEigenvalue("no real eigenvalues")
-    lo, hi = intervals[-1]
-    if lo == hi:
-        return lo, hi
-    return P.refine_root(P.squarefree_part(cp), lo, hi, eps)
+    return P.refine_root(P.squarefree_part(cp), *intervals[-1], eps)

@@ -11,10 +11,12 @@ residue as Fractions, is built on first use.
 Signs go through a fixed-point filter (Bronnimann-Burnikel-Pion, shared
 with `iis.OrbitChart`): the integer dot product of the numerators with
 the field's cached bounds of lam^j 2^FIXED_BITS brackets the value, and
-decides when the bracket excludes 0.  Otherwise the isolating interval
-is refined until interval evaluation excludes zero; the zero test is
-algebraic, so every decision terminates.  Enclosures and floats always
-take the interval path.
+decides when the bracket excludes 0.  Otherwise interval evaluation
+decides at the first bisection level of the isolating interval that
+excludes zero; the zero test is algebraic, so every decision terminates.
+Enclosures and floats always take the interval path, at the first level
+narrow enough.  Interval Horner on nested intervals gives nested values,
+so `_first_level` finds that level with O(log level) evaluations.
 
 Order is one primitive, `compare` (and <, <=, >, >= through it).  Each
 element caches its own bracket, integers lo <= value 2^FIXED_BITS <= hi,
@@ -27,6 +29,7 @@ reduction) restores one that also isolated the root, so the bounds
 taken at any time enclose the value for good.
 """
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -92,32 +95,42 @@ class NumberField:
         return (self._lo, self._hi)
 
     def refine(self, steps=1):
-        """One or more bisection steps on the cached isolating interval."""
-        lo, hi = self._lo, self._hi
-        if lo == hi:
-            return
-        flo = P.evaluate(self._monic, lo)
-        for _ in range(steps):
-            mid = (lo + hi) / 2
-            fm = P.evaluate(self._monic, mid)
-            if fm == 0:
-                lo = hi = mid
-                break
-            if (fm > 0) == (flo > 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        self._lo, self._hi = lo, hi
-        self._powers = None
+        """`steps` bisection steps on the cached isolating interval."""
+        if steps > 0 and self._lo != self._hi:
+            self._restore(P.bisect(self._int_modulus, self._lo, self._hi, steps))
 
     def _restore(self, interval):
-        """Put back `interval`, an earlier isolating interval of lam."""
+        """Put in `interval`, an earlier or a refined isolating interval of
+        lam, dropping the bounds taken from the one it replaces."""
         self._lo, self._hi = interval
         self._powers = None
 
     def refine_below(self, width):
-        while self._hi - self._lo >= width:
-            self.refine()
+        """Refine below `width` in one `refine` call of the step count."""
+        steps = P.bisection_steps(self._lo, self._hi, Fraction(width))
+        if steps > _REFINE_CAP:
+            raise AuditError(f"refinement needs {steps} bisection steps")
+        self.refine(steps)
+
+    def _first_level(self, coeffs, test, what):
+        """test(vlo, vhi) on the interval value of coeffs at lam, at the
+        first bisection level where it is not None, left in place: the
+        steps double from the last failing level, then halve back."""
+        out = test(*P.evaluate_interval(coeffs, self._lo, self._hi))
+        fail, passed, done, step = self.root_interval, None, 0, int(out is None)
+        while step:
+            if not passed and done >= _REFINE_CAP:
+                raise AuditError(f"{what} refinement did not converge")
+            trial = P.bisect(self._int_modulus, *fail, step)
+            got = test(*P.evaluate_interval(coeffs, *trial))
+            if got is None:
+                fail, done = trial, done + step
+                step = step // 2 if passed else 2 * step
+            else:
+                out, passed, step = got, trial, step // 2
+        if passed:
+            self._restore(passed)
+        return out
 
     def fixed_point(self, num):
         """(lin, slack) with sum_j num[j] lam^j 2^FIXED_BITS in
@@ -228,6 +241,16 @@ def _element(field, num, den):
     return x
 
 
+def _coerced(op):
+    """The binary method op(self, o), with `other` coerced into self's field
+    first; NotImplemented when it cannot be."""
+    @functools.wraps(op)
+    def method(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is NotImplemented else op(self, o)
+    return method
+
+
 def _combine(x, y, sign):
     """(numerators, denominator) of x + sign * y, not yet canonical."""
     a, b, den = x._num, y._num, x._den
@@ -271,10 +294,8 @@ class FieldElement:
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return _element(self.field, *_combine(self, o, 1))
 
     __radd__ = __add__
@@ -282,22 +303,16 @@ class FieldElement:
     def __neg__(self):
         return _element(self.field, [-v for v in self._num], self._den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return _element(self.field, *_combine(self, o, -1))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, o):
         out = [0] * (len(self._num) + len(o._num))
         for i, p in enumerate(self._num):
             for j, q in enumerate(o._num, i):
@@ -327,16 +342,12 @@ class FieldElement:
         s = 1 if det > 0 else -1
         return _element(self.field, [s * self._den * m[-1] ** j * v for j, v in enumerate(z)], s * det)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o):
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, o):
         return o * self.inverse()
 
     def __pow__(self, n):
@@ -381,30 +392,23 @@ class FieldElement:
     def _exact_sign(self):
         if self.is_zero():
             return 0
-        f = self.field
-        for _ in range(_REFINE_CAP):
-            lo, hi = f.root_interval
-            vlo, vhi = P.evaluate_interval(self.coeffs, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            f.refine()
-        raise AuditError("sign refinement did not converge")
+        return self.field._first_level(
+            self.coeffs, lambda vlo, vhi: 1 if vlo > 0 else -1 if vhi < 0 else None, "sign")
 
     def enclosure(self, width):
-        """Certified rational interval of width < `width` containing the value."""
+        """Certified rational interval of width < `width` containing the
+        value, from the first bisection level narrow enough."""
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
-        f = self.field
-        for _ in range(_REFINE_CAP):
-            lo, hi = f.root_interval
-            vlo, vhi = P.evaluate_interval(self.coeffs, lo, hi)
-            if vhi - vlo < width:
+        wn, wd = width.numerator, width.denominator
+
+        def narrow(vlo, vhi):
+            lo_d, hi_d = vlo.denominator, vhi.denominator
+            if (vhi.numerator * lo_d - vlo.numerator * hi_d) * wd < wn * lo_d * hi_d:
                 return vlo, vhi
-            f.refine()
-        raise AuditError("enclosure refinement did not converge")
+
+        return self.field._first_level(self.coeffs, narrow, "enclosure")
 
     def approximate(self, eps):
         """A rational r with |r - value| < eps, certified."""
@@ -413,14 +417,14 @@ class FieldElement:
 
     def __float__(self):
         vlo, vhi = self.enclosure(Fraction(1, 2 ** 56))
-        return float((vlo + vhi) / 2)
+        # one correctly rounded division, as float((vlo + vhi) / 2) gives
+        return ((vlo.numerator * vhi.denominator + vhi.numerator * vlo.denominator)
+                / (2 * vlo.denominator * vhi.denominator))
 
     # -- comparisons ---------------------------------------------------------------
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         if self.field.irreducible:
             return self._num == o._num and self._den == o._den
         return (self - o).is_zero()
@@ -453,16 +457,12 @@ class FieldElement:
             raise TypeError(f"cannot order a field element and {type(other).__name__}")
         return self._order(o)
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __lt__(self, o):
         return self._order(o) < 0
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_coerced
+    def __le__(self, o):
         return self._order(o) <= 0
 
     def __gt__(self, other):

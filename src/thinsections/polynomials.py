@@ -2,13 +2,15 @@
 
 A polynomial is a tuple of Fraction coefficients, lowest degree first,
 with no trailing zeros (the zero polynomial is the empty tuple).  All
-arithmetic is exact.  Real roots are isolated with Sturm chains.
+arithmetic is exact.  Real roots are isolated with Sturm chains and
+refined by `bisect`, one kernel for any number of steps on integer ends.
 `evaluate` and `evaluate_interval` take and return Fractions but run
 Horner on ints over common denominators and divide once at the end.
 """
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 ZERO = ()
 ONE = (Fraction(1),)
@@ -35,13 +37,7 @@ def leading(p):
 
 
 def add(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return poly(out)
+    return poly(a + b for a, b in zip_longest(p, q, fillvalue=0))
 
 
 def neg(p):
@@ -139,15 +135,34 @@ def integer_form(values):
     return [q.numerator * (den // q.denominator) for q in values], den
 
 
+def _scaled(num, d):
+    """num[k] d^(n-1-k), highest degree first, for n = len(num): Horner
+    over it at an int a gives d^(n-1) num(a / d), of the sign of num(a / d)."""
+    return [c * d ** k for k, c in enumerate(reversed(num))]
+
+
+def _horner(top, a):
+    acc = 0
+    for c in top:
+        acc = acc * a + c
+    return acc
+
+
+def _sign_at(num, x):
+    """Sign of the integer polynomial num at the rational x."""
+    x = Fraction(x)
+    v = _horner(_scaled(num, x.denominator), x.numerator)
+    return (v > 0) - (v < 0)
+
+
 def evaluate(p, x):
-    """Horner evaluation at a rational point: with p = num / den and
-    x = a / d, acc = sum num[k] a^k d^(n-k) on ints, p(x) = acc / (den d^n)."""
+    """p(x) at a rational x = a / d: with p = num / den, the integer Horner
+    of `_sign_at` gives d^(n-1) num(x), n = len(num), divided once by
+    den d^(n-1) (both times d, so that n = 0 gives 0)."""
     num, den = integer_form(p)
-    (a,), d = integer_form([Fraction(x)])
-    acc, dk = 0, 1
-    for c in reversed(num):
-        acc, dk = acc * a + c * dk, dk * d
-    return Fraction(acc * d, den * dk)
+    x = Fraction(x)
+    d = x.denominator
+    return Fraction(_horner(_scaled(num, d), x.numerator) * d, den * d ** len(num))
 
 
 def evaluate_interval(p, lo, hi):
@@ -178,27 +193,20 @@ def content_primitive(p):
 
 
 def sturm_chain(p):
-    """Sturm chain of a squarefree polynomial."""
+    """Sturm chain of a squarefree polynomial, each member as its integer
+    form (a positive multiple: same signs, taken once per chain)."""
     chain = [p, derivative(p)]
     while not is_zero(chain[-1]) and degree(chain[-1]) > 0:
         nxt = neg(pmod(chain[-2], chain[-1]))
         if is_zero(nxt):
             break
         chain.append(nxt)
-    return [c for c in chain if not is_zero(c)]
+    return [integer_form(c)[0] for c in chain if not is_zero(c)]
 
 
 def _variations(chain, x):
-    signs = []
-    for c in chain:
-        v = evaluate(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
+    signs = [v for v in (_sign_at(num, x) for num in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots(chain, lo, hi):
@@ -218,7 +226,9 @@ def isolate_real_roots(p):
     """Disjoint rational intervals, one per distinct real root of p.
 
     Intervals are either open isolating intervals whose endpoints are
-    not roots, or degenerate [r, r] for an exact rational root.
+    not roots, or degenerate [r, r] for an exact rational root.  Sturm
+    counts run on the chain's integer forms; `refine_root` narrows an
+    interval with the `bisect` kernel.
     """
     if is_zero(p):
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -229,9 +239,9 @@ def isolate_real_roots(p):
     bound = root_bound(q)
     lo, hi = -bound, bound
     # Nudge endpoints off roots (the Cauchy bound is strict, but keep it safe).
-    while evaluate(q, lo) == 0:
+    while not _sign_at(chain[0], lo):
         lo -= 1
-    while evaluate(q, hi) == 0:
+    while not _sign_at(chain[0], hi):
         hi += 1
 
     out = []
@@ -243,7 +253,7 @@ def isolate_real_roots(p):
             out.append((a, b))
             return
         mid = (a + b) / 2
-        if evaluate(q, mid) == 0:
+        if not _sign_at(chain[0], mid):
             # Exact rational root at mid; isolate it away from the rest.
             delta = (b - a) / 4
             while count_roots(chain, mid - delta, mid + delta) != 1:
@@ -260,28 +270,49 @@ def isolate_real_roots(p):
     return out
 
 
+def bisect(num, lo, hi, steps):
+    """`steps` bisection steps in one call on [lo, hi], an isolating
+    interval of a root of the integer polynomial num; an exact root at a
+    midpoint m gives (m, m).  The ends are put over the final denominator
+    d up front, so each midpoint is an int over d and its sign is one
+    Horner pass on ints over `_scaled(num, d)`, taken once."""
+    if lo == hi or steps <= 0:
+        return lo, hi
+    (a, b), d = integer_form([Fraction(lo), Fraction(hi)])
+    a, b, d = a << steps, b << steps, d << steps
+    top = _scaled(num, d)
+    positive = _horner(top, a) > 0
+    for _ in range(steps):
+        m = (a + b) >> 1
+        v = _horner(top, m)
+        if not v:
+            a = b = m
+            break
+        a, b = (m, b) if (v > 0) == positive else (a, m)
+    return Fraction(a, d), Fraction(b, d)
+
+
+def bisection_steps(lo, hi, width):
+    """The least k with (hi - lo) / 2^k < width, i.e. 2^k > floor((hi - lo) / width)."""
+    if width <= 0:
+        raise ValueError("width must be positive")
+    return math.floor((hi - lo) / width).bit_length()
+
+
 def refine_root(p, lo, hi, width):
-    """Shrink an isolating interval of squarefree p by bisection until
-    hi - lo < width.  Requires a sign change on (lo, hi) or an exact
-    rational root at an endpoint returned by isolate_real_roots."""
+    """Shrink an isolating interval of squarefree p below `width` with
+    one `bisect` call of `bisection_steps` steps.  Requires a sign change
+    on (lo, hi) or an exact rational root at an endpoint returned by
+    isolate_real_roots."""
     if lo == hi:
         return lo, hi
-    flo = evaluate(p, lo)
-    fhi = evaluate(p, hi)
+    num = integer_form(p)[0]
+    flo, fhi = _sign_at(num, lo), _sign_at(num, hi)
     if flo == 0 or fhi == 0:
         raise ValueError("endpoints of an isolating interval must not be roots")
-    if (flo > 0) == (fhi > 0):
+    if flo == fhi:
         raise ValueError("no sign change: not an isolating interval of an odd-order root")
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        fm = evaluate(p, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return lo, hi
+    return bisect(num, lo, hi, bisection_steps(lo, hi, Fraction(width)))
 
 
 def rational_roots(p):
@@ -291,31 +322,15 @@ def rational_roots(p):
     k = 0
     while p[k] == 0:
         k += 1
-    roots = [Fraction(0)] if k > 0 else []
-    q = p[k:]
-    _, zint = content_primitive(q)
-    a0 = int(zint[0])
-    an = int(zint[-1])
+    zero = [Fraction(0)] if k else []
+    num = [int(c) for c in content_primitive(p[k:])[1]]
 
     def divisors(n):
-        n = abs(n)
-        ds = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                ds.add(d)
-                ds.add(n // d)
-            d += 1
-        return ds
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return {e for d in small for e in (d, abs(n) // d)}
 
-    for num in divisors(a0):
-        for den in divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * num, den)
-                if evaluate(q, cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    roots.sort()
-    return roots
+    cands = {Fraction(s * a, b) for a in divisors(num[0]) for b in divisors(num[-1]) for s in (1, -1)}
+    return sorted(zero + [c for c in cands if not _sign_at(num, c)])
 
 
 def deflate(p, r):

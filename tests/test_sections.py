@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thinsections import _kernels, iis
+from thinsections import _kernels, iis, polynomials as P
 from thinsections.errors import EmptyWindow, NearSaddle
 from thinsections.iis import system_params
 from thinsections.sections import (
@@ -87,6 +87,28 @@ def test_far_level_leaves_the_shared_field_interval(ex1):
     assert ex1.field.root_interval == before
     assert before[1] - before[0] > Fraction(1, 2 ** 200)
     assert comps == trace_section(ex1, 1e300, 5.0)
+
+
+def test_far_level_refines_with_few_interval_evaluations(own_ex1, monkeypatch):
+    # the reduction of 1e300 refines the field about 900 levels below
+    # 2^-128; the level search reaches each level its signs and enclosures
+    # need with O(log level) evaluations, where one step at a time took 992
+    field, period = own_ex1.field, own_ex1.plate_period
+    exact, saved = field.rational(Fraction(1e300)), field.root_interval
+    reduced = float(exact - _floor_towards(exact, period) * period)
+    field._restore(saved)
+    want = trace_section(own_ex1, reduced, 5.0)
+    calls = []
+    evaluate_interval = P.evaluate_interval
+
+    def counted(coeffs, lo, hi):
+        calls.append(hi - lo)
+        return evaluate_interval(coeffs, lo, hi)
+
+    monkeypatch.setattr(P, "evaluate_interval", counted)
+    assert trace_section(own_ex1, 1e300, 5.0) == want
+    assert len(calls) <= 150
+    assert min(calls) < Fraction(1, 2 ** 900)
 
 
 # -- component structure -------------------------------------------------------
