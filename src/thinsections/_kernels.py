@@ -11,8 +11,9 @@ import numpy as np
 USING_NUMBA = False
 
 
-# k3 values per block of translates: bounds emit_segments' temporaries.
-_K3_BLOCK = 32
+# (k3, s) cells per block of translates: bounds emit_segments' temporaries
+# (one block up to R = 63); a block always holds at least one k3 value.
+_BLOCK_CELLS = 1 << 14
 
 
 def emit_segments(level, R, plates, walls, tang_y, e2y, period, e3y):
@@ -27,12 +28,15 @@ def emit_segments(level, R, plates, walls, tang_y, e2y, period, e3y):
     then plate pieces left to right, then walls.  A clip flag marks an
     endpoint produced by the window cut.  The tangency distance is the
     smallest |level - y| over every tangency face of an enumerated
-    translate, for the caller's near-saddle guard.
+    translate, for the caller's near-saddle guard.  With no plates and no
+    walls only the translates are enumerated: no rows, and the same
+    tangency distance as with the pieces.
     """
     steps = np.arange(int(np.floor(-R - 1.0)), int(np.floor(R)) + 1)
-    blocks = [_emit_block(level, R, steps[i:i + _K3_BLOCK], steps, plates, walls,
+    k3_block = max(1, _BLOCK_CELLS // steps.shape[0])
+    blocks = [_emit_block(level, R, steps[i:i + k3_block], steps, plates, walls,
                           tang_y, e2y, period, e3y)
-              for i in range(0, steps.shape[0], _K3_BLOCK)]
+              for i in range(0, steps.shape[0], k3_block)]
     near = min(b[2] for b in blocks)
     rows = np.cumsum([0] + [b[0].shape[0] for b in blocks])
     seg, clip = np.empty((rows[-1], 4)), np.empty((rows[-1], 2), np.uint8)
@@ -63,9 +67,9 @@ def _emit_block(level, R, k3s, steps, plates, walls, tang_y, e2y, period, e3y):
 
     picked = []  # per row slot: translates emitting it, then its six columns
 
-    def slot(keep, *cols):
+    def slot(keep, *cols):  # every column is a yloc-shaped array
         at = np.flatnonzero(keep)
-        picked.append((at, [np.broadcast_to(c, yloc.shape)[at] for c in cols]))
+        picked.append((at, [c[at] for c in cols]))
 
     for z0, x0, x1, y0, y1, holes in plates:
         z = z0 + k3
@@ -112,7 +116,7 @@ def match_endpoints(seg, clip, eps):
     order = np.lexsort((ends[idx, 1], run))
     run, idx = run[order], idx[order]
     del order
-    link = np.diff(run) == 0
+    link = np.diff(run) == 0  # labels are unsigned: compare the diff with 0 only
     del run
     link &= np.diff(ends[idx, 1]) <= eps
     lo = _pair_starts(link)
@@ -126,11 +130,13 @@ def match_endpoints(seg, clip, eps):
 
 
 def _runs(x, eps):
-    """Run label of every x: sorted, a gap wider than eps starts a new run."""
-    by_x = np.argsort(x, kind="stable")
-    run = np.zeros(x.shape[0], np.int64)
-    run[by_x[1:]] = np.cumsum(np.diff(x[by_x]) > eps)
-    return run
+    """Run label of every x: sorted, a gap wider than eps starts a new run.
+    A label is the number of run starts at or below x, less one, so ties need
+    no order; labels have the smallest unsigned dtype, which lexsort radix-sorts."""
+    xs = np.sort(x)
+    starts = xs[np.append(True, np.diff(xs) > eps)]
+    run = np.searchsorted(starts, x, side="right") - 1
+    return run.astype(np.min_scalar_type(starts.shape[0]))
 
 
 def _pair_starts(link):

@@ -166,7 +166,8 @@ def _chain_order(partner):
         root = np.where(cyc, n2 + low, root)
         rank = np.where(cyc, cyc_rank, rank)
     kept = np.flatnonzero(keep)
-    order = kept[np.lexsort((rank[kept], root[kept]))]
+    # root * n2 + rank is unique per node, so one argsort gives the order
+    order = kept[np.argsort(root[kept] * n2 + rank[kept])]
     key = root[order]
     first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
     return order, first, key[first] >= n2
@@ -201,7 +202,8 @@ def _chains(seg, partner):
     idx[exits] = order ^ 1
     idx[at] = order[first]
     idx[stop[closed] - 1] = order[first[closed]]
-    pts = list(zip(*seg.reshape(-1, 2)[idx].T.tolist()))
+    ends = seg.reshape(-1, 2)
+    pts = list(zip(ends[idx, 0].tolist(), ends[idx, 1].tolist()))
     chains = [tuple(pts[a:b]) for a, b in zip(at.tolist(), stop.tolist())]
     return order >> 1, first, chains, closed
 
@@ -249,7 +251,8 @@ def sample_levels(surface, count, seed, R, eps=DEFAULT_EPS):
     while len(out) < count:
         for _ in range(_DRAWS_PER_LEVEL):
             level = float(rng.uniform(0.0, period))
-            if _kernels.emit_segments(level, R, *c)[2] >= guard:
+            # the guard reads only the tangency distance: emit no pieces
+            if _kernels.emit_segments(level, R, (), (), *c[2:])[2] >= guard:
                 out.append(level)
                 break
         else:

@@ -109,6 +109,62 @@ def test_kernels_match_loop_references(surface, level, R):
     assert np.array_equal(partner, _reference_match(seg, clip, 1e-9))
 
 
+@pytest.mark.parametrize("R", [0.5, 5.0, 50.0])
+def test_guard_emit_without_pieces_reads_the_same_tangency_distance(surface, R):
+    plates, walls, *rest = _compiled(surface)
+    levels = [0.1, 0.37, 0.77, float(rest[0][0])] + sample_levels(surface, 3, 0, R)
+    for level in levels:
+        seg, clip, near = _kernels.emit_segments(level, R, (), (), *rest)
+        assert seg.shape == (0, 4) and clip.shape == (0, 2)
+        assert near == _kernels.emit_segments(level, R, plates, walls, *rest)[2]
+
+
+def _reference_levels(surface, count, seed, R, eps=1e-9):
+    # sample_levels with the full emit as its guard
+    rng = np.random.default_rng(seed)
+    period, out = float(surface.plate_period), []
+    while len(out) < count:
+        level = float(rng.uniform(0.0, period))
+        if _kernels.emit_segments(level, R, *_compiled(surface))[2] >= 10.0 * eps:
+            out.append(level)
+    return out
+
+
+@pytest.mark.parametrize("R", [0.5, 5.0, 50.0])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sample_levels_match_full_emit_guard(surface, seed, R):
+    assert sample_levels(surface, 6, seed, R) == _reference_levels(surface, 6, seed, R)
+
+
+@pytest.mark.parametrize("level", [0.1, 0.37, 0.77])
+def test_emit_does_not_depend_on_block_bound(surface, level, monkeypatch):
+    # the smallest bound puts one k3 value in each of the 12 blocks at R = 5
+    monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 1)
+    seg, clip, near = _kernels.emit_segments(level, 5.0, *_compiled(surface))
+    ref_seg, ref_clip, ref_near = _reference_emit(surface, level, 5.0)
+    assert np.array_equal(seg, ref_seg)
+    assert np.array_equal(clip, ref_clip)
+    assert near == ref_near
+
+
+@pytest.mark.parametrize("runs", [300, 70_000])
+def test_match_endpoints_on_many_runs(runs):
+    # four endpoints per x-run, jittered within eps in x; z near 0, 1 or 2
+    # with jitter within eps, so an endpoint has 0 to 3 candidates
+    rng = np.random.default_rng(runs)
+    x = rng.permutation(np.repeat(np.arange(runs, dtype=float), 4))
+    x += rng.uniform(-2e-10, 2e-10, x.shape)
+    z = rng.integers(0, 3, x.shape) + rng.uniform(-2e-10, 2e-10, x.shape)
+    seg = np.stack([x, z], axis=1).reshape(-1, 4)
+    clip = (rng.random((seg.shape[0], 2)) < 0.1).astype(np.uint8)
+    # the run labels switch to a wider unsigned dtype past 255 and 65,535
+    labels = _kernels._runs(x, 1e-9)
+    assert labels.dtype == np.min_scalar_type(runs) and labels.max() == runs - 1
+    partner = _kernels.match_endpoints(seg, clip, 1e-9)
+    assert (partner >= 0).sum() > x.shape[0] // 4
+    assert np.array_equal(partner, _reference_match(seg, clip, 1e-9))
+
+
 def _reference_chains(seg, partner):
     # paths from their first free endpoint, then cycles from their first
     # segment; a cycle's chain ends on its first point
