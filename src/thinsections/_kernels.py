@@ -103,11 +103,11 @@ def match_endpoints(seg, clip, eps):
     """Pair coincident unclipped segment endpoints.
 
     Endpoint 2*i is the (x0, z0) end of segment i and 2*i + 1 the other end.
-    Endpoints fall into runs of x coordinates closer than eps; inside a run
-    they are sorted by z and neighbours within eps are paired greedily from
-    the bottom.  The section curves are embedded, so every endpoint has at
-    most one partner.  Returns the partner endpoint of every endpoint, -1
-    for an unmatched one.
+    Endpoints fall into runs of x coordinates, each gap wider than eps
+    starting a new run; inside a run they are sorted by z and neighbours
+    within eps are paired greedily from the bottom.  The section curves are
+    embedded, so every endpoint has at most one partner.  Returns the
+    partner endpoint of every endpoint, -1 for an unmatched one.
     """
     ends = seg.reshape(-1, 2)
     idx = np.flatnonzero(clip.ravel() == 0)

@@ -12,24 +12,29 @@ support loses the piece.  After every collapse, chains of bands glued
 along a shared base are merged (lengths add) and support regions
 carrying no base are deleted.
 
-All endpoints are exact field elements.  `segmentation` sorts each
-arc's endpoints once and records every band end's span: the ordinals
-of its two endpoints among the arc's breakpoints.  Covers, merges, the
-dead-arc runs and the combinatorial signature are then read from these
-integers instead of comparing field elements again.
+All endpoints are exact field elements.  A complex's segmentation holds
+each arc's sorted breakpoints and every band end's span: the ordinals
+of its two endpoints among its arc's breakpoints.  Covers, merges, the
+dead-arc runs, the normal order and the combinatorial signature are
+read from these integers instead of comparing field elements again.
+Only input complexes (from an IIS or JSON) are sorted; a move derives
+its complex's segmentation from its parent's.  The constructors' audit
+runs on inputs and on the bands a move makes (collapse remnants,
+merged bands), not on what a move only copies or re-indexes.
 
 Every step also produces the two integer matrices that cycle detection
 accumulates: u expresses the new elementary-segment lengths over the
 old ones and v the new band lengths over the old ones.  Both are read
 from one ledger carried through the step's moves and written over the
-complex the step started from.  It holds every arc end and band end
-endpoint as a position, a start arc plus an integer row over the start
-segments, and every band's length as an integer row over the start
-bands.  The collapse writes positions from the spans, a merge adds two
-length rows, and a row of u is the difference of the positions of a
-new segment's two breakpoints, checked against its exact length.  A
-cycle is a later complex with the same combinatorial shape whose entire
-parameter vector is a common exact multiple of the earlier one.
+complex the step started from.  It holds every breakpoint as a
+position, a start arc plus an integer row over the start segments, and
+every band's length as an integer row over the start bands.  Positions
+travel with their breakpoints, a collapse's new points get theirs from
+the band, a merge adds two length rows, and a row of u is the
+difference of the positions of a new segment's two breakpoints,
+checked against its exact length.  A cycle is a later complex with the
+same combinatorial shape whose entire parameter vector is a common
+exact multiple of the earlier one.
 """
 
 import math
@@ -118,8 +123,9 @@ class BandComplex:
 
     A complex is immutable: no code outside the constructors assigns to
     a complex, its arcs, its bands or their ends, and every move builds a
-    new complex.  `segmentation` is therefore computed once per complex
-    and cached in the `_segmentation` slot.
+    new complex.  Its segmentation is therefore fixed once and cached in
+    the `_segmentation` slot: sorted by `segmentation` for a complex from
+    this auditing constructor, derived for a move's from `_arranged`.
     """
 
     __slots__ = ("field", "supports", "bands", "_segmentation")
@@ -139,6 +145,14 @@ class BandComplex:
 
     def __repr__(self):
         return f"BandComplex({list(self.supports)}, {list(self.bands)})"
+
+
+def _built(cls, *values):
+    """cls with `values` in its slots, unaudited: for copies of audited data."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setattr(obj, name, value)
+    return obj
 
 
 def complex_from_iis(s):
@@ -174,12 +188,14 @@ def segmentation(x):
     before top, and spans[band_idx] is ((arc, i, j), (arc, i, j)) for
     the bottom and top ends, i and j indexing breaks[arc].
 
-    Each arc's endpoints are sorted once, tagged with the end they
-    belong to, so the pass that drops repeated values also gives every
-    end its ordinals.  Segment t of an arc is covered by the ends with
-    i <= t < j, and two ends coincide exactly when their spans are
-    equal: every combinatorial question reads the spans instead of
-    comparing field elements.
+    Segment t of an arc is covered by the ends with i <= t < j, and two
+    ends coincide exactly when their spans are equal: every
+    combinatorial question reads the spans instead of comparing field
+    elements.
+
+    A move's complex carries one derived from its parent's.  An input's
+    endpoints are sorted here once per arc, tagged with their ends, so
+    the pass that drops repeated values also gives every end its ordinals.
 
     The result is cached on the complex and shared by every caller, so
     it must not be modified."""
@@ -201,18 +217,38 @@ def segmentation(x):
                 ords[bi][k][slot] = len(out) - 1
         breaks.append(out)
     spans = tuple(tuple(tuple(end) for end in pair) for pair in ords)
+    x._segmentation = (breaks, _segments(breaks, spans), spans)
+    return x._segmentation
+
+
+def _segments(breaks, spans):
+    """segmentation's segs, read from the breakpoints and the spans."""
     covers = [[[] for _ in pts[1:]] for pts in breaks]
     for bi, pair in enumerate(spans):
         for role, (arc, i, j) in zip(_ROLES, pair):
             for t in range(i, j):
                 covers[arc][t].append((bi, role))
-    segs = [
+    return [
         (ai, lo, hi, covers[ai][t])
         for ai, pts in enumerate(breaks)
         for t, (lo, hi) in enumerate(zip(pts, pts[1:]))
     ]
-    x._segmentation = (breaks, segs, spans)
-    return x._segmentation
+
+
+def _renumbered(points, spans):
+    """(kept, spans) over the points an arc keeps, its ends and its band
+    ends' endpoints: points[a] maps keys increasing with the value to arc
+    a's candidate breakpoints, spans name keys, and kept[a] lists the
+    kept points' entries in order."""
+    used = [{min(pts), max(pts)} for pts in points]
+    for pair in spans:
+        for a, i, j in pair:
+            used[a].update((i, j))
+    keep = [sorted(u) for u in used]
+    renum = [{m: n for n, m in enumerate(ks)} for ks in keep]
+    kept = [[pts[m] for m in ks] for pts, ks in zip(points, keep)]
+    spans = [tuple((a, renum[a][i], renum[a][j]) for a, i, j in pair) for pair in spans]
+    return kept, spans
 
 
 def _first_segments(breaks):
@@ -264,51 +300,23 @@ def find_free_subarcs(x):
 # A machine step carries one ledger, written over the segments of the
 # complex the step started from.  A position (a, row) is start arc a's lo
 # plus row . (start segment lengths).  The ledger of a complex is a pair
-# (arcs, bands): arcs[i] holds the positions of arc i's lo and hi, and
-# bands[b] is (integer length row over the start bands, ((bottom lo,
-# bottom hi), (top lo, top hi))) with the positions of its ends'
-# endpoints.
-
-
-def _start_positions(x):
-    """pos(arc, i): the position of breakpoint i of arc over x's own
-    segments, the arc's first i segments."""
-    breaks, segs, _ = segmentation(x)
-    first = _first_segments(breaks)
-    n = len(segs)
-
-    def pos(arc, i):
-        row = [0] * n
-        row[first[arc] : first[arc] + i] = [1] * i
-        return arc, row
-
-    return pos
+# (at, rows): at[a][m] is the position of breakpoint m of arc a and
+# rows[b] the integer row of band b's length over the start bands.
 
 
 def _ledger(x):
-    """The ledger of x over itself."""
-    breaks, _, spans = segmentation(x)
-    pos = _start_positions(x)
-    units = _unit_rows(len(x.bands))
-    arcs = [(pos(a, 0), pos(a, len(pts) - 1)) for a, pts in enumerate(breaks)]
-    bands = [
-        (units[bi], tuple((pos(a, i), pos(a, j)) for a, i, j in pair))
-        for bi, pair in enumerate(spans)
-    ]
-    return arcs, bands
+    """The ledger of x over itself: breakpoint m of arc a lies at a's
+    first m segments, and every band is its own length."""
+    breaks, segs, _ = segmentation(x)
+    first = _first_segments(breaks)
 
+    def pos(a, m):
+        row = [0] * len(segs)
+        row[first[a] : first[a] + m] = [1] * m
+        return a, row
 
-def _break_positions(x, ledger):
-    """Position of every breakpoint of x, by arc and ordinal."""
-    breaks, _, spans = segmentation(x)
-    arcs, bands = ledger
-    out = [[None] * len(pts) for pts in breaks]
-    for at, (lo, hi) in zip(out, arcs):
-        at[0], at[-1] = lo, hi
-    for pair, (_, ends) in zip(spans, bands):
-        for (a, i, j), (lo, hi) in zip(pair, ends):
-            out[a][i], out[a][j] = lo, hi
-    return out
+    at = [[pos(a, m) for m in range(len(pts))] for a, pts in enumerate(breaks)]
+    return at, _unit_rows(len(x.bands))
 
 
 def _row_check(row, common, target, message):
@@ -325,7 +333,7 @@ def _transition_matrix(x_old, x_new, ledger):
     the segment's length."""
     values = common_denominator(segment_values(x_old))
     _, segs, _ = segmentation(x_new)
-    ends = [pq for at in _break_positions(x_new, ledger) for pq in zip(at, at[1:])]
+    ends = [pq for at in ledger[0] for pq in zip(at, at[1:])]
     rows = []
     for (_, lo, hi, _), ((a, row_lo), (b, row_hi)) in zip(segs, ends):
         if a != b:
@@ -340,39 +348,44 @@ def _unit_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _band_key(b):
-    return (b.bottom.arc, b.bottom.lo, b.bottom.hi, b.top.arc, b.top.lo, b.top.hi)
+def _normalized(x):
+    """x with arcs sorted by position and bands flipped and sorted."""
+    breaks, _, spans = segmentation(x)
+    points = [{m: (v, None) for m, v in enumerate(pts)} for pts in breaks]
+    return _arranged(x.field, x.supports, x.bands, points, spans)
 
 
-def _flips(b, t):
-    """Whether the band with ends b, t is stored the other way round."""
-    if t.arc != b.arc:
-        return t.arc < b.arc
-    s = t.lo.compare(b.lo)
-    return s < 0 or (s == 0 and t.hi < b.hi)
+def _arranged(field, supports, bands, points, spans, rows=None):
+    """The normal complex, unaudited, over raw arcs and bands with the
+    segmentation `_renumbered(points, spans)`, the points holding (value,
+    position) pairs: the spans give the ends' arcs, the bands their
+    values and lengths.  Arcs are sorted by position; bands are flipped
+    and sorted by their ends' (arc, lo, hi), read from the ordinals,
+    which are monotone in value and equal exactly where values are.
 
-
-def _normalized(x, ledger=None):
-    """Sort arcs by position, remap ends, flip and sort bands.
-
-    When x's ledger is given, returns (complex, ledger reordered and
-    flipped to match)."""
-    arc_order = sorted(range(len(x.supports)), key=lambda i: x.supports[i].lo)
+    Given the raw bands' length rows, returns (complex, its ledger)."""
+    kept, spans = _renumbered(points, spans)
+    arc_order = sorted(range(len(supports)), key=lambda i: supports[i].lo)
     remap = {old: new for new, old in enumerate(arc_order)}
-    bands = []
-    flips = []
-    for b in x.bands:
-        bottom = BandEnd(remap[b.bottom.arc], b.bottom.lo, b.bottom.hi)
-        top = BandEnd(remap[b.top.arc], b.top.lo, b.top.hi)
-        flips.append(_flips(bottom, top))
-        bands.append(Band(top, bottom, b.length) if flips[-1] else Band(bottom, top, b.length))
-    order = sorted(range(len(bands)), key=lambda i: _band_key(bands[i]))
-    out = BandComplex(x.field, [x.supports[i] for i in arc_order], [bands[i] for i in order])
-    if ledger is None:
+    ends = [tuple((remap[a], i, j) for a, i, j in pair) for pair in spans]
+    flips = [t < b for b, t in ends]
+    ends = [(t, b) if flip else (b, t) for (b, t), flip in zip(ends, flips)]
+    order = sorted(range(len(bands)), key=ends.__getitem__)
+    out_bands = []
+    for i in order:
+        b, ((ba, _, _), (ta, _, _)) = bands[i], ends[i]
+        lo, hi = b.ends()[::-1] if flips[i] else b.ends()
+        if flips[i] or (lo.arc, hi.arc) != (ba, ta):
+            b = _built(Band, BandEnd(ba, lo.lo, lo.hi), BandEnd(ta, hi.lo, hi.hi), b.length)
+        out_bands.append(b)
+    breaks = [[v for v, _ in kept[i]] for i in arc_order]
+    spans = tuple(ends[i] for i in order)
+    segmented = (breaks, _segments(breaks, spans), spans)
+    supports = tuple(supports[i] for i in arc_order)
+    out = _built(BandComplex, field, supports, tuple(out_bands), segmented)
+    if rows is None:
         return out
-    arcs_at, bands_at = ledger
-    bands_at = [(row, ends[::-1] if flip else ends) for (row, ends), flip in zip(bands_at, flips)]
-    return out, ([arcs_at[i] for i in arc_order], [bands_at[i] for i in order])
+    return out, ([[p for _, p in kept[i]] for i in arc_order], [rows[i] for i in order])
 
 
 # -- moves -------------------------------------------------------------------------
@@ -395,7 +408,12 @@ def _locate_free(x, arc, lo, hi):
 
 def _collapse(x, rec):
     """Collapse the free segment `rec` of x; returns the new complex and
-    its ledger over x."""
+    its ledger over x.
+
+    The segmentation follows from x's: arc alpha's breakpoints split at
+    the segment, and each remnant of the band puts one inner point on
+    the other base o's arc.  When o lies on alpha, it lies wholly in one
+    piece, since only the collapsed base covers the segment."""
     breaks, _, spans = segmentation(x)
     k = _ROLES.index(rec.role)
     band = x.bands[rec.band]
@@ -405,84 +423,73 @@ def _collapse(x, rec):
     t1 = t0 + 1
     j0, j1 = rec.lo, rec.hi
     arc = x.supports[alpha]
-    pos = _start_positions(x)
-    arcs_at, bands_at = _ledger(x)
+    at, rows = _ledger(x)
 
-    raw_arcs = []
-    raw_arcs_at = []
-    raw_map = {}
-    for i, a in enumerate(x.supports):
-        if i != alpha:
-            raw_map[i] = len(raw_arcs)
-            raw_arcs.append(a)
-            raw_arcs_at.append(arcs_at[i])
-    left_idx = right_idx = None
-    last = len(breaks[alpha]) - 1
-    if t0 > 0:
-        left_idx = len(raw_arcs)
-        raw_arcs.append(SupportArc(arc.lo, j0))
-        raw_arcs_at.append((pos(alpha, 0), pos(alpha, t0)))
-    if t1 < last:
-        right_idx = len(raw_arcs)
-        raw_arcs.append(SupportArc(j1, arc.hi))
-        raw_arcs_at.append((pos(alpha, t1), pos(alpha, last)))
+    def keyed(a, i, j):
+        """Breakpoints i..j of arc a with their positions, m keyed as 3m,
+        leaving 3m + 1 and 3m + 2 for new points above it."""
+        return {3 * m: (breaks[a][m], at[a][m]) for m in range(i, j + 1)}
 
-    def piece(span):
-        """Raw arc of an end with this span once alpha lost segment t0."""
-        a, i, j = span
-        if a != alpha:
-            return raw_map[a]
-        if j <= t0:
-            return left_idx
-        if i >= t1:
-            return right_idx
-        raise AuditError("band end straddles the collapsed subarc")
+    # raw arcs: the others, then alpha's pieces left and right of t0
+    raw_arcs = [a for i, a in enumerate(x.supports) if i != alpha]
+    points = [keyed(i, 0, len(pts) - 1) for i, pts in enumerate(breaks) if i != alpha]
+    raw_map = {i: n for n, i in enumerate(i for i in range(len(breaks)) if i != alpha)}
+    for lo, hi, i, j in ((arc.lo, j0, 0, t0), (j1, arc.hi, t1, len(breaks[alpha]) - 1)):
+        if i < j:
+            raw_map[alpha, i] = len(raw_arcs)
+            raw_arcs.append(SupportArc(lo, hi))
+            points.append(keyed(alpha, i, j))
+
+    def span(a, i, j):
+        """Raw arc and keys of an end with this span once alpha lost segment t0."""
+        if a == alpha and i <= t0 < j:
+            raise AuditError("band end straddles the collapsed subarc")
+        raw = raw_map[a] if a != alpha else raw_map[alpha, 0 if j <= t0 else t1]
+        return raw, 3 * i, 3 * j
 
     shift = o.lo - e.lo
+    oraw = span(oarc, oi, oj)[0]
+    new = []
 
     def image(t, value):
-        """Position of `value`, the point of o over breakpoint t of e.  A
-        value equal to an old breakpoint of o's arc takes that
-        breakpoint's own position, so every end meeting there carries the
-        same row; any other value is o.lo plus the width from e.lo to
-        breakpoint t."""
+        """Key of `value`, the point of o over breakpoint t of e.  A value
+        equal to an old breakpoint of o's arc is that breakpoint, so every
+        end meeting there shares its position; any other value is a new
+        point, keyed above the breakpoints below it, at o.lo plus the
+        width from e.lo to t."""
         if t == ei:
-            return pos(oarc, oi)
+            return 3 * oi
         if t == ej:
-            return pos(oarc, oj)
-        for m in range(oi + 1, oj):
-            if (breaks[oarc][m] - value).is_zero():
-                return pos(oarc, m)
-        (_, base), (_, to), (_, fro) = pos(oarc, oi), pos(alpha, t), pos(alpha, ei)
-        return oarc, [b + p - q for b, p, q in zip(base, to, fro)]
+            return 3 * oj
+        order = [value.compare(breaks[oarc][m]) for m in range(oi + 1, oj)]
+        if 0 in order:
+            return 3 * (oi + 1 + order.index(0))
+        new.append(value)
+        key = 3 * (oi + order.count(1)) + len(new)
+        (_, base), (_, to), (_, fro) = at[oarc][oi], at[alpha][t], at[alpha][ei]
+        points[oraw][key] = (value, (oarc, [b + p - q for b, p, q in zip(base, to, fro)]))
+        return key
 
-    raw_bands = []
-    raw_bands_at = []
-    for bi, (b, (sb, st)) in enumerate(zip(x.bands, spans)):
+    raw_bands, raw_spans, raw_rows = [], [], []
+    for bi, (b, pair) in enumerate(zip(x.bands, spans)):
         if bi != rec.band:
-            raw_bands.append(
-                Band(
-                    BandEnd(piece(sb), b.bottom.lo, b.bottom.hi),
-                    BandEnd(piece(st), b.top.lo, b.top.hi),
-                    b.length,
-                )
-            )
-            raw_bands_at.append(bands_at[bi])
+            raw_bands.append(b)
+            raw_spans.append(tuple(span(*end) for end in pair))
+            raw_rows.append(rows[bi])
             continue
         for (r0, i), (r1, j) in (((e.lo, ei), (j0, t0)), ((j1, t1), (e.hi, ej))):
             if i >= j:
                 continue
             lo, hi = r0 + shift, r1 + shift
-            ends = [BandEnd(piece((alpha, i, j)), r0, r1), BandEnd(piece((oarc, oi, oj)), lo, hi)]
-            ends_at = [(pos(alpha, i), pos(alpha, j)), (image(i, lo), image(j, hi))]
+            ends = [BandEnd(alpha, r0, r1), BandEnd(oarc, lo, hi)]
+            ends_span = [span(alpha, i, j), (oraw, image(i, lo), image(j, hi))]
             if k:
                 ends.reverse()
-                ends_at.reverse()
+                ends_span.reverse()
             raw_bands.append(Band(*ends, band.length))
-            raw_bands_at.append((bands_at[rec.band][0], tuple(ends_at)))
-
-    raw = BandComplex(x.field, raw_arcs, raw_bands)
-    return _normalized(raw, (raw_arcs_at, raw_bands_at))
+            raw_spans.append(tuple(ends_span))
+            raw_rows.append(rows[rec.band])
+    return _arranged(x.field, raw_arcs, raw_bands, points, raw_spans, raw_rows)
 
 
 def collapse_free_subarc(x, arc, interval=None):
@@ -523,17 +530,22 @@ def _find_merge(x):
 
 def _merge_once(x, hit, ledger):
     """Fuse the two bands glued at `hit` into one band between their far
-    ends; its length row is the sum of theirs."""
+    ends; its length row is the sum of theirs.  The glued base's
+    breakpoints go when no other end meets them."""
     (bi, ri), (bj, rj) = hit
-    arcs_at, bands_at = ledger
+    at, rows = ledger
+    breaks, _, spans = segmentation(x)
     f1, f2 = 1 - _ROLES.index(ri), 1 - _ROLES.index(rj)
-    (row1, ends1), (row2, ends2) = bands_at[bi], bands_at[bj]
     b1, b2 = x.bands[bi], x.bands[bj]
     merged = Band(b1.ends()[f1], b2.ends()[f2], b1.length + b2.length)
-    merged_at = ([p + q for p, q in zip(row1, row2)], (ends1[f1], ends2[f2]))
+    merged_row = [p + q for p, q in zip(rows[bi], rows[bj])]
+    merged_span = (spans[bi][f1], spans[bj][f2])
     keep = [t for t in range(len(x.bands)) if t != bj]
-    raw = BandComplex(x.field, x.supports, [merged if t == bi else x.bands[t] for t in keep])
-    return _normalized(raw, (arcs_at, [merged_at if t == bi else bands_at[t] for t in keep]))
+    raw_bands = [merged if t == bi else x.bands[t] for t in keep]
+    raw_spans = [merged_span if t == bi else spans[t] for t in keep]
+    raw_rows = [merged_row if t == bi else rows[t] for t in keep]
+    points = [dict(enumerate(zip(pts, ps))) for pts, ps in zip(breaks, at)]
+    return _arranged(x.field, x.supports, raw_bands, points, raw_spans, raw_rows)
 
 
 def _merge(x, ledger):
@@ -554,9 +566,12 @@ def merge_long_bands(x):
 
 
 def _drop_dead(x, ledger):
+    """Delete every maximal support subarc carrying no base: the runs of
+    covered segments become the arcs, each with its slice of the
+    breakpoints."""
     breaks, segs, spans = segmentation(x)
     first = _first_segments(breaks)
-    at = _break_positions(x, ledger)
+    at, rows = ledger
     # runs [i, j] of consecutive covered segments on one arc become the new arcs
     runs = []
     run_at = []
@@ -571,27 +586,9 @@ def _drop_dead(x, ledger):
             runs.append([ai, t, t + 1])
         run_at.append(len(runs) - 1)
     raw_arcs = [SupportArc(breaks[a][i], breaks[a][j]) for a, i, j in runs]
-
-    def locate(span):
-        arc, i, _ = span
-        return run_at[first[arc] + i]
-
-    raw_bands = [
-        Band(
-            BandEnd(locate(sb), b.bottom.lo, b.bottom.hi),
-            BandEnd(locate(st), b.top.lo, b.top.hi),
-            b.length,
-        )
-        for b, (sb, st) in zip(x.bands, spans)
-    ]
-    raw = BandComplex(x.field, raw_arcs, raw_bands)
-    return _normalized(raw, ([(at[a][i], at[a][j]) for a, i, j in runs], ledger[1]))
-
-
-def drop_dead_subarcs(x):
-    """Delete every maximal support subarc carrying no base."""
-    out, _ = _drop_dead(x, _ledger(x))
-    return out
+    points = [{m: (breaks[a][m], at[a][m]) for m in range(i, j + 1)} for a, i, j in runs]
+    raw_spans = [tuple((run_at[first[a] + i], i, j) for a, i, j in pair) for pair in spans]
+    return _arranged(x.field, raw_arcs, x.bands, points, raw_spans, rows)
 
 
 def _mat_mul(a, b):
@@ -631,8 +628,7 @@ def _rips_step_tracked(x):
     # segments and x3's band lengths as rows over x's bands: u subtracts
     # positions, v is the band rows.
     u = _transition_matrix(x, x3, ledger)
-    v = [row for row, _ in ledger[1]]
-    return x3, u, v, log
+    return x3, u, ledger[1], log
 
 
 def rips_step(x):

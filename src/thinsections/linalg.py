@@ -93,19 +93,6 @@ class RatMatrix:
         s = Fraction(s)
         return RatMatrix(self.rows, self.cols, [a * s for a in self.entries])
 
-    def apply(self, vec):
-        """Matrix times a vector of anything supporting + and *."""
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            acc = vec[0] * ri[0]
-            for k in range(1, self.cols):
-                acc = acc + vec[k] * ri[k]
-            out.append(acc)
-        return out
-
     def trace(self):
         if self.rows != self.cols:
             raise NotSquare("trace of a non-square matrix")

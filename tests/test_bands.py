@@ -28,7 +28,6 @@ from thinsections.bands import (
     combinatorial_signature,
     complex_from_iis,
     detect_rips_cycle,
-    drop_dead_subarcs,
     find_free_subarcs,
     merge_long_bands,
     one_end_criterion,
@@ -49,6 +48,7 @@ from thinsections.errors import (
 from thinsections.iis import IIS, IntervalPair, OrbitChart, build_system, system_params
 from thinsections.linalg import RatMatrix, char_poly, mat_over_field, perron_root_interval
 from thinsections.numberfield import rational_field
+from thinsections.serialize import complex_from_json, complex_to_json
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,16 @@ def rational_complex(arcs, bands):
         for (a1, l1, h1), (a2, l2, h2), ln in bands
     ]
     return BandComplex(_QF, sa, bs)
+
+
+def drop_dead_subarcs(x):
+    """Delete every maximal support subarc carrying no base."""
+    out, _ = bands._drop_dead(x, bands._ledger(x))
+    return out
+
+
+def apply(m, vec):
+    return [sum(c * v for c, v in zip(m.row(i), vec)) for i in range(m.rows)]
 
 
 def apply_over_field(m, vec, field):
@@ -435,7 +445,7 @@ def test_s1_cycle_eigen_identities(s1, rep1):
         assert (got - k * v).is_zero()
     for end, v in zip(rep1.params_end, rep1.params_start):
         assert (end - k * v).is_zero()
-    lengths_img = rep1.length_matrix.apply(rep1.lengths_start)
+    lengths_img = apply(rep1.length_matrix, rep1.lengths_start)
     assert list(lengths_img) == list(rep1.lengths_end)
     assert list(map(int, rep1.lengths_start)) == [1, 1, 1, 3, 4]
     assert list(map(int, rep1.lengths_end)) == [16, 1, 1, 27, 28]
@@ -505,7 +515,7 @@ def test_cycle_repeats_for_five_periods(request, name):
     scale = rep.contraction
     for j in range(1, 6):
         later = run[prefix + j * period]
-        lengths = rep.length_matrix.apply(lengths)
+        lengths = apply(rep.length_matrix, lengths)
         assert all((v - scale * p).is_zero() for v, p in zip(segment_values(later), params))
         assert [b.length for b in later.bands] == list(lengths)
         scale = scale * rep.contraction
@@ -526,7 +536,7 @@ def test_s2_cycle_eigen_identities(s2, rep2):
     img = apply_over_field(rep2.width_matrix, rep2.params_start, s2.field)
     for got, v in zip(img, rep2.params_start):
         assert (got - k * v).is_zero()
-    lengths_img = rep2.length_matrix.apply(rep2.lengths_start)
+    lengths_img = apply(rep2.length_matrix, rep2.lengths_start)
     assert list(lengths_img) == list(rep2.lengths_end)
     m0 = support_measure(rep2.complex_start)
     m1 = support_measure(rep2.complex_end)
@@ -635,9 +645,9 @@ def test_recorded_table_transcription_defects(s1, s2):
 
 
 def test_recorded_stage_lengths_advance():
-    l1 = ref.LENGTH_CYCLE["s1"].apply([Fraction(v) for v in ref.STAGE_LENGTHS["s1"]])
+    l1 = apply(ref.LENGTH_CYCLE["s1"], [Fraction(v) for v in ref.STAGE_LENGTHS["s1"]])
     assert list(map(int, l1)) == [17, 1, 29, 34]
-    l2 = ref.LENGTH_CYCLE["s2"].apply([Fraction(v) for v in ref.STAGE_LENGTHS["s2"]])
+    l2 = apply(ref.LENGTH_CYCLE["s2"], [Fraction(v) for v in ref.STAGE_LENGTHS["s2"]])
     assert list(map(int, l2)) == [117, 117, 103]
 
 
@@ -1083,6 +1093,92 @@ def test_step_matrices_reproduce_parameters(s):
             assert len(row) == len(lengths)
             assert sum(c * l for c, l in zip(row, lengths)) == band.length
         x = y
+
+
+# -- derived segmentations and where the audit runs ---------------------------------
+
+
+def _recording_arranged(mp):
+    """Patch `_arranged` on mp to list every complex the moves build."""
+    built = []
+    arranged = bands._arranged
+
+    def recording(*args):
+        out = arranged(*args)
+        built.append(out[0] if isinstance(out, tuple) else out)
+        return out
+
+    mp.setattr(bands, "_arranged", recording)
+    return built
+
+
+def _check_derived(built):
+    # a copy through the auditing constructor sorts its segmentation from
+    # scratch; the move's derived one must be the same
+    for x in built:
+        fresh = BandComplex(x.field, x.supports, x.bands)
+        assert fresh._segmentation is None
+        assert segmentation(fresh) == segmentation(x)
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_derived_segmentation_matches_sorted(name, request, monkeypatch):
+    x = request.getfixturevalue({"s1": "x1", "s2": "x2"}[name])
+    built = _recording_arranged(monkeypatch)
+    for _ in range(200):
+        x, _ = rips_step(x)
+    # every step builds its collapse, merge and drop-dead complexes
+    assert len(built) >= 200
+    _check_derived(built)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems())
+def test_derived_segmentation_randomized(s):
+    # up to 200 machine steps: each step's u rows pass _row_check inside
+    # _transition_matrix, a cycle's period matrices pass _audit_cycle, and
+    # every complex built on the way has the segmentation a sort gives
+    with pytest.MonkeyPatch.context() as mp:
+        built = _recording_arranged(mp)
+        try:
+            detect_rips_cycle(complex_from_iis(s), 200)
+        except NotFound:
+            pass
+    _check_derived(built)
+
+
+def test_inputs_are_audited():
+    good = complex_to_json(rational_complex([(0, 4)], [((0, 0, 1), (0, 2, 3), 1)]))
+    complex_from_json(good)
+    for top in (["2", "4"], ["7/2", "9/2"]):  # unequal widths, end escaping its arc
+        bad = dict(good, bands=[dict(good["bands"][0])])
+        bad["bands"][0]["top"] = {"arc": 0, "interval": top}
+        with pytest.raises(AuditError):
+            complex_from_json(bad)
+    flat = dict(good, bands=[{"bottom": {"arc": 0, "interval": ["1", "1"]},
+                              "top": {"arc": 0, "interval": ["2", "2"]}, "length": "1"}])
+    with pytest.raises(AuditError):
+        complex_from_json(flat)
+
+
+def test_step_audits_only_new_bands(x1, monkeypatch):
+    # the bands a step copies skip the width audit; collapse remnants and
+    # merged bands still pass through it
+    audited = []
+    init = Band.__init__
+
+    def counting(self, *args):
+        audited.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Band, "__init__", counting)
+    frees = [r for r in find_free_subarcs(x1) if r.kind == "free"]
+    remnants = len(collapse_free_subarc(x1, frees[0]).bands) - len(x1.bands) + 1
+    audited.clear()
+    _, _, _, log = _rips_step_tracked(x1)
+    merges = sum(m["move"] == "merge" for m in log)
+    # each remnant and each merged band once, nothing the step only copies
+    assert len(audited) == remnants + merges > 0
 
 
 # Reference readings of a complex by exact comparison of field elements,

@@ -82,7 +82,7 @@ def _reference_match(seg, clip, eps):
     i = 0
     while i < len(live):
         j = i + 1
-        while j < len(live) and ends[live[j], 0] - ends[live[i], 0] <= eps:
+        while j < len(live) and ends[live[j], 0] - ends[live[j - 1], 0] <= eps:
             j += 1
         run = sorted(live[i:j], key=lambda e: ends[e, 1])
         r = 0
@@ -94,6 +94,18 @@ def _reference_match(seg, clip, eps):
                 r += 1
         i = j
     return partner
+
+
+def test_match_endpoints_chains_x_gaps():
+    # a gap of at most eps keeps an x-run going, so a run can span more
+    # than eps: at x = 0, 0.8e-9 and 1.6e-9 all three ends share one run,
+    # and the last two (z = 0 and 0.5e-9) pair
+    seg = np.array([[0.0, 5.0, 10.0, 10.0], [0.8e-9, 0.0, 20.0, 20.0],
+                    [1.6e-9, 0.5e-9, 30.0, 30.0]])
+    clip = np.array([[0, 1]] * 3, np.uint8)
+    partner = _kernels.match_endpoints(seg, clip, 1e-9)
+    assert partner.tolist() == [-1, -1, 4, -1, 2, -1]
+    assert np.array_equal(partner, _reference_match(seg, clip, 1e-9))
 
 
 @pytest.mark.parametrize("R", [0.5, 5.0])

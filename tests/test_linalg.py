@@ -30,6 +30,10 @@ def transpose(m):
     return RatMatrix(m.cols, m.rows, [m[i, j] for j in range(m.cols) for i in range(m.rows)])
 
 
+def apply(m, vec):
+    return [sum(c * v for c, v in zip(m.row(i), vec)) for i in range(m.rows)]
+
+
 def test_matrix_basics():
     m = RatMatrix.from_rows([[1, 2], [3, 4]])
     assert m[(0, 1)] == 2
@@ -37,7 +41,7 @@ def test_matrix_basics():
     assert transpose(m).to_rows() == [[1, 3], [2, 4]]
     assert (m + m) == m.scale(2)
     assert m.trace() == 5
-    v = m.apply([Fraction(1), Fraction(1)])
+    v = apply(m, [Fraction(1), Fraction(1)])
     assert v == [Fraction(3), Fraction(7)]
 
 
