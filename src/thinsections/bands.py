@@ -396,7 +396,7 @@ def _locate_free(x, arc, lo, hi):
     for rec in recs:
         if rec.kind != "free" or rec.arc != arc:
             continue
-        if (rec.lo - lo).is_zero() and (rec.hi - hi).is_zero():
+        if (rec.lo, rec.hi) == (lo, hi):
             return rec
     for rec in recs:
         if rec.kind != "free" or rec.arc != arc:
@@ -701,7 +701,7 @@ def detect_rips_cycle(x, max_steps):
             if not ps:
                 continue
             k = pt[0] / ps[0]
-            if not all((b - k * a).is_zero() for a, b in zip(ps, pt)):
+            if not all(b == k * a for a, b in zip(ps, pt)):
                 continue
             if not 0 < k < 1:
                 continue

@@ -89,5 +89,9 @@ class EmptyWindow(ThinSectionsError):
     pass
 
 
+class WindowTooLarge(ThinSectionsError):
+    pass
+
+
 class DepthExhausted(ThinSectionsError):
     pass

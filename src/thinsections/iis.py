@@ -90,7 +90,7 @@ class IntervalPair:
         (a, b), (c, d) = self.left, self.right
         if b <= a:
             raise InvalidSystem("interval width must be positive")
-        if not ((b - a) - (d - c)).is_zero():
+        if b - a != d - c:
             raise InvalidSystem("pair widths differ")
 
     @property
@@ -231,24 +231,11 @@ def validate(s):
     a0, b0 = s.support
     starts = [iv[0] for _, _, iv in s.intervals()]
     ends = [iv[1] for _, _, iv in s.intervals()]
-    lo, hi = min(starts), max(ends)
-    total = s.field.zero
-    for p in s.pairs:
-        total = total + p.width
-    balanced = (
-        (lo - a0).is_zero()
-        and (hi - b0).is_zero()
-        and (total - (b0 - a0)).is_zero()
-    )
-    symmetric = True
-    for p in s.pairs:
-        (pa, pb), (pc, pd) = p.left, p.right
-        # The reflection x -> A + B - x must carry one interval of the
-        # pair exactly onto the other.
-        direct = ((a0 + b0 - pb) - pc).is_zero() and ((a0 + b0 - pa) - pd).is_zero()
-        if not direct:
-            symmetric = False
-            break
+    total = sum((p.width for p in s.pairs), s.field.zero)
+    balanced = (min(starts), max(ends), total) == (a0, b0, b0 - a0)
+    # The reflection x -> A + B - x must carry one interval of each pair
+    # exactly onto the other.
+    symmetric = all((a0 + b0 - p.left[1], a0 + b0 - p.left[0]) == p.right for p in s.pairs)
     return {"balanced": balanced, "symmetric": symmetric}
 
 
@@ -274,7 +261,7 @@ def transmit(s, i, j, which_side_of_j, which_of_i=None):
         inside = [side for side in (LEFT, RIGHT) if _contains(target, pi.interval(side))]
         if not inside:
             raise NotContained("no interval of pair i lies inside the target")
-        if len(inside) == 2 and not _same_interval(pi.left, pi.right):
+        if len(inside) == 2 and pi.left != pi.right:
             raise NotContained(
                 "both intervals of pair i lie inside the target; pass which_of_i"
             )
@@ -292,19 +279,11 @@ def transmit(s, i, j, which_side_of_j, which_of_i=None):
     return IIS(s.field, s.support, pairs)
 
 
-def _same_interval(u, v):
-    return (u[0] - v[0]).is_zero() and (u[1] - v[1]).is_zero()
-
-
 def _end_touchers(s, side):
     """(pair, side) of every interval whose outer endpoint hits the support end."""
     a0, b0 = s.support
-    out = []
-    for i, which, (lo, hi) in s.intervals():
-        edge = hi - b0 if side == RIGHT else lo - a0
-        if edge.is_zero():
-            out.append((i, which))
-    return out
+    return [(i, which) for i, which, (lo, hi) in s.intervals()
+            if (hi == b0 if side == RIGHT else lo == a0)]
 
 
 def reduce(s, side):
@@ -412,7 +391,7 @@ def affine_match(base, other):
     other_pairs = sorted(p.canonical() for p in other.pairs)
     for bp, op in zip(base_pairs, other_pairs):
         for xb, xo in zip(bp, op):
-            if not (img(xb) - xo).is_zero():
+            if img(xb) != xo:
                 return None
     return k, t
 

@@ -27,6 +27,13 @@ stale: refining the field only shrinks the isolating interval, and
 putting back an earlier interval (as `sections` does after a far-level
 reduction) restores one that also isolated the root, so the bounds
 taken at any time enclose the value for good.
+
+Equality is one primitive too, `==`: canonical residues over an
+irreducible modulus, a zero test of the difference over a reducible one.
+The one exception is `Band.__init__`'s width audit, a difference's
+`sign() != 0` kept because the benchmark self-test counts its zero signs
+(`tests/test_ordering.py` checks).  A constant hashes as the rational it
+equals, so hashes agree with `==`.
 """
 
 import functools
@@ -478,7 +485,8 @@ class FieldElement:
                     "elements over a reducible modulus have no canonical "
                     "residue and are unhashable"
                 )
-            self._hash = hash((self.field.modulus, self.coeffs))
+            c = self.coeffs  # a constant hashes as the rational it equals
+            self._hash = hash((self.field.modulus, c) if len(c) > 1 else sum(c))
         return self._hash
 
     def __repr__(self):

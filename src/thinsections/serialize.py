@@ -224,9 +224,8 @@ def cycle_report_from_json(obj, like=None):
     ls = [Fraction(s) for s in obj["lengths_start"]]
     lt = [Fraction(s) for s in obj["lengths_end"]]
     _audit_cycle(wm.to_rows(), ps, pt, lm.to_rows(), ls, lt)
-    for a, b in zip(ps, pt):
-        if not (b - contraction * a).is_zero():
-            raise AuditError("stored contraction does not scale the values")
+    if pt != [contraction * a for a in ps]:
+        raise AuditError("stored contraction does not scale the values")
     return CycleReport(
         prefix_steps=obj["prefix_steps"],
         period_steps=obj["period_steps"],

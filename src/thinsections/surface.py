@@ -47,10 +47,7 @@ class Rect:
         return (self.x1[1] - self.x1[0], self.x2[1] - self.x2[0])
 
     def same_as(self, other):
-        return all(
-            (a - b).is_zero()
-            for a, b in zip(self.x1 + self.x2, other.x1 + other.x2)
-        )
+        return self.x1 + self.x2 == other.x1 + other.x2
 
     def strictly_inside(self, other):
         return (
@@ -219,7 +216,7 @@ def x2_shift_coefficients(surface, value):
         return None
     ks = tuple(v // det for v in z)
     check = sum((surface.lattice[i][1] * ks[i] for i in range(3)), surface.field.zero)
-    if not (check - value).is_zero():
+    if check != value:
         raise AuditError("shift certificate failed to reproduce the value")
     return ks
 
@@ -229,7 +226,7 @@ def saddle_levels(surface):
     distinct = True
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            if (values[i] - values[j]).is_zero():
+            if values[i] == values[j]:
                 distinct = False
     classes = []
     for i, v in enumerate(values):
@@ -382,7 +379,7 @@ def _group_by_plane(boxes):
         value = box[axis][0]
         rect = tuple(r for i, r in enumerate(box) if i != axis)
         for key, rects in groups:
-            if key[0] == axis and (key[1] - value).is_zero():
+            if key == (axis, value):
                 rects.append(rect)
                 break
         else:
@@ -406,7 +403,7 @@ def check_central_symmetry(surface, point):
         return False
     for key, rects in original:
         for ikey, irects in image:
-            if ikey[0] == key[0] and (ikey[1] - key[1]).is_zero():
+            if ikey == key:
                 if not _same_union(rects, irects):
                     return False
                 break
@@ -437,10 +434,10 @@ def _reassemble_tubes(surface):
         l, r = vs[0].fixed, vs[1].fixed
         b, t = hs[0].fixed, hs[1].fixed
         for w in vs:
-            if not (w.span[0] - b).is_zero() or not (w.span[1] - t).is_zero():
+            if w.span != (b, t):
                 raise AuditError("vertical tube faces do not meet the horizontal ones")
         for w in hs:
-            if not (w.span[0] - l).is_zero() or not (w.span[1] - r).is_zero():
+            if w.span != (l, r):
                 raise AuditError("horizontal tube faces do not meet the vertical ones")
         tubes.append((Rect((l, r), (b, t)), vs[0].x3))
     return tubes
@@ -457,13 +454,13 @@ def euler_characteristic(surface):
     zero.
     """
     e1, e2, e3 = surface.lattice
-    ends = e1[::2] + e2[::2] + e3[::2]  # (x1, x3) of each basis vector
-    if any(not (v - k).is_zero() for v, k in zip(ends, (1, 0, 1, 0, 0, 1))):
+    ends = (*e1[::2], *e2[::2], *e3[::2])  # (x1, x3) of each basis vector
+    if ends != (1, 0, 1, 0, 0, 1):
         raise AuditError("lattice must be e1, e2 = (1, *, 0) and e3 = (0, *, 1)")
-    if not (e2[1] - e1[1] - surface.plate_period).is_zero():
+    if e2[1] - e1[1] != surface.plate_period:
         raise AuditError("x2-period of the lattice must match the plate height")
     for plate in surface.plates:
-        if not (plate.outer.x1[1] - plate.outer.x1[0] - 1).is_zero():
+        if plate.outer.x1[1] - plate.outer.x1[0] != 1:
             raise AuditError("plate width must equal the x1-period")
         for h in plate.holes:
             if not h.strictly_inside(plate.outer):
@@ -477,7 +474,7 @@ def euler_characteristic(surface):
     cells = [box for _, box in _into_cell(surface, corners)]
     for ci, (rect, z, _) in enumerate(circles):
         for hole in holes:
-            if (hole[1] - z).is_zero() and hole[0].same_as(rect):
+            if hole[1] == z and hole[0].same_as(rect):
                 if hole[3] is not None or circles[ci][2] is not None:
                     raise AuditError("boundary circle glued twice")
                 hole[3] = ci

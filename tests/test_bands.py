@@ -38,17 +38,21 @@ from thinsections.bands import (
     support_measure,
 )
 from thinsections.errors import (
+    AmbiguousMove,
     AuditError,
     DepthExhausted,
     Halted,
+    NoAdmissibleMove,
     NotFound,
     NotFree,
     NotMaximal,
 )
-from thinsections.iis import IIS, IntervalPair, OrbitChart, build_system, system_params
+from thinsections.iis import (
+    IIS, LEFT, RIGHT, IntervalPair, OrbitChart, build_system, rauzy_step, system_params)
 from thinsections.linalg import RatMatrix, char_poly, mat_over_field, perron_root_interval
 from thinsections.numberfield import rational_field
-from thinsections.serialize import complex_from_json, complex_to_json
+from thinsections.serialize import (
+    complex_from_json, complex_to_json, cycle_report_from_json, cycle_report_to_json)
 
 
 @pytest.fixture(scope="module")
@@ -1144,6 +1148,36 @@ def test_derived_segmentation_randomized(s):
             detect_rips_cycle(complex_from_iis(s), 200)
         except NotFound:
             pass
+    _check_derived(built)
+
+
+@st.composite
+def rauzy_descendants(draw):
+    """s1 or s2 after a drawn side sequence of up to 8 Rauzy steps, the
+    inadmissible ones skipped: systems over the cubic fields, which the
+    machine does not halt on."""
+    s = build_system(draw(st.sampled_from(["s1", "s2"])))
+    for side in draw(st.lists(st.sampled_from([LEFT, RIGHT]), max_size=8)):
+        try:
+            s = rauzy_step(s, side)
+        except (NoAdmissibleMove, AmbiguousMove):
+            pass
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(rauzy_descendants())
+def test_rauzy_descendants_cycle_and_are_one_ended(s):
+    # All 232 distinct descendants (106 of s1, 126 of s2) cycle within 38
+    # machine steps, with periods 4, 5, 11, 12, 13 and 20, and are
+    # one-ended; so a bound of 80 steps never binds.
+    with pytest.MonkeyPatch.context() as mp:
+        built = _recording_arranged(mp)
+        rep = detect_rips_cycle(complex_from_iis(s), 80)
+    assert one_end_criterion(rep)[0]
+    # loading re-runs the period audits and the contraction check
+    doc = cycle_report_to_json(rep)
+    assert cycle_report_to_json(cycle_report_from_json(doc)) == doc
     _check_derived(built)
 
 

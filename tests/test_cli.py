@@ -291,6 +291,13 @@ def test_section_seed_changes_sampling(tmp_path, capsys):
     assert first.splitlines()[1] != second.splitlines()[1]
 
 
+def test_section_rejects_a_radius_above_the_limit(refuse_to_emit, capsys):
+    for extra in (["--level", "0.1"], ["--levels", "1"]):
+        assert main(["section", "--example", "1", "--radius", "1e4", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit" in err
+
+
 def test_section_rejects_nonpositive_radius(capsys):
     assert main(["section", "--example", "1", "--level", "0.1",
                  "--radius", "0"]) == 2

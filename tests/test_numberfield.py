@@ -175,6 +175,25 @@ def test_hash_requires_irreducible():
     f = field_new(QUARTIC, (Fraction(1, 5), Fraction(3, 10)))
     with pytest.raises(TypeError):
         hash(f.gen)
+    # a reducible field's constants stay unhashable too
+    with pytest.raises(TypeError):
+        hash(f.one)
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_hash_agrees_with_equality(name):
+    f = system_field(name)
+    for q in (0, 1, -3, Fraction(1, 2), Fraction(-7, 12)):
+        x = f.rational(q)
+        assert x == q and hash(x) == hash(q)
+        assert {x: "v"}.get(q) == "v"
+        assert {q: "v"}.get(x) == "v"
+    assert {f.one: "v"}.get(1) == "v"
+    # equal elements built along different paths hash alike
+    assert hash(f.gen * f.gen - f.gen * f.gen) == hash(f.zero) == hash(0)
+    assert hash((f.gen + 1) - f.gen) == hash(1)
+    q = rational_field()
+    assert {q.rational(Fraction(3, 7)): "v"}.get(Fraction(3, 7)) == "v"
 
 
 def test_rational_field_embeds():

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thinsections import _kernels, iis, polynomials as P
-from thinsections.errors import EmptyWindow, NearSaddle
+from thinsections import _kernels, iis, polynomials as P, sections
+from thinsections.errors import EmptyWindow, NearSaddle, WindowTooLarge
 from thinsections.iis import system_params
 from thinsections.sections import (
+    MAX_RADIUS,
     SectionComponent,
     component_census,
     sample_levels,
@@ -40,6 +41,18 @@ def test_nonpositive_radius_rejected(ex1):
             trace_section(ex1, 0.1, R)
         with pytest.raises(EmptyWindow):
             sample_levels(ex1, 1, 0, R)
+
+
+def test_radius_above_the_limit_rejected_before_emitting(ex1, refuse_to_emit):
+    for R in (MAX_RADIUS * (1 + 1e-12), 501, 1e4, 1e300):
+        with pytest.raises(WindowTooLarge):
+            trace_section(ex1, 0.1, R)
+        with pytest.raises(WindowTooLarge):
+            sample_levels(ex1, 1, 0, R)
+    # the limit itself is a window; check it without tracing one
+    assert sections._window_radius(MAX_RADIUS) == MAX_RADIUS
+    with pytest.raises(AssertionError, match="was built"):
+        trace_section(ex1, 0.1, MAX_RADIUS)
 
 
 def test_tiny_window_is_empty(ex1):

@@ -87,7 +87,7 @@ def _check(x, expected):
     assert all(type(q) is Fraction for q in x.coeffs)
     f = x.field
     if f.irreducible:
-        assert hash(x) == hash((f.modulus, expected))
+        assert hash(x) == hash((f.modulus, expected) if len(expected) > 1 else sum(expected))
     obj = json.loads(json.dumps(element_to_json(x)))
     assert obj["poly"] == poly_to_json(expected)
     # Loading goes through field.element, which reduces.
