@@ -156,15 +156,13 @@ class IIS:
         return out
 
     def canonical_key(self):
-        """Hashable exact signature: support + sorted canonical pairs.
+        """Hashable exact signature: the integer residues of the support and
+        of the canonical pairs, sorted.
 
         Valid for fields with canonical residues (irreducible modulus).
         """
-        cps = sorted(p.canonical() for p in self.pairs)
-        return (
-            tuple(x.coeffs for x in self.support),
-            tuple(tuple(x.coeffs for x in t) for t in cps),
-        )
+        r = lambda xs: tuple((x._num, x._den) for x in xs)
+        return r(self.support), tuple(sorted(r(p.canonical()) for p in self.pairs))
 
     def __repr__(self):
         lo, hi = self.support
@@ -378,91 +376,63 @@ class SimilarityReport:
 
 def affine_match(base, other):
     """If other == k*base + t endpointwise (pairs unordered), return
-    (k, t), else None.  k is the support width ratio."""
+    (k, t), else None.  k is the support width ratio ow / bw, so x maps to
+    xo exactly when (xo - o0) * bw == (x - b0) * ow, with b0 and o0 the
+    support starts: the endpoints are tested without a division, and k and
+    t are built only for a match."""
     if base.order != other.order:
         return None
-    k = (other.support[1] - other.support[0]) / (base.support[1] - base.support[0])
-    t = other.support[0] - k * base.support[0]
-
-    def img(x):
-        return k * x + t
-
+    (b0, b1), (o0, o1) = base.support, other.support
+    bw, ow = b1 - b0, o1 - o0
     base_pairs = sorted(p.canonical() for p in base.pairs)
     other_pairs = sorted(p.canonical() for p in other.pairs)
     for bp, op in zip(base_pairs, other_pairs):
         for xb, xo in zip(bp, op):
-            if img(xb) != xo:
+            if (xo - o0) * bw != (xb - b0) * ow:
                 return None
-    return k, t
+    k = ow / bw
+    return k, o0 - k * b0
+
+
+_SCHEDULES = {RIGHT: (RIGHT,), LEFT: (LEFT,), "alternate-rl": (RIGHT, LEFT),
+              "alternate-lr": (LEFT, RIGHT), "search": None}
 
 
 def detect_self_similarity(s, max_steps, policy="right"):
     """Search induction schedules for an exact scaled return.
 
     policy: "right" / "left" (fixed side), "alternate-rl" / "alternate-lr",
-    or "search" (breadth-first over all side sequences).  Returns a
-    SimilarityReport, or None when no schedule of at most max_steps
-    steps reproduces s up to an affine contraction.  The default is the
-    right-handed induction, the schedule both bundled systems contract
-    under; "search" can find shorter mixed-side returns.
+    or "search" (breadth-first over all side sequences, deduplicating
+    states).  Returns a SimilarityReport, or None when no schedule of at
+    most max_steps steps reproduces s up to an affine contraction.  The
+    default is the right-handed induction, the schedule both bundled
+    systems contract under; "search" can find shorter mixed-side returns.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-
-    def step_or_none(cur, side):
-        try:
-            return rauzy_step(cur, side, with_log=True)
-        except (NoAdmissibleMove, AmbiguousMove):
-            return None
-
-    if policy in (RIGHT, LEFT):
-        sides = [policy] * max_steps
-    elif policy == "alternate-rl":
-        sides = [(RIGHT, LEFT)[k % 2] for k in range(max_steps)]
-    elif policy == "alternate-lr":
-        sides = [(LEFT, RIGHT)[k % 2] for k in range(max_steps)]
-    elif policy == "search":
-        sides = None
-    else:
+    if policy not in _SCHEDULES:
         raise ValueError(f"unknown policy {policy!r}")
-
-    if sides is not None:
-        cur = s
-        log = []
-        for n, side in enumerate(sides, start=1):
-            nxt = step_or_none(cur, side)
-            if nxt is None:
-                break
-            cur, moves = nxt
-            log.extend(moves)
-            hit = affine_match(s, cur)
-            if hit is not None:
-                k, t = hit
-                return SimilarityReport(n, k, t, tuple(log))
-        return None
-
-    # Breadth-first over side sequences, deduplicating states.
-    frontier = [(s, [])]
-    seen = {s.canonical_key()}
+    cycle = _SCHEDULES[policy]
+    frontier, seen = [(s, [])], {s.canonical_key()}
     for depth in range(1, max_steps + 1):
+        sides = (RIGHT, LEFT) if cycle is None else (cycle[(depth - 1) % len(cycle)],)
         nxt_frontier = []
         for cur, log in frontier:
-            for side in (RIGHT, LEFT):
-                res = step_or_none(cur, side)
-                if res is None:
+            for side in sides:
+                try:
+                    nxt, moves = rauzy_step(cur, side, with_log=True)
+                except (NoAdmissibleMove, AmbiguousMove):
                     continue
-                nxt, moves = res
                 hit = affine_match(s, nxt)
                 if hit is not None:
-                    k, t = hit
-                    return SimilarityReport(depth, k, t, tuple(log + moves))
-                key = nxt.canonical_key()
-                if key not in seen:
+                    return SimilarityReport(depth, *hit, tuple(log + moves))
+                if cycle is None:
+                    key = nxt.canonical_key()
+                    if key in seen:
+                        continue
                     seen.add(key)
-                    nxt_frontier.append((nxt, log + moves))
+                nxt_frontier.append((nxt, log + moves))
         frontier = nxt_frontier
-        if not frontier:
-            break
     return None
 
 

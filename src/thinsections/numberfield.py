@@ -33,7 +33,8 @@ irreducible modulus, a zero test of the difference over a reducible one.
 The one exception is `Band.__init__`'s width audit, a difference's
 `sign() != 0` kept because the benchmark self-test counts its zero signs
 (`tests/test_ordering.py` checks).  A constant hashes as the rational it
-equals, so hashes agree with `==`.
+equals and meets another field's elements as that rational, so hashes
+agree with `==`; two non-constants of different fields raise FieldMismatch.
 """
 
 import functools
@@ -250,11 +251,16 @@ def _element(field, num, den):
 
 def _coerced(op):
     """The binary method op(self, o), with `other` coerced into self's field
-    first; NotImplemented when it cannot be."""
+    first (or, when self is a constant of another field, self into other's);
+    NotImplemented when neither can be."""
     @functools.wraps(op)
     def method(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else op(self, o)
+        if o is not NotImplemented:
+            return op(self, o)
+        if isinstance(other, FieldElement):
+            return op(other._coerce(self), other)
+        return NotImplemented
     return method
 
 
@@ -292,9 +298,13 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch("elements of different fields")
-            return other
+            if other.field is self.field or other.field == self.field:
+                return other
+            if len(other._num) < 2:  # a constant meets this field as a rational
+                return _element(self.field, list(other._num), other._den)
+            if len(self._num) < 2:
+                return NotImplemented  # the caller moves self into other's field
+            raise FieldMismatch("elements of different fields")
         if isinstance(other, (int, Fraction)):
             return self.field.rational(other)
         return NotImplemented
@@ -460,6 +470,8 @@ class FieldElement:
         Fraction): disjoint cached brackets decide, else the sign of the
         difference."""
         o = self._coerce(other)
+        if o is NotImplemented and isinstance(other, FieldElement):
+            return other._coerce(self)._order(other)  # self: a constant of another field
         if o is NotImplemented:
             raise TypeError(f"cannot order a field element and {type(other).__name__}")
         return self._order(o)

@@ -309,15 +309,6 @@ def _floor_towards(value, unit):
         n += min(-1, int(float(rest) // float(unit)))
 
 
-def _split_range(lo, hi, unit):
-    """Split [lo, hi] at multiples of ``unit`` (width at most one period)."""
-    n = _floor_towards(lo, unit)
-    cut = (n + 1) * unit
-    if hi <= cut:
-        return [(n, lo, hi)]
-    return [(n, lo, cut), (n + 1, cut, hi)]
-
-
 def _into_cell(surface, boxes):
     """Translate tagged boxes (tag, (x1, x2, x3 ranges)) by lattice vectors
     into the cell [0, 1) x [0, P) x [0, 1), splitting a box where it wraps.
@@ -326,16 +317,25 @@ def _into_cell(surface, boxes):
     multiples of its unit: along e1 the x1 range at integers, along e3 the
     x3 range at integers, then along e2 - e1 = (0, P, 0) the x2 range at
     multiples of the plate period P.  e1 and e3 also drag x2 by their
-    x2-components.  A point (all ranges degenerate) is never split, so
-    lattice translates of one point reduce to the same cell point.
+    x2-components.  A range, at most one unit wide, starting in cell n is
+    cut at (n + 1) * unit; a piece in cell 0 keeps its coordinates.  Each
+    step floors each distinct range start once (many faces share one).  A
+    point (all ranges degenerate) is never split, so lattice translates of
+    one point reduce to the same cell point.
     """
     e1y, e3y = surface.lattice[0][1], surface.lattice[2][1]
     for axis, unit, drag in ((0, 1, e1y), (2, 1, e3y), (1, surface.plate_period, None)):
-        out = []
+        floors, out = {}, []
         for tag, box in boxes:
-            for k, lo, hi in _split_range(*box[axis], unit):
+            lo, hi = box[axis]
+            if lo not in floors:
+                n = _floor_towards(lo, unit)
+                floors[lo] = n, (n + 1) * unit
+            n, cut = floors[lo]
+            pieces = [(n, lo, hi)] if hi <= cut else [(n, lo, cut), (n + 1, cut, hi)]
+            for k, a, b in pieces:
                 moved = list(box)
-                moved[axis] = (lo - k * unit, hi - k * unit)
+                moved[axis] = (a - k * unit, b - k * unit) if k else (a, b)
                 if k and drag is not None:
                     moved[1] = (moved[1][0] - k * drag, moved[1][1] - k * drag)
                 out.append((tag, tuple(moved)))

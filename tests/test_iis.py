@@ -326,6 +326,71 @@ def test_mirror_conjugation(s1):
     assert (t + left.support[0]).is_zero()
 
 
+def _descendant(s, sides):
+    """s after the admissible Rauzy steps among `sides`."""
+    for side in sides:
+        try:
+            s = rauzy_step(s, side)
+        except (NoAdmissibleMove, AmbiguousMove):
+            pass
+    return s
+
+
+def _moved(s, j, delta):
+    """s with the right interval of pair j shifted by delta, or None when
+    that leaves the support."""
+    pairs = list(s.pairs)
+    lo, hi = pairs[j].right
+    pairs[j] = IntervalPair(pairs[j].left, (lo + delta, hi + delta))
+    try:
+        return IIS(s.field, s.support, pairs)
+    except InvalidSystem:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["s1", "s2"]),
+    sides=st.lists(st.sampled_from(["left", "right"]), max_size=4),
+    k=st.fractions(min_value=Fraction(1, 60), max_value=Fraction(59, 60), max_denominator=60),
+    t=st.fractions(min_value=-3, max_value=3, max_denominator=60),
+    j=st.integers(min_value=0, max_value=3),
+    delta=st.fractions(min_value=Fraction(1, 10 ** 6), max_value=Fraction(1, 100)),
+)
+def test_affine_match_returns_the_map_and_rejects_a_moved_end(s1, s2, which, sides, k, t, j, delta):
+    base = _descendant({"s1": s1, "s2": s2}[which], sides)
+    f = base.field
+    kk, tt = f.rational(k), f.rational(t)
+    image = scale_translate(base, kk, tt)
+    got = affine_match(base, image)
+    assert got == (kk, tt) and got[0].field is f
+    j %= base.order
+    moved = _moved(image, j, f.rational(delta)) or _moved(image, j, f.rational(-delta))
+    assert moved is not None
+    assert affine_match(base, moved) is None
+    fewer = IIS(f, image.support, image.pairs[:-1])
+    assert affine_match(base, fewer) is None and affine_match(fewer, base) is None
+
+
+@pytest.mark.parametrize("which", ["s1", "s2"])
+def test_canonical_key_is_exact_and_order_free(s1, s2, which):
+    s = {"s1": s1, "s2": s2}[which]
+    back = iis_from_json(json.loads(json.dumps(iis_to_json(s))))
+    assert back.field is not s.field
+    assert back.canonical_key() == s.canonical_key()
+    assert hash(back.canonical_key()) == hash(s.canonical_key())
+    # neither the pair order nor the storage side of an interval matters
+    shuffled = IIS(s.field, s.support,
+                   [IntervalPair(p.right, p.left) for p in reversed(s.pairs)])
+    assert shuffled.canonical_key() == s.canonical_key()
+    for side in ("left", "right"):
+        assert rauzy_step(s, side).canonical_key() != s.canonical_key()
+
+
+def test_s2_exhaustive_search_finds_period_8(s2):
+    assert detect_self_similarity(s2, 12, policy="search").period == 8
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="a single left+right composite on a symmetric system is not "

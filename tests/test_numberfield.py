@@ -196,6 +196,33 @@ def test_hash_agrees_with_equality(name):
     assert {q.rational(Fraction(3, 7)): "v"}.get(Fraction(3, 7)) == "v"
 
 
+def test_constants_of_two_fields_meet_as_rationals():
+    f1, f2 = system_field("s1"), system_field("s2")
+    assert len({f1.one, f2.one}) == 1
+    assert f1.one == f2.one == 1 and hash(f1.one) == hash(f2.one)
+    half = Fraction(1, 2)
+    assert {f1.rational(half): "v"}.get(f2.rational(half)) == "v"
+    assert f1.rational(half) != f2.one
+    # a constant meets a non-constant of another field from either side
+    assert f1.gen != f2.one and f2.one != f1.gen
+    assert f2.one.compare(f1.gen) == 1 == -f1.gen.compare(f2.one)
+    assert f2.one > f1.gen and not f2.one < f1.gen
+    assert (f2.one - f1.gen) == 1 - f1.gen and (f2.one - f1.gen).field is f1
+    assert (f1.gen * f2.rational(half)).field is f1
+
+
+def test_non_constants_of_two_fields_still_raise():
+    f1, f2 = system_field("s1"), system_field("s2")
+    for op in (
+        lambda: f1.gen == f2.gen,
+        lambda: f1.gen + 1 < f2.gen,
+        lambda: f1.gen.compare(f2.gen * 2),
+        lambda: f1.one - f2.gen + f1.gen,
+    ):
+        with pytest.raises(FieldMismatch):
+            op()
+
+
 def test_rational_field_embeds():
     q = rational_field()
     x = q.rational(Fraction(3, 7))

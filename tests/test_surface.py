@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thinsections.errors import AuditError, InvalidSystem
 from thinsections.iis import system_field, system_params
@@ -16,6 +17,8 @@ from thinsections.surface import (
     saddle_levels,
     x2_shift_coefficients,
     _assemble,
+    _floor_towards,
+    _into_cell,
 )
 
 
@@ -245,6 +248,55 @@ def test_shifted_tube_breaks_symmetry(ex1, p1):
     broken = PLSurface(f, (plate_a, ex1.plates[1]), walls, ex1.lattice, "broken")
     assert check_central_symmetry(broken, central_symmetry_point(broken)) is False
     assert check_central_symmetry(broken, central_symmetry_point(ex1)) is False
+
+
+def _into_cell_flooring_every_range(surface, boxes):
+    """Reference reduction: one exact floor for every range of every box."""
+    e1y, e3y = surface.lattice[0][1], surface.lattice[2][1]
+    for axis, unit, drag in ((0, 1, e1y), (2, 1, e3y), (1, surface.plate_period, None)):
+        out = []
+        for tag, box in boxes:
+            lo, hi = box[axis]
+            n = _floor_towards(lo, unit)
+            cut = (n + 1) * unit
+            for k, a, b in ([(n, lo, hi)] if hi <= cut else [(n, lo, cut), (n + 1, cut, hi)]):
+                moved = list(box)
+                moved[axis] = (a - k * unit, b - k * unit)
+                if k and drag is not None:
+                    moved[1] = (moved[1][0] - k * drag, moved[1][1] - k * drag)
+                out.append((tag, tuple(moved)))
+        boxes = out
+    return boxes
+
+
+cell_coord = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=12)] * 3)
+cell_share = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(example=st.sampled_from([1, 2]), data=st.data())
+def test_into_cell_matches_flooring_every_range(ex1, ex2, example, data):
+    surf = ex1 if example == 1 else ex2
+    f, draw = surf.field, data.draw
+    units = (1, surf.plate_period, 1)
+    # few distinct starts, so boxes share coordinates; widths up to one
+    # unit cross cell walls, width 0 gives degenerate ranges
+    pool = [f.element(c) for c in draw(st.lists(cell_coord, min_size=1, max_size=4))]
+    pool += [f.rational(draw(cell_share) * 4 - 2)]
+    boxes = []
+    for tag in range(draw(st.integers(min_value=1, max_value=8))):
+        box = []
+        for unit in units:
+            lo = draw(st.sampled_from(pool))
+            if draw(st.booleans()):
+                lo = (lo + 1) - 1  # an equal start, another object
+            box.append((lo, lo + draw(cell_share) * unit))
+        boxes.append((tag, tuple(box)))
+    got = _into_cell(surf, boxes)
+    assert got == _into_cell_flooring_every_range(surf, boxes)
+    for _, box in got:
+        for (lo, hi), unit in zip(box, units):
+            assert 0 <= lo < unit and lo <= hi <= unit
 
 
 # -- closed-surface audit ----------------------------------------------------
