@@ -50,6 +50,7 @@ from .errors import (
     NotFound,
     NotFree,
     NotMaximal,
+    PreconditionFailed,
 )
 from .iis import OrbitChart
 from .linalg import RatMatrix, perron_root_interval
@@ -157,21 +158,13 @@ def _built(cls, *values):
 
 def complex_from_iis(s):
     """One support arc, one unit-length band per pair."""
-    arcs = [SupportArc(s.support[0], s.support[1])]
-    bands = []
-    for p in s.pairs:
-        bands.append(
-            Band(BandEnd(0, p.left[0], p.left[1]), BandEnd(0, p.right[0], p.right[1]), 1)
-        )
-    return _normalized(BandComplex(s.field, arcs, bands))
+    bands = [Band(BandEnd(0, *p.left), BandEnd(0, *p.right), 1) for p in s.pairs]
+    return _normalized(BandComplex(s.field, [SupportArc(*s.support)], bands))
 
 
 def support_measure(x):
     """Total length of the support arcs."""
-    total = x.field.zero
-    for arc in x.supports:
-        total = total + (arc.hi - arc.lo)
-    return total
+    return sum((arc.hi - arc.lo for arc in x.supports), x.field.zero)
 
 
 # -- segmentation ------------------------------------------------------------------
@@ -764,19 +757,19 @@ def one_end_criterion(report, eps=Fraction(1, 10**9)):
 
 
 def _prune_rounds(adj, degrees, immortal, max_rounds):
-    """Simultaneous leaf removal; returns {vertex: round removed} for
-    removals within max_rounds.
+    """Simultaneous leaf removal on the vertices 0..n-1 (n = len(degrees));
+    returns {vertex: round removed} for removals within max_rounds.
 
     In each round every mortal vertex with at most one live edge (edges
-    count with multiplicity) is removed at once.  `adj` must be
-    symmetric with multiplicity.  Live counts are kept rather than
-    recounted: round 1 takes every mortal vertex of degree <= 1, each
-    later round the vertices whose count fell from 2 in the round before,
-    so a run costs O(V + E), as in Batagelj & Zaversnik's queue-based
-    core decomposition.
+    count with multiplicity) is removed at once.  `adj` and `degrees` are
+    indexed by vertex, and `adj` must be symmetric with multiplicity.
+    Live counts are kept rather than recounted: round 1 takes every
+    mortal vertex of degree <= 1, each later round the vertices whose
+    count fell from 2 in the round before, so a run costs O(V + E), as in
+    Batagelj & Zaversnik's queue-based core decomposition.
     """
-    live = dict(degrees)
-    batch = [v for v, deg in live.items() if deg <= 1 and v not in immortal]
+    live = degrees.copy()
+    batch = [v for v in range(len(degrees)) if live[v] <= 1 and v not in immortal]
     removed = {}
     for r in range(1, max_rounds + 1):
         if not batch:
@@ -798,74 +791,70 @@ def _prune_rounds(adj, degrees, immortal, max_rounds):
 
 class _Ball:
     """Breadth-first ball around the origin of an orbit chart, grown one
-    level at a time.  `dist` maps every vertex found to its distance from
-    the origin (at most `level`), `adj` every expanded vertex (distance
-    below `level`) to its neighbours with multiplicity, and `edges_into`
-    every vertex w to the expanded vertices one level below w that have
-    w as a neighbour."""
+    level at a time.  A vertex gets an integer id when first found (`ids`
+    maps its chart vector to the id, `vertex` back), level by level: the
+    root is 0 and the ball cut at depth d <= `level` is the id prefix
+    below `ends[d]`.  `adj[v]` lists the neighbours of every expanded
+    vertex (distance below `level`) with multiplicity, and `edges_into[w]`
+    the expanded vertices one level below w that have w as a neighbour."""
 
     def __init__(self, chart):
         self.chart = chart
-        self.root = chart.origin
-        self.adj = {}
-        self.edges_into = {self.root: []}
-        self.dist = {self.root: 0}
-        self.frontier = [self.root]
+        self.ids = {chart.origin: 0}
+        self.vertex = [chart.origin]
+        self.adj = []
+        self.edges_into = [[]]
+        self.ends = [1]
         self.level = 0
 
     def grow(self):
         """Expand the frontier, finding every vertex at distance level + 1."""
-        adj, edges_into, dist = self.adj, self.edges_into, self.dist
-        below = self.level + 1
-        nxt = []
-        for v in self.frontier:
-            ws = adj[v] = [w for w, _, _ in orbit_neighbors(self.chart, v)]
-            for w in ws:
-                k = dist.get(w)
+        ids, vertex, adj, edges_into = self.ids, self.vertex, self.adj, self.edges_into
+        # the frontier: every id not expanded yet, ends[level - 1]..found - 1
+        found = len(vertex)
+        for v in range(len(adj), found):
+            ws = []
+            for w, _, _ in orbit_neighbors(self.chart, vertex[v]):
+                k = ids.get(w)
                 if k is None:
-                    dist[w] = below
-                    edges_into[w] = [v]
-                    nxt.append(w)
-                elif k == below:
-                    edges_into[w].append(v)
-        self.frontier = nxt
-        self.level = below
+                    k = ids[w] = len(vertex)
+                    vertex.append(w)
+                    edges_into.append([v])
+                elif k >= found:
+                    edges_into[k].append(v)
+                ws.append(k)
+            adj.append(ws)
+        self.ends.append(len(vertex))
+        self.level += 1
 
 
 def _round_bounds(ball, depth, rounds):
     """(r_pess, r_opt): the rounds at which the root is pruned (rounds + 1
-    when it survives them all) on the ball cut at `depth` <= ball.level,
-    with its boundary mortal and immortal.
+    when it survives them all) on the ball cut at `depth`, 1 <= depth <=
+    ball.level, with its boundary mortal and immortal.
 
-    The cut keeps the vertices at distance <= depth: those below depth
-    with all their edges, those at depth (the boundary) with their edges
-    from one level below only.  Missing edges make a mortal boundary go no
+    The cut keeps the ids below ends[depth]: those below ends[depth - 1]
+    with all their edges, the rest (the boundary) with their edges from
+    one level below only.  Missing edges make a mortal boundary go no
     later than in the whole graph and an immortal one never goes, so
     r_pess <= r_opt, with the root's true round between them; deepening
     the cut tightens both, r_pess never falling and r_opt never rising.
     What the boundary does reaches the root one edge per round, so from
     depth >= rounds on the two agree.
     """
-    dist, adj, edges_into = ball.dist, ball.adj, ball.edges_into
-    local = {}
-    boundary = []
-    for v, k in dist.items():
-        if k < depth:
-            local[v] = adj[v]
-        elif k == depth:
-            local[v] = edges_into[v]
-            boundary.append(v)
-    degrees = {v: len(ws) for v, ws in local.items()}
-    opt = _prune_rounds(local, degrees, frozenset(boundary), rounds)
-    pess = _prune_rounds(local, degrees, frozenset(), rounds)
-    return pess.get(ball.root, rounds + 1), opt.get(ball.root, rounds + 1)
+    inner, n = ball.ends[depth - 1], ball.ends[depth]
+    local = ball.adj[:inner] + ball.edges_into[inner:n]
+    degrees = [len(ws) for ws in local]
+    opt = _prune_rounds(local, degrees, range(inner, n), rounds)
+    pess = _prune_rounds(local, degrees, range(0), rounds)
+    return pess.get(0, rounds + 1), opt.get(0, rounds + 1)
 
 
 def _removal_round(s, x, rounds, cap):
     """Round at which x is pruned, or rounds + 1 when it survives them
     all; decided by growing a ball of its orbit graph until the optimistic
-    and pessimistic simulations agree.  Vertices are keyed by their
-    integer vectors on the orbit chart of x.
+    and pessimistic simulations agree.  Vertices are integer ids given to
+    the vectors of the orbit chart of x in breadth-first order.
 
     The result is the one of the schedule that evaluates the depths
     d0, d0 + 2, d0 + 4, ... (d0 = min(rounds, 4) + 2) until one settles,
@@ -889,7 +878,7 @@ def _removal_round(s, x, rounds, cap):
     while True:
         while ball.level < depth:
             ball.grow()
-            if len(ball.dist) > cap:
+            if len(ball.vertex) > cap:
                 deepest = d0 + (ball.level - 1 - d0) // 2 * 2
                 if deepest > evaluated:
                     r_pess, r_opt = _round_bounds(ball, deepest, rounds)
@@ -969,8 +958,11 @@ def pruning_decay(s, rounds, samples, seed=0, cap=20000):
     result and the exhausted samples are those of evaluating every second
     depth (see `_removal_round`); the system's half of the orbit chart is
     built once for all samples.  The report carries a Wilson 95% interval
-    per round.  Raises InvalidSystem when the field's modulus is not
-    certified irreducible."""
+    per round.  Raises PreconditionFailed when rounds or samples is
+    negative, and InvalidSystem when the field's modulus is not certified
+    irreducible."""
+    if rounds < 0 or samples < 0:
+        raise PreconditionFailed(f"rounds ({rounds}) and samples ({samples}) must be >= 0")
     rng = random.Random(seed)
     lo, hi = s.support
     width = hi - lo
@@ -984,11 +976,9 @@ def pruning_decay(s, rounds, samples, seed=0, cap=20000):
         except DepthExhausted:
             exhausted += 1
             continue
-        for r in range(1, rounds + 1):
-            if rr > r:
-                survivors[r - 1] += 1
+        for r in range(1, min(rr, rounds + 1)):
+            survivors[r - 1] += 1
     decided = samples - exhausted
-    estimates = [
-        (Fraction(n, decided) if decided else Fraction(0)) for n in survivors
-    ]
-    return PruningReport([float(e) for e in estimates], samples, exhausted, survivors)
+    # int / int is correctly rounded, as float(Fraction(n, decided)) is
+    estimates = [n / decided if decided else 0.0 for n in survivors]
+    return PruningReport(estimates, samples, exhausted, survivors)

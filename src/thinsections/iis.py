@@ -121,17 +121,17 @@ class IIS:
     """Support interval plus identified interval pairs, all exact.
 
     A system is immutable (every move builds a new one), so the half of
-    an OrbitChart that does not depend on its point is built by the first
-    chart and cached in the `_chart` slot.
+    an OrbitChart that does not depend on its point and the sorted
+    canonical pairs are built once, in the `_chart` and `_canonical` slots.
     """
 
-    __slots__ = ("field", "support", "pairs", "_chart")
+    __slots__ = ("field", "support", "pairs", "_chart", "_canonical")
 
     def __init__(self, field, support, pairs):
         self.field = field
         self.support = tuple(support)
         self.pairs = tuple(pairs)
-        self._chart = None
+        self._chart = self._canonical = None
         a, b = self.support
         if b <= a:
             raise InvalidSystem("support must have positive length")
@@ -154,6 +154,12 @@ class IIS:
             out.append((i, LEFT, p.left))
             out.append((i, RIGHT, p.right))
         return out
+
+    def canonical_pairs(self):
+        """The pairs' canonical endpoint tuples, in field order."""
+        if self._canonical is None:
+            self._canonical = tuple(sorted(p.canonical() for p in self.pairs))
+        return self._canonical
 
     def canonical_key(self):
         """Hashable exact signature: the integer residues of the support and
@@ -379,14 +385,12 @@ def affine_match(base, other):
     (k, t), else None.  k is the support width ratio ow / bw, so x maps to
     xo exactly when (xo - o0) * bw == (x - b0) * ow, with b0 and o0 the
     support starts: the endpoints are tested without a division, and k and
-    t are built only for a match."""
+    t are built only for a match.  A system sorts its pairs once."""
     if base.order != other.order:
         return None
     (b0, b1), (o0, o1) = base.support, other.support
     bw, ow = b1 - b0, o1 - o0
-    base_pairs = sorted(p.canonical() for p in base.pairs)
-    other_pairs = sorted(p.canonical() for p in other.pairs)
-    for bp, op in zip(base_pairs, other_pairs):
+    for bp, op in zip(base.canonical_pairs(), other.canonical_pairs()):
         for xb, xo in zip(bp, op):
             if (xo - o0) * bw != (xb - b0) * ow:
                 return None
@@ -535,24 +539,25 @@ class OrbitChart:
     def neighbors(self, c):
         """(vertex, pair index, rises) for every move whose interval
         contains the point of c; `rises` says the neighbour lies above."""
-        # 2^FIXED_BITS * (c . lam) lies within lin -/+ slack, so
-        # 2^FIXED_BITS * den * (point - lo) lies in [alo + lin - slack,
-        # ahi + lin + slack], and likewise for hi - point.  Integers decide
-        # when that interval lies on one side of 0; otherwise the exact
-        # sign does.
+        # 2^FIXED_BITS * (c . lam) lies in [below, above], so
+        # 2^FIXED_BITS * den * (point - lo) lies in [alo + below,
+        # ahi + above] and 2^FIXED_BITS * den * (hi - point) in
+        # [blo - above, bhi - below].  Integers decide when that interval
+        # lies on one side of 0; otherwise the exact sign does.
         lin, slack = self._field.fixed_point(c)
+        below, above = lin - slack, lin + slack
         point = None
         out = []
         for i, step, rises, alo, ahi, blo, bhi, lo, hi in self._moves:
-            if alo + lin - slack < 0:
-                if ahi + lin + slack < 0:
+            if alo + below < 0:
+                if ahi + above < 0:
                     continue
                 if point is None:
                     point = self.value(c)
                 if (point - lo).sign() < 0:
                     continue
-            if blo - lin - slack < 0:
-                if bhi - lin + slack < 0:
+            if blo < above:
+                if bhi < below:
                     continue
                 if point is None:
                     point = self.value(c)

@@ -46,9 +46,11 @@ from thinsections.errors import (
     NotFound,
     NotFree,
     NotMaximal,
+    PreconditionFailed,
 )
 from thinsections.iis import (
-    IIS, LEFT, RIGHT, IntervalPair, OrbitChart, build_system, rauzy_step, system_params)
+    IIS, LEFT, RIGHT, IntervalPair, OrbitChart, build_system, orbit_bfs, rauzy_step,
+    system_params)
 from thinsections.linalg import RatMatrix, char_poly, mat_over_field, perron_root_interval
 from thinsections.numberfield import rational_field
 from thinsections.serialize import (
@@ -793,6 +795,21 @@ def test_pruning_wilson_intervals(s1):
     assert none.exhausted == 4 and none.wilson == [(0.0, 1.0)] * 3
 
 
+@pytest.mark.parametrize("rounds, samples", [(3, -1), (-5, 4), (-1, -1)])
+def test_pruning_decay_rejects_negative_counts(s1, rounds, samples):
+    # a negative count used to give a report with samples == -1 and a
+    # Wilson interval (0.0, -0.0), or an empty one for rounds < 0
+    with pytest.raises(PreconditionFailed):
+        pruning_decay(s1, rounds, samples)
+
+
+def test_pruning_decay_accepts_zero_counts(s1):
+    rep = pruning_decay(s1, rounds=0, samples=3)
+    assert rep.estimates == [] and rep.samples == 3
+    rep = pruning_decay(s1, rounds=2, samples=0)
+    assert rep.survivors == [0, 0] and rep.wilson == [(0.0, 1.0)] * 2
+
+
 def test_removal_round_raises_depth_exhausted(s1):
     with pytest.raises(DepthExhausted):
         _removal_round(s1, s1.field.rational(Fraction(1, 31)), 12, cap=20)
@@ -1007,6 +1024,26 @@ def test_round_bounds_sandwich(s1, s2, which, bits, rounds, depths):
         assert pess == opt
     if d2 >= rounds:
         assert pess2 == opt2
+
+
+@pytest.mark.parametrize("which", ["s1", "s2", "iet"])
+def test_ball_prefixes_are_the_orbit_bfs_balls(s1, s2, which):
+    # ids are given level by level, so the ball of radius k is the id
+    # prefix below ends[k], and its points are orbit_bfs's vertices
+    s = {"s1": s1, "s2": s2, "iet": _interval_exchange()}[which]
+    rng = random.Random(7)
+    for bits in (0, 1 << 47, rng.getrandbits(48), rng.getrandbits(48)):
+        x = _point(s, bits)
+        ball = _Ball(OrbitChart(s, x))
+        while ball.level < 8:
+            ball.grow()
+        assert ball.ends[0] == 1 and ball.vertex[0] == ball.chart.origin
+        assert len(ball.adj) == ball.ends[7] and len(ball.edges_into) == ball.ends[8]
+        assert all(ball.ids[c] == v for v, c in enumerate(ball.vertex))
+        for k in range(9):
+            vertices = orbit_bfs(s, x, k).vertices
+            assert ball.ends[k] == len(vertices)
+            assert {ball.chart.value(c) for c in ball.vertex[: ball.ends[k]]} == vertices
 
 
 def test_removal_round_matches_exact_growth_on_panel(s1):

@@ -387,6 +387,28 @@ def test_canonical_key_is_exact_and_order_free(s1, s2, which):
         assert rauzy_step(s, side).canonical_key() != s.canonical_key()
 
 
+def test_affine_match_sorts_the_base_once(s1, monkeypatch):
+    # a search matches every state against its start system: the start's
+    # canonical pairs are sorted by the first match and kept
+    calls = [0]
+    original = IntervalPair.canonical
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(IntervalPair, "canonical", counted)
+    base = IIS(s1.field, s1.support, s1.pairs)
+    images = [rauzy_step(base, side) for side in ("left", "right", "right")]
+    assert affine_match(base, images[0]) is None
+    assert calls[0] == 2 * base.order
+    for image in images[1:]:
+        calls[0] = 0
+        assert affine_match(base, image) is None
+        assert calls[0] == image.order
+    assert base.canonical_pairs() == tuple(sorted(p.canonical() for p in base.pairs))
+
+
 def test_s2_exhaustive_search_finds_period_8(s2):
     assert detect_self_similarity(s2, 12, policy="search").period == 8
 
@@ -522,6 +544,52 @@ def test_chart_neighbors_match_exact_on_boundaries(name, s1, s2, monkeypatch):
             fallbacks += n
             assert [(chart.value(v), j) for v, j, _ in got] == _exact_neighbors(s, y)
     assert fallbacks > 0
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 2 ** 200)])
+def test_chart_vertex_on_an_interval_end(name, shift, s1, s2, monkeypatch):
+    # x = e -/+ tau_i in the support, for every interval end e and pair
+    # translation tau_i: the vertex x +/- tau_i of x's chart lies exactly
+    # on e.  Moved by 2^-200 (into the support), it lies closer to e than
+    # the 2^-192 filter resolves.  Every vertex of the depth-3 ball gets
+    # the exact neighbours, and most points send `neighbors` to its exact
+    # fallback, which builds the point by `value`
+    s = {"s1": s1, "s2": s2}[name]
+    a0, b0 = s.support
+    taus = [p.right[0] - p.left[0] for p in s.pairs]
+    ends = [v for p in s.pairs for v in (*p.left, *p.right)]
+    points = [e - sg * t for e in ends for t in taus for sg in (1, -1)]
+    points = [x for x in points if a0 <= x <= b0]
+    assert len(points) == {"s1": 38, "s2": 35}[name]
+    points = [x + shift if x < b0 else x - shift for x in points]
+    values = [0]
+    original = OrbitChart.value
+
+    def counted(self, c):
+        values[0] += 1
+        return original(self, c)
+
+    monkeypatch.setattr(OrbitChart, "value", counted)
+    fell_back = 0
+    for x in points:
+        chart = OrbitChart(s, x)
+        layer, seen, inside = [chart.origin], {chart.origin}, 0
+        for depth in range(4):
+            nxt = []
+            for c in layer:
+                before = values[0]
+                got = chart.neighbors(c)
+                inside += values[0] - before
+                y = chart.value(c)
+                assert [(chart.value(w), i) for w, i, _ in got] == _exact_neighbors(s, y)
+                for w, _, _ in got:
+                    if w not in seen and depth < 3:
+                        seen.add(w)
+                        nxt.append(w)
+            layer = nxt
+        fell_back += inside > 0
+    assert fell_back > len(points) // 2
 
 
 def test_chart_refines_a_coarse_field(s1):
