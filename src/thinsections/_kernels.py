@@ -1,8 +1,8 @@
 """Numeric kernels for plane-section tracing, in plain numpy.
 
 ``emit_segments`` and ``match_endpoints`` are array code over the lattice
-translates and over the segment endpoints; Python loops run only over the
-few plates, holes and walls of one fundamental domain.
+translates and over the segment endpoints, which pair by exact integer
+keys; Python loops run only over the pieces of one fundamental domain.
 """
 
 import numpy as np
@@ -16,38 +16,41 @@ USING_NUMBA = False
 _BLOCK_CELLS = 1 << 14
 
 
-def emit_segments(level, R, plates, walls, tang_y, e2y, period, e3y):
+def emit_segments(level, R, plates, walls, tang_y, e2y, period, e3y, dx, dz):
     """Intersect the window [-R, R]^2 of the plane x2 = level with every
     lattice translate of the fundamental pieces.
 
     ``plates`` holds (z, x0, x1, y0, y1, holes) with each plate's holes as
-    (x0, x1, y0, y1) in order of x0; ``walls`` holds the vertical walls as
-    (x, y0, y1, z0, z1).  Returns (segments, clip flags, tangency distance).
-    Segments are rows (x0, z0, x1, z1) with z0 == z1 for plate traces and
-    x0 == x1 for wall traces, ordered by translate (k3, then s, then k1),
-    then plate pieces left to right, then walls.  A clip flag marks an
-    endpoint produced by the window cut.  The tangency distance is the
-    smallest |level - y| over every tangency face of an enumerated
-    translate, for the caller's near-saddle guard.  With no plates and no
-    walls only the translates are enumerated: no rows, and the same
-    tangency distance as with the pieces.
+    (x0, x1, y0, y1) in order of x0, ``walls`` the vertical walls as
+    (x, y0, y1, z0, z1); x1 are integers over ``dx``, x3 integers over
+    ``dz``.  Returns (segments, keys, tangency distance).  Segments are rows
+    (x0, z0, x1, z1) with z0 == z1 for plate traces and x0 == x1 for wall
+    traces, ordered by translate (k3, then s, then k1), then plate pieces
+    left to right, then walls.  A translate moves x1 by s and x3 by k3; an
+    endpoint (x, z) in the window has the int32 key (dx x + xoff)(2 zoff + 1)
+    + dz z + zoff, xoff = floor(dx R) + 1 and zoff = floor(dz R) + 1, so
+    equal keys are one point (callers keep keys below 2^31), and an
+    endpoint made by the window cut has key -1.
+    The tangency distance is the smallest |level - y| over every tangency
+    face of an enumerated translate, for the caller's near-saddle guard;
+    with no plates and no walls only the translates are enumerated.
     """
     steps = np.arange(int(np.floor(-R - 1.0)), int(np.floor(R)) + 1)
     k3_block = max(1, _BLOCK_CELLS // steps.shape[0])
     blocks = [_emit_block(level, R, steps[i:i + k3_block], steps, plates, walls,
-                          tang_y, e2y, period, e3y)
+                          tang_y, e2y, period, e3y, dx, dz)
               for i in range(0, steps.shape[0], k3_block)]
     near = min(b[2] for b in blocks)
     rows = np.cumsum([0] + [b[0].shape[0] for b in blocks])
-    seg, clip = np.empty((rows[-1], 4)), np.empty((rows[-1], 2), np.uint8)
+    seg, key = np.empty((rows[-1], 4)), np.empty((rows[-1], 2), np.int32)
     # copy the blocks out one at a time, releasing each once it is copied
     for k in range(len(blocks)):
-        seg[rows[k]:rows[k + 1]], clip[rows[k]:rows[k + 1]], _ = blocks[k]
+        seg[rows[k]:rows[k + 1]], key[rows[k]:rows[k + 1]], _ = blocks[k]
         blocks[k] = None
-    return seg, clip, near
+    return seg, key, near
 
 
-def _emit_block(level, R, k3s, steps, plates, walls, tang_y, e2y, period, e3y):
+def _emit_block(level, R, k3s, steps, plates, walls, tang_y, e2y, period, e3y, dx, dz):
     """emit_segments for the translates whose k3 lies in ``k3s``."""
     margin = 1e-6
     # translates: (k3, s) cells in row-major order, then k1 within a cell
@@ -64,79 +67,73 @@ def _emit_block(level, R, k3s, steps, plates, walls, tang_y, e2y, period, e3y):
     if yloc.shape[0]:
         for t in tang_y:
             near = min(near, float(np.abs(t - yloc).min()))
+    if not (plates or walls):
+        return np.empty((0, 4)), np.empty((0, 2), np.int32), near
+    xoff, zoff = int(dx * R) + 1, int(dz * R) + 1
+    width = 2 * zoff + 1
+    # the key of each translate's origin; an end adds its key in the translate
+    shift = ((dx * s + xoff) * width + dz * k3 + zoff).astype(np.int32)
 
     picked = []  # per row slot: translates emitting it, then its six columns
 
-    def slot(keep, *cols):  # every column is a yloc-shaped array
+    def slot(keep, x0, z0, x1, z1, c0, c1, ka, kb):  # ka: yloc-shaped or an int
         at = np.flatnonzero(keep)
-        picked.append((at, [c[at] for c in cols]))
+        t = shift[at]
+        ka = ka[at] + t if isinstance(ka, np.ndarray) else t + ka
+        ka[c0[at]] = -1
+        t += kb
+        t[c1[at]] = -1
+        picked.append((at, [x0[at], z0[at], x1[at], z1[at], ka, t]))
 
-    for z0, x0, x1, y0, y1, holes in plates:
-        z = z0 + k3
+    for iz, ix0, ix1, y0, y1, holes in plates:
+        z = iz / dz + k3
         on = (z >= -R) & (z <= R) & (yloc > y0) & (yloc < y1)
-        xcur = np.full(yloc.shape, x0)
-        for hx0, hx1, hy0, hy1 in (*holes, (x1, None, -np.inf, np.inf)):
+        xcur, kcur = np.full(yloc.shape, ix0 / dx), np.full(yloc.shape, ix0 * width + iz, np.int32)
+        for hx0, hx1, hy0, hy1 in (*holes, (ix1, None, -np.inf, np.inf)):
             cut = (yloc > hy0) & (yloc < hy1)
-            xa, xb = xcur + s, hx0 + s
+            xa, xb = xcur + s, hx0 / dx + s
             c0, c1 = xa < -R, xb > R
             xa, xb = np.where(c0, -R, xa), np.where(c1, R, xb)
-            slot(on & cut & (xb - xa > 1e-12), xa, z, xb, z, c0, c1)
+            slot(on & cut & (xb - xa > 1e-12), xa, z, xb, z, c0, c1, kcur, hx0 * width + iz)
             if hx1 is not None:
-                xcur = np.where(cut, hx1, xcur)
-    for x, y0, y1, z0, z1 in walls:
-        x = x + s
-        za, zb = z0 + k3, z1 + k3
+                xcur = np.where(cut, hx1 / dx, xcur)
+                kcur = np.where(cut, hx1 * width + iz, kcur)
+    for ix, y0, y1, iz0, iz1 in walls:
+        x = ix / dx + s
+        za, zb = iz0 / dz + k3, iz1 / dz + k3
         c0, c1 = za < -R, zb > R
         za, zb = np.where(c0, -R, za), np.where(c1, R, zb)
         keep = (yloc > y0) & (yloc < y1) & (x >= -R) & (x <= R) & (zb - za > 1e-12)
-        slot(keep, x, za, x, zb, c0, c1)
+        slot(keep, x, za, x, zb, c0, c1, ix * width + iz0, ix * width + iz1)
 
-    if not picked:
-        return np.empty((0, 4)), np.empty((0, 2), np.uint8), near
     # a stable sort by translate keeps the slot order within each translate
     order = np.argsort(np.concatenate([at for at, _ in picked]), kind="stable")
     col = [np.concatenate([cols[k] for _, cols in picked])[order] for k in range(6)]
-    return np.stack(col[:4], axis=1), np.stack(col[4:], axis=1).astype(np.uint8), near
+    return np.stack(col[:4], axis=1), np.stack(col[4:], axis=1), near
 
 
-def match_endpoints(seg, clip, eps):
-    """Pair coincident unclipped segment endpoints.
-
-    Endpoint 2*i is the (x0, z0) end of segment i and 2*i + 1 the other end.
-    Endpoints fall into runs of x coordinates, each gap wider than eps
-    starting a new run; inside a run they are sorted by z and neighbours
-    within eps are paired greedily from the bottom.  The section curves are
-    embedded, so every endpoint has at most one partner.  Returns the
-    partner endpoint of every endpoint, -1 for an unmatched one.
+def match_endpoints(key):
+    """Pair the endpoints with equal keys: key[i] holds those of endpoints
+    2*i and 2*i + 1 of segment i, and -1 never pairs.  One sort of
+    key << bits | endpoint orders them by key, then by index (int32 keys
+    leave 32 bits for the index); a run of equal keys pairs its 1st and 2nd
+    endpoints, its 3rd and 4th, ...  Returns the partner of every
+    endpoint, -1 for an unmatched one.
     """
-    ends = seg.reshape(-1, 2)
-    idx = np.flatnonzero(clip.ravel() == 0)
-    # each endpoint-length temporary is dropped as soon as it is used
-    run = _runs(ends[idx, 0], eps)
-    order = np.lexsort((ends[idx, 1], run))
-    run, idx = run[order], idx[order]
-    del order
-    link = np.diff(run) == 0  # labels are unsigned: compare the diff with 0 only
-    del run
-    link &= np.diff(ends[idx, 1]) <= eps
-    lo = _pair_starts(link)
-    del link
-    a, b = idx[lo], idx[lo + 1]
-    del idx, lo
-    partner = np.full(ends.shape[0], -1, np.int64)
-    partner[a] = b
-    partner[b] = a
+    key = key.ravel()
+    bits = (key.shape[0] - 1).bit_length()
+    idx = np.flatnonzero(key >= 0)
+    packed = key[idx].astype(np.int64)
+    packed <<= bits
+    packed |= idx
+    del idx
+    packed.sort()
+    lo = _pair_starts(np.diff(packed >> bits) == 0)
+    packed &= (1 << bits) - 1
+    a, b = packed[lo], packed[lo + 1]
+    partner = np.full(key.shape[0], -1, np.int64)
+    partner[a], partner[b] = b, a
     return partner
-
-
-def _runs(x, eps):
-    """Run label of every x: sorted, a gap wider than eps starts a new run.
-    A label is the number of run starts at or below x, less one, so ties need
-    no order; labels have the smallest unsigned dtype, which lexsort radix-sorts."""
-    xs = np.sort(x)
-    starts = xs[np.append(True, np.diff(xs) > eps)]
-    run = np.searchsorted(starts, x, side="right") - 1
-    return run.astype(np.min_scalar_type(starts.shape[0]))
 
 
 def _pair_starts(link):
@@ -145,4 +142,3 @@ def _pair_starts(link):
     pos = np.arange(link.shape[0])
     chain_start = np.maximum.accumulate(np.where(link, 0, pos + 1))
     return pos[link & ((pos - chain_start) % 2 == 0)]
-

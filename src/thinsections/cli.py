@@ -37,15 +37,9 @@ from .serialize import (
 )
 from .surface import build_surface
 from .svg import complex_svg, section_svg
-from .verify import SCOPES, collect_rows, format_report, rows_to_json, summarize
+from .verify import SCOPES, _decimal, collect_rows, format_report, rows_to_json, summarize
 
 DEFAULT_SEED = 20260815
-
-
-def _decimal10(x):
-    from .verify import _decimal
-
-    return _decimal(x, 10)
 
 
 # -- verify -----------------------------------------------------------------------
@@ -73,7 +67,7 @@ def _load_spec(path, kind):
             return iis_from_json(payload)
         if "bands" in payload and kind == "rips":
             return complex_from_json(payload)
-    except (OSError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ThinSectionsError(f"{path}: {type(exc).__name__}: {exc}") from None
     raise ThinSectionsError(f"{path}: not a usable {kind} input")
 
@@ -138,8 +132,8 @@ def _run_rauzy(s, steps, emit_dir, svg_dir):
     if report is not None:
         print(
             f"similarity report: period {report.period}, contraction "
-            f"{_decimal10(report.contraction)}, translation "
-            f"{_decimal10(report.translation)}"
+            f"{_decimal(report.contraction)}, translation "
+            f"{_decimal(report.translation)}"
         )
         summary["similarity"] = similarity_report_to_json(report)
     elif code == 0:
@@ -179,7 +173,7 @@ def _run_rips(x, steps, emit_dir, svg_dir):
             ok, (lo, hi) = one_end_criterion(rep)
             print(
                 f"cycle report: prefix {rep.prefix_steps}, period "
-                f"{rep.period_steps}, contraction {_decimal10(rep.contraction)}"
+                f"{rep.period_steps}, contraction {_decimal(rep.contraction)}"
             )
             print(
                 f"contraction x length growth in [{float(lo):.6f}, "
@@ -206,8 +200,6 @@ def _cmd_run(args):
 
 
 def _cmd_section(args):
-    if args.radius <= 0:
-        raise ThinSectionsError("--radius must be positive")
     if args.level is None and args.levels < 1:
         raise ThinSectionsError("--levels must be >= 1")
     surface = build_surface(args.example)

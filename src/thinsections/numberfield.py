@@ -79,7 +79,8 @@ class NumberField:
                 raise NotIsolating("interval endpoint is a root")
             n = P.count_roots(chain, lo, hi)
             if n != 1:
-                raise NotIsolating(f"interval contains {n} roots, need exactly 1")
+                raise NotIsolating(f"root interval [{lo}, {hi}] is reversed" if lo > hi
+                                   else f"interval contains {n} roots, need exactly 1")
         self.modulus = modulus
         self.degree = P.degree(modulus)
         self._monic = P.monic(modulus)
@@ -433,6 +434,8 @@ class FieldElement:
         return (vlo + vhi) / 2
 
     def __float__(self):
+        if len(self._num) < 2:  # a rational: one correctly rounded division
+            return self._num[0] / self._den if self._num else 0.0
         vlo, vhi = self.enclosure(Fraction(1, 2 ** 56))
         # one correctly rounded division, as float((vlo + vhi) / 2) gives
         return ((vlo.numerator * vhi.denominator + vhi.numerator * vlo.denominator)
@@ -497,8 +500,8 @@ class FieldElement:
                     "elements over a reducible modulus have no canonical "
                     "residue and are unhashable"
                 )
-            c = self.coeffs  # a constant hashes as the rational it equals
-            self._hash = hash((self.field.modulus, c) if len(c) > 1 else sum(c))
+            n, d = self._num, self._den  # a constant hashes as the rational it equals
+            self._hash = hash((self.field.modulus, n, d) if len(n) > 1 else Fraction(sum(n), d))
         return self._hash
 
     def __repr__(self):

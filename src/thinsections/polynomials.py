@@ -324,6 +324,8 @@ def rational_roots(p):
         k += 1
     zero = [Fraction(0)] if k else []
     num = [int(c) for c in content_primitive(p[k:])[1]]
+    if max(abs(num[0]), abs(num[-1])) >> 40:  # bounds divisors() to 2^20 steps
+        raise ValueError("rational roots need end coefficients below 2^40")
 
     def divisors(n):
         small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]

@@ -1,17 +1,17 @@
 """Plane sections of the periodic surfaces.
 
 A section of the surface by a plane x2 = level is a disjoint family of
-curves, drawn in (x1, x3) coordinates.  Tracing works on floats with numpy:
-the exact surface is compiled once to floats, every lattice translate
-meeting the requested window contributes horizontal (plate) and vertical
-(wall) segments, coincident endpoints are paired, and whole-array pointer
-jumping along the pairs orders every connected component into one chain,
-after which one pass classifies all components.  Tangency levels are
-guarded against up front, so the float arithmetic only ever joins endpoints
-that agree to machine precision; the tolerance eps is a safety margin, not
-a smoothing parameter.
+curves, drawn in (x1, x3) coordinates.  Tracing works with numpy: the
+exact surface is compiled once, every lattice translate meeting the
+requested window contributes horizontal (plate) and vertical (wall)
+segments, endpoints are paired by exact integer keys of their (x1, x3)
+grid points, and whole-array pointer jumping along the pairs orders every
+connected component into one chain, after which one pass classifies all
+components.  Floats carry x2, where levels within eps of a tangency face
+are refused up front, and the drawn points, which classify within eps.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyWindow, NearSaddle, WindowTooLarge
+from .errors import EmptyWindow, InvalidSystem, NearSaddle, WindowTooLarge
 from .surface import _floor_towards
 
 __all__ = [
@@ -61,19 +61,28 @@ class SectionComponent:
 
 @lru_cache(maxsize=8)
 def _compiled(surface):
-    """The surface as emit_segments' arguments after level and R."""
-    f = float
+    """The surface as emit_segments' arguments after level and R: x2 as
+    floats, x1 and x3 as integers over their denominators' lcm dx and dz;
+    InvalidSystem unless rational with dx dz < 2^10 (keys below 2^31)."""
+    f, walls = float, [w for w in surface.walls if w.orient == "v"]
+    xs = [v for p in surface.plates for r in (p.outer, *p.holes) for v in r.x1]
+    xs += [w.fixed for w in walls]
+    zs = [p.level for p in surface.plates] + [v for w in walls for v in w.x3]
+    dx, dz = (math.lcm(1, *(v.coeffs[0].denominator for v in vs if v.coeffs)) for vs in (xs, zs))
+    if any(len(v.coeffs) > 1 for v in xs + zs) or dx * dz >> 10:
+        raise InvalidSystem("sections need rational x1, x3 with small denominators")
+    X, Z = (lambda v: int(sum(v.coeffs) * dx)), (lambda v: int(sum(v.coeffs) * dz))
     plates = tuple(
-        (f(p.level), f(p.outer.x1[0]), f(p.outer.x1[1]),
+        (Z(p.level), X(p.outer.x1[0]), X(p.outer.x1[1]),
          f(p.outer.x2[0]), f(p.outer.x2[1]),
-         tuple(sorted(((f(h.x1[0]), f(h.x1[1]), f(h.x2[0]), f(h.x2[1]))
+         tuple(sorted(((X(h.x1[0]), X(h.x1[1]), f(h.x2[0]), f(h.x2[1]))
                        for h in p.holes), key=lambda h: h[0])))
         for p in surface.plates)
-    walls = tuple((f(w.fixed), f(w.span[0]), f(w.span[1]), f(w.x3[0]), f(w.x3[1]))
-                  for w in surface.walls if w.orient == "v")
+    walls = tuple((X(w.fixed), f(w.span[0]), f(w.span[1]), Z(w.x3[0]), Z(w.x3[1]))
+                  for w in walls)
     tang_y = np.array([f(w.fixed) for w in surface.walls if w.orient == "h"])
     return (plates, walls, tang_y, f(surface.lattice[1][1]), f(surface.plate_period),
-            f(surface.lattice[2][1]))
+            f(surface.lattice[2][1]), dx, dz)
 
 
 def _window_radius(R):
@@ -104,11 +113,11 @@ def _emit(surface, level, R, eps):
             traced = float(exact - _floor_towards(exact, period) * period)
         finally:
             field._restore(saved)
-    seg, clip, near = _kernels.emit_segments(traced, R, *compiled)
+    seg, key, near = _kernels.emit_segments(traced, R, *compiled)
     if near < eps:
         raise NearSaddle(
             "level %.12g is within %.3g of a tangency face" % (level, eps))
-    return seg, clip
+    return seg, key
 
 
 def _classify(rows, first, closed, R, eps):
@@ -225,10 +234,10 @@ def trace_section(surface, level, R, eps=DEFAULT_EPS):
     tangency face of any translate meeting the window.  Returns a tuple of
     SectionComponent, spanning curves first.
     """
-    seg, clip = _emit(surface, level, R, eps)
+    seg, key = _emit(surface, level, R, eps)
     if seg.shape[0] == 0:
         return ()
-    partner = _kernels.match_endpoints(seg, clip, eps)
+    partner = _kernels.match_endpoints(key)
     members, first, chains, closed = _chains(seg, partner)
     classes = _classify(seg[members], first, closed, R, eps)
     components = [SectionComponent((chain,), c) for chain, c in zip(chains, classes)]

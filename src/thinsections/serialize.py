@@ -15,7 +15,7 @@ a hand-edited file that breaks an invariant fails to load.
 from fractions import Fraction
 
 from . import polynomials as P
-from .bands import Band, BandComplex, BandEnd, SupportArc, _audit_cycle
+from .bands import Band, BandComplex, BandEnd, CycleReport, SupportArc, _audit_cycle
 from .errors import AuditError
 from .iis import IIS, IntervalPair
 from .linalg import RatMatrix
@@ -211,8 +211,6 @@ def cycle_report_to_json(rep):
 
 def cycle_report_from_json(obj, like=None):
     """Rebuild a cycle report and re-check its defining identities."""
-    from .bands import CycleReport
-
     field = field_from_json(obj["field"], like)
     start = complex_from_json(obj["complex_start"], field)
     end = complex_from_json(obj["complex_end"], field)

@@ -3,16 +3,23 @@
 The references below walk the lattice translates, the endpoint runs and
 the chains of paired endpoints one at a time, in the order the vectorised
 kernels promise, with the same float operations; the kernels must
-reproduce them exactly.
+reproduce them exactly.  Endpoint keys are checked against keys built from
+the exact Fraction coordinates, and the key pairing against the float eps
+rule it replaced (`_reference_match`), which stays as the oracle.
 """
+
+import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from thinsections import _kernels
+from thinsections.errors import InvalidSystem
 from thinsections.sections import _chains, _classify, _compiled, _emit, sample_levels
-from thinsections.surface import build_surface
+from thinsections.surface import Rect, build_surface
 
 
 @pytest.fixture(scope="module", params=[1, 2])
@@ -21,12 +28,28 @@ def surface(request):
 
 
 def _reference_emit(surface, level, R):
+    # floats as the kernel computes them; keys from the exact Fraction
+    # coordinates, by the formula emit_segments documents
     f = float
+    q = lambda v: Fraction(sum(v.coeffs))
     vw = [w for w in surface.walls if w.orient == "v"]
     tang = [f(w.fixed) for w in surface.walls if w.orient == "h"]
     e2y, e3y = f(surface.lattice[1][1]), f(surface.lattice[2][1])
     period = f(surface.plate_period)
-    rows, clips, near = [], [], 1e300
+    dx = math.lcm(*(q(v).denominator for p in surface.plates
+                    for r in (p.outer, *p.holes) for v in r.x1),
+                  *(q(w.fixed).denominator for w in vw))
+    dz = math.lcm(*(q(p.level).denominator for p in surface.plates),
+                  *(q(v).denominator for w in vw for v in w.x3))
+    xoff, zoff = math.floor(dx * R) + 1, math.floor(dz * R) + 1
+    width = 2 * zoff + 1
+
+    def key(clipped, x, z):
+        X, Z = x * dx, z * dz
+        assert X.denominator == 1 and Z.denominator == 1
+        return -1 if clipped else int((X + xoff) * width + Z + zoff)
+
+    rows, keys, near = [], [], 1e300
     steps = range(int(np.floor(-R - 1.0)), int(np.floor(R)) + 1)
     for k3 in steps:
         for s in steps:
@@ -43,12 +66,13 @@ def _reference_emit(surface, level, R):
                         continue
                     if not f(p.outer.x2[0]) < yloc < f(p.outer.x2[1]):
                         continue
-                    cuts = sorted(((f(h.x1[0]), f(h.x1[1])) for h in p.holes
+                    cuts = sorted(((h.x1[0], h.x1[1]) for h in p.holes
                                    if f(h.x2[0]) < yloc < f(h.x2[1])),
-                                  key=lambda c: c[0])
-                    xcur = f(p.outer.x1[0])
-                    for a, b in cuts + [(f(p.outer.x1[1]), None)]:
-                        xa, xb, c0, c1 = xcur + s, a + s, 0, 0
+                                  key=lambda c: f(c[0]))
+                    xcur = p.outer.x1[0]
+                    for a, b in cuts + [(p.outer.x1[1], None)]:
+                        xa, xb, c0, c1 = f(xcur) + s, f(a) + s, 0, 0
+                        ends = (q(xcur) + s, q(a) + s)
                         xcur = b
                         if xa < -R:
                             xa, c0 = -R, 1
@@ -56,7 +80,8 @@ def _reference_emit(surface, level, R):
                             xb, c1 = R, 1
                         if xb - xa > 1e-12:
                             rows.append((xa, z, xb, z))
-                            clips.append((c0, c1))
+                            keys.append((key(c0, ends[0], q(p.level) + k3),
+                                         key(c1, ends[1], q(p.level) + k3)))
                 for w in vw:
                     if not f(w.span[0]) < yloc < f(w.span[1]):
                         continue
@@ -70,8 +95,9 @@ def _reference_emit(surface, level, R):
                         zb, c1 = R, 1
                     if zb - za > 1e-12:
                         rows.append((x, za, x, zb))
-                        clips.append((c0, c1))
-    return np.array(rows).reshape(-1, 4), np.array(clips, np.uint8).reshape(-1, 2), near
+                        keys.append((key(c0, q(w.fixed) + s, q(w.x3[0]) + k3),
+                                     key(c1, q(w.fixed) + s, q(w.x3[1]) + k3)))
+    return np.array(rows).reshape(-1, 4), np.array(keys, np.int64).reshape(-1, 2), near
 
 
 def _reference_match(seg, clip, eps):
@@ -96,29 +122,104 @@ def _reference_match(seg, clip, eps):
     return partner
 
 
-def test_match_endpoints_chains_x_gaps():
-    # a gap of at most eps keeps an x-run going, so a run can span more
-    # than eps: at x = 0, 0.8e-9 and 1.6e-9 all three ends share one run,
-    # and the last two (z = 0 and 0.5e-9) pair
-    seg = np.array([[0.0, 5.0, 10.0, 10.0], [0.8e-9, 0.0, 20.0, 20.0],
-                    [1.6e-9, 0.5e-9, 30.0, 30.0]])
-    clip = np.array([[0, 1]] * 3, np.uint8)
-    partner = _kernels.match_endpoints(seg, clip, 1e-9)
-    assert partner.tolist() == [-1, -1, 4, -1, 2, -1]
-    assert np.array_equal(partner, _reference_match(seg, clip, 1e-9))
+def _clip(key):
+    return (key < 0).astype(np.uint8)
 
 
 @pytest.mark.parametrize("R", [0.5, 5.0])
 @pytest.mark.parametrize("level", [0.1, 0.37, 0.77])
 def test_kernels_match_loop_references(surface, level, R):
-    seg, clip, near = _kernels.emit_segments(level, R, *_compiled(surface))
-    ref_seg, ref_clip, ref_near = _reference_emit(surface, level, R)
+    seg, key, near = _kernels.emit_segments(level, R, *_compiled(surface))
+    ref_seg, ref_key, ref_near = _reference_emit(surface, level, R)
     assert np.array_equal(seg, ref_seg)
-    assert np.array_equal(clip, ref_clip)
+    assert np.array_equal(key, ref_key)
     assert near == ref_near
-    assert seg.dtype == np.float64 and clip.dtype == np.uint8
-    partner = _kernels.match_endpoints(seg, clip, 1e-9)
-    assert np.array_equal(partner, _reference_match(seg, clip, 1e-9))
+    assert seg.dtype == np.float64 and key.dtype == np.int32
+    partner = _kernels.match_endpoints(key)
+    assert np.array_equal(partner, _reference_match(seg, _clip(key), 1e-9))
+
+
+@pytest.mark.parametrize("R", [20.0, 50.0])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_key_pairing_matches_the_eps_rule_on_sampled_levels(surface, seed, R):
+    level, = sample_levels(surface, 1, seed, R)
+    seg, key = _emit(surface, level, R, 1e-9)
+    partner = _kernels.match_endpoints(key)
+    assert (partner >= 0).sum() > seg.shape[0]
+    assert np.array_equal(partner, _reference_match(seg, _clip(key), 1e-9))
+
+
+def test_compiled_grid_of_the_bundled_surfaces(surface):
+    # x1 coordinates on (Z/5), x3 coordinates on (Z/4)
+    plates, walls, *_, dx, dz = _compiled(surface)
+    assert (dx, dz) == (5, 4)
+    assert sorted({p[0] for p in plates} | {v for w in walls for v in w[3:]}) == [0, 1, 3, 4]
+
+
+def _with_left_edge(surf, edge):
+    plate = surf.plates[0]
+    bad = replace(plate, outer=Rect((edge, plate.outer.x1[1]), plate.outer.x2))
+    return replace(surf, plates=(bad, surf.plates[1]))
+
+
+def test_compiled_takes_the_grid_from_the_surface():
+    surf = build_surface(1)
+    plates, *_, dx, dz = _compiled(_with_left_edge(surf, surf.field.rational(Fraction(1, 10))))
+    assert (dx, dz) == (10, 4) and plates[0][1:3] == (1, 10)
+
+
+@pytest.mark.parametrize("edge", ["irrational", Fraction(1, 2 ** 8), Fraction(1, 7 * 37)])
+def test_compiled_rejects_an_irrational_or_too_fine_x1_edge(edge):
+    # gen / 10 is about 0.025; 1/2^8 makes dx dz = 5 * 2^8 * 4 >= 2^10, and
+    # 1/259 makes it 5180
+    surf = build_surface(1)
+    edge = surf.field.gen / 10 if edge == "irrational" else surf.field.rational(edge)
+    with pytest.raises(InvalidSystem, match="rational x1, x3 with small denominators"):
+        _compiled(_with_left_edge(surf, edge))
+
+
+def _reference_pairs(key):
+    # endpoints grouped by key in index order, paired 1st-2nd, 3rd-4th, ...
+    flat, groups = key.ravel().tolist(), {}
+    for e, k in enumerate(flat):
+        if k >= 0:
+            groups.setdefault(k, []).append(e)
+    partner = np.full(len(flat), -1, np.int64)
+    for ends in groups.values():
+        for a, b in zip(ends[0::2], ends[1::2]):
+            partner[a], partner[b] = b, a
+    return partner
+
+
+@pytest.mark.parametrize("key, expect", [
+    # pairs: (5) at ends 0 and 3, (7) at ends 1 and 2
+    ([[5, 7], [7, 5]], [3, 2, 1, 0]),
+    # a run of three pairs its first two ends by index, a run of four both pairs
+    ([[9, 4], [9, 9], [4, 4]], [2, 4, 0, -1, 1, -1]),
+    ([[9, 9], [9, 9]], [1, 0, 3, 2]),
+    # clipped ends never pair, also with each other
+    ([[-1, 3], [-1, -1], [3, -1]], [-1, 4, -1, -1, 1, -1]),
+    (np.empty((0, 2), np.int64), []),
+])
+def test_match_endpoints_pairs_equal_keys(key, expect):
+    key = np.asarray(key, np.int64)
+    partner = _kernels.match_endpoints(key)
+    assert partner.dtype == np.int64 and partner.tolist() == expect
+    assert np.array_equal(partner, _reference_pairs(key))
+
+
+@settings(max_examples=50)
+@given(n=st.integers(min_value=0, max_value=200), values=st.integers(min_value=1, max_value=60),
+       rnd=st.randoms(use_true_random=False))
+def test_match_endpoints_against_the_eps_rule(n, values, rnd):
+    # keys from a small range, a tenth clipped; as points on a grid of
+    # spacing 0.25 the eps oracle pairs them the same way
+    key = np.array([rnd.randrange(values) if rnd.random() > 0.1 else -1
+                    for _ in range(2 * n)], np.int64).reshape(-1, 2)
+    partner = _kernels.match_endpoints(key)
+    assert np.array_equal(partner, _reference_pairs(key))
+    seg = np.stack([key // 7 * 0.25, key % 7 * 0.25], axis=2).reshape(-1, 4)
+    assert np.array_equal(partner, _reference_match(seg, _clip(key), 1e-9))
 
 
 @pytest.mark.parametrize("R", [0.5, 5.0, 50.0])
@@ -126,8 +227,8 @@ def test_guard_emit_without_pieces_reads_the_same_tangency_distance(surface, R):
     plates, walls, *rest = _compiled(surface)
     levels = [0.1, 0.37, 0.77, float(rest[0][0])] + sample_levels(surface, 3, 0, R)
     for level in levels:
-        seg, clip, near = _kernels.emit_segments(level, R, (), (), *rest)
-        assert seg.shape == (0, 4) and clip.shape == (0, 2)
+        seg, key, near = _kernels.emit_segments(level, R, (), (), *rest)
+        assert seg.shape == (0, 4) and key.shape == (0, 2)
         assert near == _kernels.emit_segments(level, R, plates, walls, *rest)[2]
 
 
@@ -152,29 +253,11 @@ def test_sample_levels_match_full_emit_guard(surface, seed, R):
 def test_emit_does_not_depend_on_block_bound(surface, level, monkeypatch):
     # the smallest bound puts one k3 value in each of the 12 blocks at R = 5
     monkeypatch.setattr(_kernels, "_BLOCK_CELLS", 1)
-    seg, clip, near = _kernels.emit_segments(level, 5.0, *_compiled(surface))
-    ref_seg, ref_clip, ref_near = _reference_emit(surface, level, 5.0)
+    seg, key, near = _kernels.emit_segments(level, 5.0, *_compiled(surface))
+    ref_seg, ref_key, ref_near = _reference_emit(surface, level, 5.0)
     assert np.array_equal(seg, ref_seg)
-    assert np.array_equal(clip, ref_clip)
+    assert np.array_equal(key, ref_key)
     assert near == ref_near
-
-
-@pytest.mark.parametrize("runs", [300, 70_000])
-def test_match_endpoints_on_many_runs(runs):
-    # four endpoints per x-run, jittered within eps in x; z near 0, 1 or 2
-    # with jitter within eps, so an endpoint has 0 to 3 candidates
-    rng = np.random.default_rng(runs)
-    x = rng.permutation(np.repeat(np.arange(runs, dtype=float), 4))
-    x += rng.uniform(-2e-10, 2e-10, x.shape)
-    z = rng.integers(0, 3, x.shape) + rng.uniform(-2e-10, 2e-10, x.shape)
-    seg = np.stack([x, z], axis=1).reshape(-1, 4)
-    clip = (rng.random((seg.shape[0], 2)) < 0.1).astype(np.uint8)
-    # the run labels switch to a wider unsigned dtype past 255 and 65,535
-    labels = _kernels._runs(x, 1e-9)
-    assert labels.dtype == np.min_scalar_type(runs) and labels.max() == runs - 1
-    partner = _kernels.match_endpoints(seg, clip, 1e-9)
-    assert (partner >= 0).sum() > x.shape[0] // 4
-    assert np.array_equal(partner, _reference_match(seg, clip, 1e-9))
 
 
 def _reference_chains(seg, partner):
@@ -228,8 +311,8 @@ def _check_chains(seg, partner, R, eps=1e-9):
 @pytest.mark.parametrize("R", [5.0, 10.0, 20.0, 50.0])
 def test_chains_match_walk_on_sampled_levels(surface, R):
     for level in sample_levels(surface, 3, 0, 50.0):
-        seg, clip = _emit(surface, level, R, 1e-9)
-        _check_chains(seg, _kernels.match_endpoints(seg, clip, 1e-9), R)
+        seg, key = _emit(surface, level, R, 1e-9)
+        _check_chains(seg, _kernels.match_endpoints(key), R)
 
 
 def _pairs(n_ends, *pairs):
@@ -300,10 +383,11 @@ def test_chains_match_walk_on_random_pairings(n, free, rnd):
 
 def test_chains_match_walk_on_clipped_path():
     # window |x|, |z| <= 1: an L from the left edge to the top edge, and a
-    # second piece whose clipped end sits on the same boundary point
+    # second piece whose clipped end sits on the same boundary point; keys
+    # on the grid (Z/2)^2 with xoff = zoff = 3 and width 7
     seg = np.array([(-1.0, 0.0, 0.5, 0.0), (0.5, 0.0, 0.5, 1.0), (-1.0, -0.5, -1.0, 0.0)])
-    clip = np.array([(1, 0), (0, 1), (0, 1)], np.uint8)
-    partner = _kernels.match_endpoints(seg, clip, 1e-9)
+    key = np.array([(-1, 4 * 7 + 3), (4 * 7 + 3, -1), (1 * 7 + 2, -1)])
+    partner = _kernels.match_endpoints(key)
     assert partner.tolist() == [-1, 2, 1, -1, -1, -1]
     got = _check_chains(seg, partner, 1.0)
     assert got == [([0, 1], ((-1.0, 0.0), (0.5, 0.0), (0.5, 1.0)), False),

@@ -366,3 +366,24 @@ def test_float_takes_one_interval_evaluation_on_a_refined_field(monkeypatch):
             calls.clear()
             x.enclosure(Fraction(1, 2 ** 56))
             assert calls == ["evaluate_interval"]
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "rational", "3x^2 - 1"])
+def test_float_of_a_rational_is_the_enclosure_midpoint(name, monkeypatch):
+    # a constant converts by one int division, with no interval
+    # evaluation, to the float the enclosure path gives
+    f = _INVERSE_FIELDS[name]
+    values = [Fraction(0), Fraction(1, 5), Fraction(-7, 3), Fraction(-1, 4), Fraction(10 ** 40 + 1),
+              Fraction(-(3 ** 500), 2 ** 300 + 1), Fraction(1, 7 * 10 ** 300), Fraction(2 ** 1023)]
+    xs = [f.rational(q) for q in values]
+    mid = []
+    for x in xs:
+        lo, hi = x.enclosure(Fraction(1, 2 ** 56))
+        mid.append((lo.numerator * hi.denominator + hi.numerator * lo.denominator)
+                   / (2 * lo.denominator * hi.denominator))
+    calls = []
+    monkeypatch.setattr(P, "evaluate_interval", lambda *args: calls.append(args))
+    got = [float(x) for x in xs]
+    assert calls == []
+    assert got == mid == [float(q) for q in values]
+    assert all(type(v) is float for v in got)

@@ -110,6 +110,13 @@ def test_rational_roots_and_deflate():
     assert sorted(P.rational_roots(p)) == [Fraction(1, 3), Fraction(1, 2)]
 
 
+@pytest.mark.parametrize("p", [[1, 0, 2 ** 40], [-(3 ** 30), 1], [0, 0, 5 ** 20, 7]])
+def test_rational_roots_refuse_huge_end_coefficients(p):
+    # trial division over the divisors would take up to sqrt(|c|) steps
+    with pytest.raises(ValueError, match="below 2\\^40"):
+        P.rational_roots(P.poly(p))
+
+
 def test_evaluate_interval_contains_image():
     p = P.poly([-2, 0, 1])  # x^2 - 2
     lo, hi = P.evaluate_interval(p, Fraction(1), Fraction(2))

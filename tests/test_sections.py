@@ -153,11 +153,11 @@ def test_all_breaks_lie_on_window_boundary(ex1, ex2):
     for surface in (ex1, ex2):
         for level in (0.1, 0.77):
             R = 10.0
-            seg, clip = _emit(surface, level, R, 1e-9)
-            partner = _kernels.match_endpoints(seg, clip, 1e-9)
+            seg, key = _emit(surface, level, R, 1e-9)
+            partner = _kernels.match_endpoints(key)
             for i in range(seg.shape[0]):
                 for side in (0, 1):
-                    if partner[2 * i + side] < 0 and not clip[i, side]:
+                    if partner[2 * i + side] < 0 and key[i, side] >= 0:
                         x, z = seg[i, 2 * side], seg[i, 2 * side + 1]
                         assert abs(abs(x) - R) < 1e-9 or abs(abs(z) - R) < 1e-9
 
@@ -166,14 +166,14 @@ def test_partner_is_an_involution(ex1, ex2):
     eps = 1e-9
     for surface in (ex1, ex2):
         for level in (0.1, 0.77):
-            seg, clip = _emit(surface, level, 10.0, eps)
-            partner = _kernels.match_endpoints(seg, clip, eps)
+            seg, key = _emit(surface, level, 10.0, eps)
+            partner = _kernels.match_endpoints(key)
             ends = seg.reshape(-1, 2)
             paired = np.flatnonzero(partner >= 0)
             assert paired.size > 0
             assert np.array_equal(partner[partner[paired]], paired)
             assert not np.any(partner[paired] == paired)
-            assert not np.any(clip.ravel()[paired])
+            assert np.all(key.ravel()[paired] >= 0)
             assert np.all(np.abs(ends[paired] - ends[partner[paired]]) <= eps)
 
 
@@ -240,12 +240,12 @@ def test_lattice_periodicity(ex1):
 def test_window_growth_is_prefix(ex1):
     # segments fully inside the smaller window reappear identically at 2R
     small, big = 8.0, 16.0
-    segA, clipA = _emit(ex1, 0.61, small, 1e-9)
+    segA, keyA = _emit(ex1, 0.61, small, 1e-9)
     segB, _ = _emit(ex1, 0.61, big, 1e-9)
     inner = {
         tuple(np.round(r, 6))
-        for r, cl in zip(segA, clipA)
-        if not cl[0] and not cl[1]
+        for r, k in zip(segA, keyA)
+        if k.min() >= 0
     }
     outer = {tuple(np.round(r, 6)) for r in segB}
     assert inner <= outer

@@ -78,7 +78,8 @@ def _residue(f, c):
 
 def _check(x, expected):
     """Canonical integers, and coeffs, hash and JSON as the Fraction tuple
-    `expected` gives them."""
+    `expected` gives them: a non-constant hashes as (modulus, integer
+    numerators, denominator), a constant as the rational it equals."""
     num, den = x._num, x._den
     assert all(type(v) is int for v in num) and type(den) is int
     assert den > 0 and math.gcd(den, *num) == 1
@@ -87,7 +88,8 @@ def _check(x, expected):
     assert all(type(q) is Fraction for q in x.coeffs)
     f = x.field
     if f.irreducible:
-        assert hash(x) == hash((f.modulus, expected) if len(expected) > 1 else sum(expected))
+        nums, d = P.integer_form(expected)
+        assert hash(x) == hash((f.modulus, tuple(nums), d) if len(expected) > 1 else sum(expected))
     obj = json.loads(json.dumps(element_to_json(x)))
     assert obj["poly"] == poly_to_json(expected)
     # Loading goes through field.element, which reduces.
