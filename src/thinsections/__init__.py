@@ -7,11 +7,9 @@ __version__ = "0.1.0"
 from .numberfield import (  # noqa: F401
     FieldElement,
     NumberField,
-    approximate,
     field_new,
     minimal_field,
     rational_field,
-    sign_of,
 )
 from .linalg import RatMatrix, char_poly, eigen_kernel, perron_root  # noqa: F401
 from .iis import (  # noqa: F401

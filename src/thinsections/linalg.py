@@ -35,14 +35,6 @@ class RatMatrix:
             raise ValueError("ragged rows")
         return cls(r, c, [x for row in rows for x in row])
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -63,40 +55,6 @@ class RatMatrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            out = [sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0))
-                   for ri in map(self.row, range(self.rows)) for j in range(other.cols)]
-            return RatMatrix(self.rows, other.cols, out)
-        return RatMatrix(self.rows, self.cols, [a * Fraction(other) for a in self.entries])
-
-    __rmul__ = __mul__
-
-    def scale(self, s):
-        s = Fraction(s)
-        return RatMatrix(self.rows, self.cols, [a * s for a in self.entries])
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise NotSquare("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
 
     def is_square(self):
         return self.rows == self.cols

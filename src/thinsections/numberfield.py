@@ -526,11 +526,3 @@ def dot_minus(row, common, target):
             for k, c in enumerate(num):
                 acc[k] += coef * c
     return _element(target.field, acc, den * tden)
-
-
-def sign_of(x):
-    return x.sign()
-
-
-def approximate(x, eps):
-    return x.approximate(eps)

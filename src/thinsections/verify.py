@@ -5,9 +5,14 @@ tables, or an exact identity those tables assert) with an independent
 computation.  Exact rows reduce to zero tests of field elements and are
 the only rows allowed to carry status "exact-pass"; approximate rows
 certify |computed - recorded| <= tolerance, with the comparison itself
-decided exactly.  A row evaluator that raises downgrades to a "fail"
-row instead of aborting the run, so a corrupted table shows up as a red
-row and a nonzero exit, not a stack trace.
+decided exactly.
+
+Every row is one entry of `_ROWS`: its claim id, its builder and the
+builder's argument.  A builder returns the row's fields after the claim
+(recorded, computed, tolerance, status, note), so a new row is one table
+entry plus its builder.  A builder that raises becomes a "fail" row under
+its claim instead of aborting the run, so a corrupted table shows up as a
+red row and a nonzero exit, not a stack trace.
 
 Where the recorded decimals are internally inconsistent (the two prints
 of the second eigenvalue differ in their last digit, and neither agrees
@@ -42,7 +47,9 @@ from .surface import (
     x2_shift_coefficients,
 )
 
-SCOPES = ("all", "s1", "s2", "surface")
+# claim prefix of each scope's rows
+_PREFIX = {"all": "", "s1": "s1.", "s2": "s2.", "surface": "surf."}
+SCOPES = tuple(_PREFIX)
 
 STATUS_EXACT = "exact-pass"
 STATUS_APPROX = "approx-pass"
@@ -76,14 +83,17 @@ def _frac_decimal(q, places=10):
     return _digits(math.floor(q * 10**places + Fraction(1, 2)), places)
 
 
-def _exact_row(claim, recorded, residues, computed, note=""):
-    bad = sum(0 if r.is_zero() else 1 for r in residues)
+def _check(recorded, computed, ok, note=""):
+    """The fields of an exact row: tolerance 0, exact-pass when ok."""
+    return recorded, computed, "0", STATUS_EXACT if ok else STATUS_FAIL, note
+
+
+def _exact(recorded, residues, computed, note=""):
+    """An exact row that passes when every residue is zero."""
+    bad = sum(not r.is_zero() for r in residues)
     if bad:
-        return VerificationRow(
-            claim, recorded, f"{bad} of {len(residues)} residues nonzero", "0",
-            STATUS_FAIL, note,
-        )
-    return VerificationRow(claim, recorded, computed, "0", STATUS_EXACT, note)
+        computed = f"{bad} of {len(residues)} residues nonzero"
+    return _check(recorded, computed, not bad, note)
 
 
 def _within(value, target, tol):
@@ -91,418 +101,278 @@ def _within(value, target, tol):
     return d <= tol and -d <= tol
 
 
-def _decimal_row(claim, recorded, pairs, tol, places, note=""):
-    """pairs: (field element, recorded Fraction) per entry; all must land
-    within tol of their recorded decimal."""
-    misses = [i for i, (v, r) in enumerate(pairs) if not _within(v, r, tol)]
-    computed = ", ".join(_decimal(v, places) for v, _ in pairs)
-    if misses:
-        return VerificationRow(
-            claim, recorded, f"{computed} (entry {misses[0]} out of tolerance)",
-            str(tol), STATUS_FAIL, note,
-        )
-    return VerificationRow(claim, recorded, computed, str(tol), STATUS_APPROX, note)
-
-
-def _interval_row(claim, recorded, lo, hi, upper, places=6, note=""):
-    """Certify lo <= true value <= hi < upper with lo > 0."""
-    ok = 0 < lo and hi < upper
-    text = f"[{_frac_decimal(lo, places)}, {_frac_decimal(hi, places)}]"
-    return VerificationRow(
-        claim, recorded, text, f"interval width {_frac_decimal(hi - lo, 12)}",
-        STATUS_APPROX if ok else STATUS_FAIL, note,
-    )
-
-
 # -- row builders -----------------------------------------------------------------
 
-_CHAR_RECORDED = {
-    "s1": P.poly([-1, 5, -4, -1, 1]),
-    "s2": P.poly([1, -12, -9, 11, 8, 1]),
+_CHAR_POLY = {
+    "s1": (P.poly([-1, 5, -4, -1, 1]), "x^4 - x^3 - 4x^2 + 5x - 1"),
+    "s2": (P.poly([1, -12, -9, 11, 8, 1]), "x^5 + 8x^4 + 11x^3 - 9x^2 - 12x + 1"),
 }
-_CUBIC_RECORDED = {
-    "s1": P.poly([1, -4, 0, 1]),
-    "s2": P.poly([-1, 12, 8, 1]),
+_CUBIC = {
+    "s1": (P.poly([1, -4, 0, 1]), "t^3 - 4t + 1 = 0"),
+    "s2": (P.poly([-1, 12, 8, 1]), "t^3 + 8t^2 + 12t - 1 = 0"),
 }
-_CHAR_TEXT = {
-    "s1": "x^4 - x^3 - 4x^2 + 5x - 1",
-    "s2": "x^5 + 8x^4 + 11x^3 - 9x^2 - 12x + 1",
-}
-_CUBIC_TEXT = {
-    "s1": "t^3 - 4t + 1 = 0",
-    "s2": "t^3 + 8t^2 + 12t - 1 = 0",
-}
-_PRINTED_PARAMS = {
-    "s1": ("0.444", "0.254", "0.302", "0.292"),
-    "s2": ("0.4495", "0.2943", "0.2562", "0.4292", "0.0898"),
-}
-_RAUZY_PERIOD = {"s1": 6, "s2": 10}
-
-
-def _row_char_poly(name):
-    def build():
-        cp = char_poly(SYSTEM_MATRIX[name])
-        if cp != _CHAR_RECORDED[name]:
-            return VerificationRow(
-                f"{name}.01-char-poly", _CHAR_TEXT[name],
-                f"characteristic polynomial is {P.to_string(cp)}", "0", STATUS_FAIL,
-            )
-        field = system_field(name)
-        res = sum((field.gen ** i) * c for i, c in enumerate(cp))
-        return _exact_row(
-            f"{name}.01-char-poly",
-            f"parameter matrix has eigenvalue at the root of {_CHAR_TEXT[name]}",
-            [res], "matrix char poly matches and vanishes at the eigenvalue",
-        )
-    return f"{name}.01-char-poly", build
-
-
-def _row_minimal_cubic(name):
-    def build():
-        field = system_field(name)
-        g = field.gen
-        cubic = _CUBIC_RECORDED[name]
-        res = sum((g ** i) * c for i, c in enumerate(cubic))
-        mod_ok = P.monic(field.modulus) == P.monic(cubic)
-        if not mod_ok:
-            return VerificationRow(
-                f"{name}.02-minimal-cubic", _CUBIC_TEXT[name],
-                f"field modulus is {P.to_string(field.modulus)}", "0", STATUS_FAIL,
-            )
-        return _exact_row(
-            f"{name}.02-minimal-cubic", _CUBIC_TEXT[name], [res],
-            "modulus matches; residue vanishes",
-        )
-    return f"{name}.02-minimal-cubic", build
-
-
+# (prints, tolerance, note) of the eigenvalue
 _PRINTED_EIGEN = {
-    "s1": (("0.254",), Fraction("0.0005")),
+    "s1": (("0.254",), Fraction("0.0005"), ""),
     # Two recorded prints that disagree in the last digit; judged at the
     # full last-place unit of the coarser one.
-    "s2": (("0.0797", "0.0798"), Fraction("0.001")),
-}
-_EIGEN_NOTE = {
-    "s1": "",
     "s2": (
+        ("0.0797", "0.0798"),
+        Fraction("0.001"),
         "the two recorded prints disagree by 1e-4 and sit ~6e-4 and ~7e-4 "
-        "from the certified digits; the cubic root itself is certified"
+        "from the certified digits; the cubic root itself is certified",
     ),
 }
-
-
-def _row_lambda_digits(name):
-    def build():
-        g = system_field(name).gen
-        prints, tol = _PRINTED_EIGEN[name]
-        ok = any(_within(g, Fraction(p), tol) for p in prints)
-        return VerificationRow(
-            f"{name}.03-eigenvalue-digits",
-            " / ".join(prints), _decimal(g, 10), str(tol),
-            STATUS_APPROX if ok else STATUS_FAIL, _EIGEN_NOTE[name],
-        )
-    return f"{name}.03-eigenvalue-digits", build
-
-
-_PARAM_TOL = {"s1": Fraction("0.001"), "s2": Fraction("0.00005")}
-_PARAM_NOTE = {
+# (prints, tolerance, note) of the parameters
+_PRINTED_PARAMS = {
     "s1": (
+        ("0.444", "0.254", "0.302", "0.292"),
+        Fraction("0.001"),
         "the fourth recorded decimal sits 5.0e-4 from the certified value, "
-        "just past half-ulp rounding; the other three are within half an ulp"
+        "just past half-ulp rounding; the other three are within half an ulp",
     ),
-    "s2": "",
+    "s2": (("0.4495", "0.2943", "0.2562", "0.4292", "0.0898"), Fraction("0.00005"), ""),
 }
-
-
-def _row_param_digits(name):
-    def build():
-        ps = system_params(name)
-        printed = _PRINTED_PARAMS[name]
-        return _decimal_row(
-            f"{name}.05-parameter-digits",
-            "(" + ", ".join(printed) + ")",
-            [(v, Fraction(r)) for v, r in zip(ps, printed)],
-            _PARAM_TOL[name], 7, _PARAM_NOTE[name],
-        )
-    return f"{name}.05-parameter-digits", build
-
-
-def _row_param_identities_s1():
-    def build():
-        a, b, c, u = system_params("s1")
-        g = system_field("s1").gen
-        res = [
-            a - (2 * g - g * g),
-            b - g,
-            c - (g * g - 3 * g + 1),
-            u * 2 - (-3 * g * g + 7 * g - 1),
-        ]
-        return _exact_row(
-            "s1.04-parameter-identities",
-            "a = 2t - t^2, b = t, c = t^2 - 3t + 1, u = (-3t^2 + 7t - 1)/2",
-            res, "all four residues vanish",
-        )
-    return "s1.04-parameter-identities", build
-
-
-def _row_param_sum_s2():
-    def build():
-        a, b, c, d, e = system_params("s2")
-        one = system_field("s2").one
-        res = [a + b + c - one]
-        sgns = [x.sign() for x in (a, b, c, d, e)]
-        if any(s <= 0 for s in sgns):
-            return VerificationRow(
-                "s2.04-parameter-identities", "a + b + c = 1, all five positive",
-                "a parameter is not positive", "0", STATUS_FAIL,
-            )
-        return _exact_row(
-            "s2.04-parameter-identities", "a + b + c = 1, all five positive",
-            res, "unit sum exact; signs all positive",
-        )
-    return "s2.04-parameter-identities", build
-
-
 _COVERAGE_RECORDED = {
     "s1": ("balanced and mirror-symmetric", True),
     "s2": ("balanced, not mirror-symmetric", False),
 }
-
-
-def _row_coverage(name):
-    def build():
-        rep = validate(build_system(name))
-        text, want_sym = _COVERAGE_RECORDED[name]
-        ok = rep["balanced"] and rep["symmetric"] == want_sym
-        return VerificationRow(
-            f"{name}.06-coverage", text,
-            f"balanced={rep['balanced']} symmetric={rep['symmetric']}", "0",
-            STATUS_EXACT if ok else STATUS_FAIL,
-        )
-    return f"{name}.06-coverage", build
-
-
-def _row_rauzy(name):
-    def build():
-        s = build_system(name)
-        want = _RAUZY_PERIOD[name]
-        rep = detect_self_similarity(s, want + 2, policy="right")
-        g = s.field.gen
-        if rep is None or rep.period != want:
-            got = "none" if rep is None else f"period {rep.period}"
-            return VerificationRow(
-                f"{name}.07-rauzy-cycle",
-                f"period-{want} right induction contracts by the eigenvalue",
-                got, "0", STATUS_FAIL,
-            )
-        return _exact_row(
-            f"{name}.07-rauzy-cycle",
-            f"period-{want} Rauzy contraction = eigenvalue",
-            [rep.contraction - g],
-            f"period {rep.period}; contraction residue vanishes",
-        )
-    return f"{name}.07-rauzy-cycle", build
-
-
-_RIPS_RECORDED = {
-    "s1": ("width multiplier (eigenvalue)^2 per detected cycle", 2),
-    "s2": ("width multiplier (eigenvalue)^2 per detected cycle", 2),
-}
-
-
-def _row_rips(name):
-    def build():
-        s = build_system(name)
-        rep = detect_rips_cycle(complex_from_iis(s), 45)
-        text, power = _RIPS_RECORDED[name]
-        g = s.field.gen
-        ok, (lo, hi) = one_end_criterion(rep)
-        note = "" if ok else "cycle product certificate is not below 1"
-        res = rep.contraction - g ** power
-        row = _exact_row(
-            f"{name}.08-rips-cycle", text, [res],
-            f"prefix {rep.prefix_steps} + period {rep.period_steps}; "
-            f"contraction residue vanishes; cycle product in "
-            f"[{_frac_decimal(lo, 6)}, {_frac_decimal(hi, 6)}] < 1",
-            note,
-        )
-        if row.status == STATUS_EXACT and not ok:
-            return VerificationRow(
-                row.claim, row.recorded, row.computed, row.tolerance,
-                STATUS_FAIL, note,
-            )
-        return row
-    return f"{name}.08-rips-cycle", build
-
-
-def _row_entry_maps(name):
-    def build():
-        got = entry_stage_params(name)
-        want = stage_params(name)
-        return _exact_row(
-            f"{name}.09-entry-maps",
-            "entry maps reproduce the recorded stage polynomials",
-            [x - y for x, y in zip(got, want)],
-            f"all {len(got)} stage coordinates match exactly",
-        )
-    return f"{name}.09-entry-maps", build
-
-
-def _row_width_cycle(name):
-    def build():
-        field = system_field(name)
-        stage = stage_params(name)
-        scaled = stage_params_scaled(name)
-        k = cycle_contraction(name)
-        res = []
-        for row, target, rec in zip(WIDTH_CYCLE[name].to_rows(), (k * x for x in stage), scaled):
-            acc = field.zero
-            for coef, val in zip(row, stage):
-                acc = acc + val * coef
-            res.append(acc - target)
-            res.append(acc - rec)
-        return _exact_row(
-            f"{name}.10-width-cycle",
-            "recorded cycle matrix scales the stage vector by the contraction",
-            res, f"all {len(res)} residues vanish",
-        )
-    return f"{name}.10-width-cycle", build
-
-
+_RAUZY_PERIOD = {"s1": 6, "s2": 10}
 _PRODUCT_RECORDED = {
     "s1": "lambda_1^2 * mu_1 < 1",
     "s2": "lambda_2 * mu_2 < 1, mu_2 ~ 7.95",
 }
 
 
-def _row_product(name):
-    def build():
-        eps = Fraction(1, 10**9)
-        k = cycle_contraction(name)
-        c_lo, c_hi = k.enclosure(eps)
-        m_lo, m_hi = perron_root_interval(LENGTH_CYCLE[name], eps)
-        lo, hi = max(c_lo, Fraction(0)) * m_lo, c_hi * m_hi
-        return _interval_row(
-            f"{name}.11-one-end-product", _PRODUCT_RECORDED[name], lo, hi, 1,
-            places=6,
-            note=f"growth rate mu in [{_frac_decimal(m_lo, 6)}, {_frac_decimal(m_hi, 6)}]",
+def _char_poly(name):
+    want, text = _CHAR_POLY[name]
+    cp = char_poly(SYSTEM_MATRIX[name])
+    if cp != want:
+        return _check(text, f"characteristic polynomial is {P.to_string(cp)}", False)
+    field = system_field(name)
+    res = sum((field.gen ** i) * c for i, c in enumerate(cp))
+    return _exact(
+        f"parameter matrix has eigenvalue at the root of {text}",
+        [res], "matrix char poly matches and vanishes at the eigenvalue",
+    )
+
+
+def _minimal_cubic(name):
+    field = system_field(name)
+    cubic, text = _CUBIC[name]
+    if P.monic(field.modulus) != P.monic(cubic):
+        return _check(text, f"field modulus is {P.to_string(field.modulus)}", False)
+    res = sum((field.gen ** i) * c for i, c in enumerate(cubic))
+    return _exact(text, [res], "modulus matches; residue vanishes")
+
+
+def _eigenvalue_digits(name):
+    g = system_field(name).gen
+    prints, tol, note = _PRINTED_EIGEN[name]
+    ok = any(_within(g, Fraction(p), tol) for p in prints)
+    status = STATUS_APPROX if ok else STATUS_FAIL
+    return " / ".join(prints), _decimal(g, 10), str(tol), status, note
+
+
+def _param_identities(name):
+    g = system_field(name).gen
+    if name == "s1":
+        a, b, c, u = system_params(name)
+        res = [
+            a - (2 * g - g * g),
+            b - g,
+            c - (g * g - 3 * g + 1),
+            u * 2 - (-3 * g * g + 7 * g - 1),
+        ]
+        return _exact(
+            "a = 2t - t^2, b = t, c = t^2 - 3t + 1, u = (-3t^2 + 7t - 1)/2",
+            res, "all four residues vanish",
         )
-    return f"{name}.11-one-end-product", build
+    a, b, c, d, e = system_params(name)
+    recorded = "a + b + c = 1, all five positive"
+    if any(x.sign() <= 0 for x in (a, b, c, d, e)):
+        return _check(recorded, "a parameter is not positive", False)
+    return _exact(recorded, [a + b + c - g.field.one], "unit sum exact; signs all positive")
 
 
-def _row_saddles(example):
-    def build():
-        surf = build_surface(example)
-        rep = saddle_levels(surf)
-        ok = rep.distinct
-        return VerificationRow(
-            f"surf.0{example}-saddle-heights",
-            "the six tangency heights are pairwise distinct",
-            f"distinct={rep.distinct}; {len(rep.classes)} classes modulo the "
-            "vertical components of the period group", "0",
-            STATUS_EXACT if ok else STATUS_FAIL,
-        )
-    return f"surf.0{example}-saddle-heights", build
+def _param_digits(name):
+    """Every parameter within the tolerance of its recorded decimal."""
+    printed, tol, note = _PRINTED_PARAMS[name]
+    pairs = list(zip(system_params(name), printed))
+    misses = [i for i, (v, r) in enumerate(pairs) if not _within(v, Fraction(r), tol)]
+    computed = ", ".join(_decimal(v, 7) for v, _ in pairs)
+    if misses:
+        computed += f" (entry {misses[0]} out of tolerance)"
+    status = STATUS_FAIL if misses else STATUS_APPROX
+    return "(" + ", ".join(printed) + ")", computed, str(tol), status, note
 
 
-def _row_symmetry(example):
-    def build():
-        surf = build_surface(example)
-        p = central_symmetry_point(surf)
-        ok = check_central_symmetry(surf, p)
-        bad = (surf.field.rational(Fraction(3, 10)), p[1], p[2])
-        tab = check_central_symmetry(surf, bad)
-        note = (
-            "the tabulated first coordinate 3/10 fails the same audit "
-            f"(result {tab}); the certified center has first coordinate 1/2"
-        )
-        return VerificationRow(
-            f"surf.0{example + 2}-central-symmetry",
-            "point reflection maps the surface onto itself",
-            f"holds at (1/2, {_decimal(p[1], 6)}, 1/4): {ok}", "0",
-            STATUS_EXACT if (ok and not tab) else STATUS_FAIL, note,
-        )
-    return f"surf.0{example + 2}-central-symmetry", build
+def _coverage(name):
+    rep = validate(build_system(name))
+    text, want_sym = _COVERAGE_RECORDED[name]
+    return _check(
+        text, f"balanced={rep['balanced']} symmetric={rep['symmetric']}",
+        rep["balanced"] and rep["symmetric"] == want_sym,
+    )
 
 
-def _row_euler(example):
-    def build():
-        chi = euler_characteristic(build_surface(example))
-        ok = chi == -4
-        return VerificationRow(
-            f"surf.0{example + 4}-euler", "chi = -4 (genus 3)",
-            f"chi = {chi}", "0", STATUS_EXACT if ok else STATUS_FAIL,
-        )
-    return f"surf.0{example + 4}-euler", build
+def _rauzy_cycle(name):
+    s = build_system(name)
+    want = _RAUZY_PERIOD[name]
+    rep = detect_self_similarity(s, want + 2, policy="right")
+    if rep is None or rep.period != want:
+        got = "none" if rep is None else f"period {rep.period}"
+        return _check(f"period-{want} right induction contracts by the eigenvalue", got, False)
+    return _exact(
+        f"period-{want} Rauzy contraction = eigenvalue",
+        [rep.contraction - s.field.gen],
+        f"period {rep.period}; contraction residue vanishes",
+    )
 
 
-def _row_height_classes():
-    def build():
-        surf = build_surface(1)
-        a, b, c, u = system_params("s1")
-        got_c = x2_shift_coefficients(surf, c)
-        got_e3 = x2_shift_coefficients(surf, a + b - u * 2)
-        ok = got_c == (1, 1, 1) and got_e3 == (0, 0, 1)
-        return VerificationRow(
-            "surf.07-height-classes",
-            "c and y4 - y2 lie in the vertical period group",
-            f"c -> {got_c}; y4 - y2 -> {got_e3}", "0",
-            STATUS_EXACT if ok else STATUS_FAIL,
-            "so the six tangency heights collapse to 2 classes modulo periods",
-        )
-    return "surf.07-height-classes", build
+def _rips_cycle(name):
+    s = build_system(name)
+    rep = detect_rips_cycle(complex_from_iis(s), 45)
+    ok, (lo, hi) = one_end_criterion(rep)
+    recorded, computed, tol, status, note = _exact(
+        "width multiplier (eigenvalue)^2 per detected cycle",
+        [rep.contraction - s.field.gen ** 2],
+        f"prefix {rep.prefix_steps} + period {rep.period_steps}; "
+        f"contraction residue vanishes; cycle product in "
+        f"[{_frac_decimal(lo, 6)}, {_frac_decimal(hi, 6)}] < 1",
+        "" if ok else "cycle product certificate is not below 1",
+    )
+    return recorded, computed, tol, status if ok else STATUS_FAIL, note
 
 
-def _system_rows(name):
-    return [
-        _row_char_poly(name),
-        _row_minimal_cubic(name),
-        _row_lambda_digits(name),
-        _row_param_identities_s1() if name == "s1" else _row_param_sum_s2(),
-        _row_param_digits(name),
-        _row_coverage(name),
-        _row_rauzy(name),
-        _row_rips(name),
-        _row_entry_maps(name),
-        _row_width_cycle(name),
-        _row_product(name),
-    ]
+def _entry_maps(name):
+    got = entry_stage_params(name)
+    want = stage_params(name)
+    return _exact(
+        "entry maps reproduce the recorded stage polynomials",
+        [x - y for x, y in zip(got, want)],
+        f"all {len(got)} stage coordinates match exactly",
+    )
 
 
-def _surface_rows():
-    return [
-        _row_saddles(1),
-        _row_saddles(2),
-        _row_symmetry(1),
-        _row_symmetry(2),
-        _row_euler(1),
-        _row_euler(2),
-        _row_height_classes(),
-    ]
+def _width_cycle(name):
+    field = system_field(name)
+    stage = stage_params(name)
+    scaled = stage_params_scaled(name)
+    k = cycle_contraction(name)
+    res = []
+    for row, target, rec in zip(WIDTH_CYCLE[name].to_rows(), (k * x for x in stage), scaled):
+        acc = field.zero
+        for coef, val in zip(row, stage):
+            acc = acc + val * coef
+        res.append(acc - target)
+        res.append(acc - rec)
+    return _exact(
+        "recorded cycle matrix scales the stage vector by the contraction",
+        res, f"all {len(res)} residues vanish",
+    )
+
+
+def _one_end_product(name):
+    """Certify lo <= contraction * growth rate <= hi < 1 with lo > 0."""
+    eps = Fraction(1, 10**9)
+    c_lo, c_hi = cycle_contraction(name).enclosure(eps)
+    m_lo, m_hi = perron_root_interval(LENGTH_CYCLE[name], eps)
+    lo, hi = max(c_lo, Fraction(0)) * m_lo, c_hi * m_hi
+    return (
+        _PRODUCT_RECORDED[name],
+        f"[{_frac_decimal(lo, 6)}, {_frac_decimal(hi, 6)}]",
+        f"interval width {_frac_decimal(hi - lo, 12)}",
+        STATUS_APPROX if 0 < lo and hi < 1 else STATUS_FAIL,
+        f"growth rate mu in [{_frac_decimal(m_lo, 6)}, {_frac_decimal(m_hi, 6)}]",
+    )
+
+
+def _saddle_heights(example):
+    rep = saddle_levels(build_surface(example))
+    return _check(
+        "the six tangency heights are pairwise distinct",
+        f"distinct={rep.distinct}; {len(rep.classes)} classes modulo the "
+        "vertical components of the period group",
+        rep.distinct,
+    )
+
+
+def _central_symmetry(example):
+    surf = build_surface(example)
+    p = central_symmetry_point(surf)
+    ok = check_central_symmetry(surf, p)
+    bad = (surf.field.rational(Fraction(3, 10)), p[1], p[2])
+    tab = check_central_symmetry(surf, bad)
+    return _check(
+        "point reflection maps the surface onto itself",
+        f"holds at (1/2, {_decimal(p[1], 6)}, 1/4): {ok}",
+        ok and not tab,
+        "the tabulated first coordinate 3/10 fails the same audit "
+        f"(result {tab}); the certified center has first coordinate 1/2",
+    )
+
+
+def _euler(example):
+    chi = euler_characteristic(build_surface(example))
+    return _check("chi = -4 (genus 3)", f"chi = {chi}", chi == -4)
+
+
+def _height_classes(example):
+    surf = build_surface(example)
+    a, b, c, u = system_params("s1")
+    got_c = x2_shift_coefficients(surf, c)
+    got_e3 = x2_shift_coefficients(surf, a + b - u * 2)
+    return _check(
+        "c and y4 - y2 lie in the vertical period group",
+        f"c -> {got_c}; y4 - y2 -> {got_e3}",
+        got_c == (1, 1, 1) and got_e3 == (0, 0, 1),
+        "so the six tangency heights collapse to 2 classes modulo periods",
+    )
+
+
+# (claim, builder, argument) of every row, in evaluation order
+_ROWS = [
+    (f"{name}.{claim}", build, name)
+    for name in ("s1", "s2")
+    for claim, build in (
+        ("01-char-poly", _char_poly),
+        ("02-minimal-cubic", _minimal_cubic),
+        ("03-eigenvalue-digits", _eigenvalue_digits),
+        ("04-parameter-identities", _param_identities),
+        ("05-parameter-digits", _param_digits),
+        ("06-coverage", _coverage),
+        ("07-rauzy-cycle", _rauzy_cycle),
+        ("08-rips-cycle", _rips_cycle),
+        ("09-entry-maps", _entry_maps),
+        ("10-width-cycle", _width_cycle),
+        ("11-one-end-product", _one_end_product),
+    )
+] + [
+    ("surf.01-saddle-heights", _saddle_heights, 1),
+    ("surf.02-saddle-heights", _saddle_heights, 2),
+    ("surf.03-central-symmetry", _central_symmetry, 1),
+    ("surf.04-central-symmetry", _central_symmetry, 2),
+    ("surf.05-euler", _euler, 1),
+    ("surf.06-euler", _euler, 2),
+    ("surf.07-height-classes", _height_classes, 1),
+]
 
 
 def collect_rows(scope="all"):
-    """Evaluate every row in the scope; evaluator errors become fail rows."""
+    """Evaluate every row in the scope, sorted by claim; a builder that
+    raises becomes a fail row under its claim."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
-    builders = []
-    if scope in ("all", "s1"):
-        builders += _system_rows("s1")
-    if scope in ("all", "s2"):
-        builders += _system_rows("s2")
-    if scope in ("all", "surface"):
-        builders += _surface_rows()
     rows = []
-    for claim, fn in builders:
+    for claim, build, arg in _ROWS:
+        if not claim.startswith(_PREFIX[scope]):
+            continue
         try:
-            rows.append(fn())
+            fields = build(arg)
         except Exception as exc:
-            rows.append(
-                VerificationRow(
-                    claim, "-", f"error: {type(exc).__name__}: {exc}", "-",
-                    STATUS_FAIL,
-                )
-            )
+            fields = "-", f"error: {type(exc).__name__}: {exc}", "-", STATUS_FAIL
+        rows.append(VerificationRow(claim, *fields))
     return sorted(rows, key=lambda r: r.claim)
 
 

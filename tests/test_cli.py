@@ -75,6 +75,14 @@ def test_unknown_scope_rejected():
         collect_rows("s3")
 
 
+def test_all_scope_is_the_union_of_the_others():
+    parts = {scope: collect_rows(scope) for scope in ("s1", "s2", "surface")}
+    assert [len(rows) for rows in parts.values()] == [11, 11, 7]
+    union = sorted((r for rows in parts.values() for r in rows), key=lambda r: r.claim)
+    assert collect_rows("all") == union
+    assert len({r.claim for r in union}) == 29
+
+
 def test_corrupted_parameter_matrix_fails(monkeypatch):
     rows = iis.SYSTEM_MATRIX["s1"].to_rows()
     rows[0][0] = 4
@@ -85,6 +93,10 @@ def test_corrupted_parameter_matrix_fails(monkeypatch):
     assert "s1.01-char-poly" in failed
     assert "s1.04-parameter-identities" in failed
     assert len(failed) >= 5
+    # a builder that raises leaves an error row under its claim
+    row = next(r for r in out if r.claim == "s1.06-coverage")
+    assert (row.recorded, row.tolerance) == ("-", "-")
+    assert row.computed.startswith("error: InvalidSystem")
     assert main(["verify", "--scope", "s1"]) == 1
 
 
