@@ -627,7 +627,12 @@ def _rips_step_tracked(x):
 def rips_step(x):
     """One machine iteration: collapse the free subarc with the leftmost
     left endpoint on the lowest arc, then merge band chains, then delete
-    dead support.  Returns (new complex, move log)."""
+    dead support.  Returns (new complex, move log).
+
+    The lowest arc is the one of least index that carries a free
+    subarc.  Index order is position order only on a normal complex,
+    which `complex_from_iis` and every machine step produce; `run rips`
+    and `detect_rips_cycle` normalize any other start complex first."""
     x3, _, _, log = _rips_step_tracked(x)
     return x3, log
 
@@ -642,15 +647,6 @@ def combinatorial_signature(x):
     deliberately excluded, and no field element is compared."""
     breaks, _, spans = segmentation(x)
     return (tuple(len(pts) - 1 for pts in breaks), spans)
-
-
-def _state(cx):
-    return {
-        "complex": cx,
-        "sig": combinatorial_signature(cx),
-        "params": segment_values(cx),
-        "lengths": [b.length for b in cx.bands],
-    }
 
 
 @dataclass
@@ -670,41 +666,46 @@ class CycleReport:
 
 
 def detect_rips_cycle(x, max_steps):
-    """Run the machine until some state is combinatorially isomorphic to
-    an earlier one with every segment length scaled by one common exact
-    factor below 1.  The report carries the integer period matrices for
+    """Normalize x, then run the machine until some state is
+    combinatorially isomorphic to an earlier one with every segment
+    length scaled by one common exact factor below 1 (see `rips_cycle`)."""
+
+    def run():
+        cur = _normalized(x)
+        yield cur, None, None
+        for t in range(1, max_steps + 1):
+            try:
+                cur, u, v, _ = _rips_step_tracked(cur)
+            except Halted:
+                raise NotFound(f"machine halted after {t - 1} steps without a cycle")
+            yield cur, u, v
+
+    return rips_cycle(run())
+
+
+def rips_cycle(run):
+    """The first cycle on a recorded machine run: `run` yields the start
+    complex, then (complex, u, v) of each step, taken only as far as
+    the cycle.  The report carries the integer period matrices for
     segment lengths (width_matrix) and band lengths (length_matrix)."""
-    cur = _normalized(x)
-    states = [_state(cur)]
-    by_sig = {states[0]["sig"]: [0]}
-    u_steps = []
-    v_steps = []
-    for t in range(1, max_steps + 1):
-        try:
-            cur, u, v, _ = _rips_step_tracked(cur)
-        except Halted:
-            raise NotFound(f"machine halted after {t - 1} steps without a cycle")
-        u_steps.append(u)
-        v_steps.append(v)
-        state = _state(cur)
-        states.append(state)
-        earlier = by_sig.setdefault(state["sig"], [])
+    states = []
+    by_sig = {}
+    for t, (cur, u, v) in enumerate(run):
+        pt, lt = segment_values(cur), [b.length for b in cur.bands]
+        states.append((cur, pt, lt, u, v))
+        earlier = by_sig.setdefault(combinatorial_signature(cur), [])
         for s in earlier:
-            ps, pt = states[s]["params"], state["params"]
+            start, ps, ls = states[s][:3]
             if not ps:
                 continue
             k = pt[0] / ps[0]
-            if not all(b == k * a for a, b in zip(ps, pt)):
+            if not all(b == k * a for a, b in zip(ps, pt)) or not 0 < k < 1:
                 continue
-            if not 0 < k < 1:
-                continue
-            u_period = _unit_rows(len(ps))
-            for i in range(s, t):
-                u_period = _mat_mul(u_steps[i], u_period)
-            v_period = _unit_rows(len(states[s]["lengths"]))
-            for i in range(s, t):
-                v_period = _mat_mul(v_steps[i], v_period)
-            _audit_cycle(u_period, ps, pt, v_period, states[s]["lengths"], state["lengths"])
+            u_period, v_period = _unit_rows(len(ps)), _unit_rows(len(ls))
+            for _, _, _, u_i, v_i in states[s + 1 :]:
+                u_period = _mat_mul(u_i, u_period)
+                v_period = _mat_mul(v_i, v_period)
+            _audit_cycle(u_period, ps, pt, v_period, ls, lt)
             return CycleReport(
                 prefix_steps=s,
                 period_steps=t - s,
@@ -713,14 +714,14 @@ def detect_rips_cycle(x, max_steps):
                 length_matrix=RatMatrix.from_rows(v_period),
                 params_start=ps,
                 params_end=pt,
-                lengths_start=states[s]["lengths"],
-                lengths_end=state["lengths"],
-                complex_start=states[s]["complex"],
-                complex_end=state["complex"],
-                phases=tuple(st["complex"] for st in states[s : t + 1]),
+                lengths_start=ls,
+                lengths_end=lt,
+                complex_start=start,
+                complex_end=cur,
+                phases=tuple(st[0] for st in states[s:]),
             )
         earlier.append(t)
-    raise NotFound(f"no cycle within {max_steps} machine steps")
+    raise NotFound(f"no cycle within {len(states) - 1} machine steps")
 
 
 def _audit_cycle(width_rows, params_start, params_end, length_rows, lengths_start, lengths_end):
@@ -741,15 +742,20 @@ def _audit_cycle(width_rows, params_start, params_end, length_rows, lengths_star
             raise AuditError("length matrix does not reproduce the band lengths")
 
 
+def one_end_product(contraction, length_matrix, eps=Fraction(1, 10**9)):
+    """Exact rational intervals (lo, hi) around contraction times the
+    Perron root of the length matrix, and (m_lo, m_hi) around the root:
+    a negative lower bound of the contraction's enclosure counts as 0."""
+    c_lo, c_hi = contraction.enclosure(Fraction(eps))
+    m_lo, m_hi = perron_root_interval(length_matrix, Fraction(eps))
+    return (max(c_lo, Fraction(0)) * m_lo, c_hi * m_hi), (m_lo, m_hi)
+
+
 def one_end_criterion(report, eps=Fraction(1, 10**9)):
     """Certified test that contraction times the Perron root of the
     length matrix is below 1.  Returns (bool, (lo, hi)) with an exact
     rational interval around the product."""
-    c_lo, c_hi = report.contraction.enclosure(Fraction(eps))
-    m_lo, m_hi = perron_root_interval(report.length_matrix, Fraction(eps))
-    if c_lo < 0:
-        c_lo = Fraction(0)
-    lo, hi = c_lo * m_lo, c_hi * m_hi
+    (lo, hi), _ = one_end_product(report.contraction, report.length_matrix, eps)
     return hi < 1, (lo, hi)
 
 

@@ -2,9 +2,11 @@
 
 Three commands: `verify` re-derives every recorded number and identity
 and exits nonzero on any mismatch; `run` drives the induction or the
-band reduction step by step with optional JSON/SVG artifacts per step;
-`section` traces plane sections of a bundled surface and reports the
-per-level census.  Exit codes: 0 success, 1 verification failures,
+band reduction step by step with optional JSON/SVG artifacts per step
+and reads its report off that one run (`run rips` normalizes a JSON
+complex before step 0, so every printed state is normal); `section`
+traces plane sections of a bundled surface and reports the per-level
+census.  Exit codes: 0 success, 1 verification failures,
 2 usage or internal error, 3 a runner stopped early (no admissible
 move / machine halted).
 """
@@ -15,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .bands import complex_from_iis, detect_rips_cycle, one_end_criterion, rips_step
+from . import bands
 from .errors import (
     AmbiguousMove,
     Halted,
@@ -74,114 +76,106 @@ def _load_spec(path, kind):
 
 def _system_for(kind, spec):
     s = build_system(spec) if spec in ("s1", "s2") else _load_spec(spec, kind)
-    return complex_from_iis(s) if kind == "rips" and isinstance(s, IIS) else s
+    if kind == "rips":
+        return bands._normalized(bands.complex_from_iis(s) if isinstance(s, IIS) else s)
+    return s
 
 
-def _emit_state(n, to_json, to_svg, emit_dir, svg_dir):
+def _emit_state(n, x, to_json, to_svg, emit_dir, svg_dir):
     if emit_dir:
         with open(os.path.join(emit_dir, f"step_{n:03d}.json"), "w") as fh:
-            json.dump(to_json(), fh, indent=1)
+            json.dump(to_json(x), fh, indent=1)
     if svg_dir:
         with open(os.path.join(svg_dir, f"step_{n:03d}.svg"), "w") as fh:
-            fh.write(to_svg())
+            fh.write(to_svg(x))
 
 
-def _print_moves(n, moves):
-    for m in moves:
-        detail = " ".join(f"{k}={v}" for k, v in m.items() if k != "move")
-        print(f"  step {n:3d}  {m['move']:<9} {detail}")
+def _rauzy_step(s):
+    s, moves = rauzy_step(s, RIGHT)
+    return s, None, None, moves
 
 
-def _write_summary(emit_dir, payload):
+def _rauzy_report(run, logs, cut, summary):
+    """The first scaled return of the start system along the run."""
+    for n in range(1, len(run)):
+        hit = affine_match(run[0][0], run[n][0])
+        if hit is not None:
+            report = SimilarityReport(n, *hit, tuple(m for ms in logs[:n] for m in ms))
+            print(
+                f"similarity report: period {report.period}, contraction "
+                f"{_decimal(report.contraction)}, translation "
+                f"{_decimal(report.translation)}"
+            )
+            summary["similarity"] = similarity_report_to_json(report)
+            return
+    if not cut:
+        print(f"no scaled return within {len(logs)} steps")
+
+
+def _rips_report(run, logs, cut, summary):
+    """The cycle test and the one-end criterion on the run as printed."""
+    if cut or not logs:
+        return
+    try:
+        rep = bands.rips_cycle(run)
+    except NotFound as exc:
+        print(str(exc))
+        return
+    ok, (lo, hi) = bands.one_end_criterion(rep)
+    print(
+        f"cycle report: prefix {rep.prefix_steps}, period "
+        f"{rep.period_steps}, contraction {_decimal(rep.contraction)}"
+    )
+    print(
+        f"contraction x length growth in [{float(lo):.6f}, "
+        f"{float(hi):.6f}]{' < 1' if ok else ''}"
+    )
+    summary["cycle"] = cycle_report_to_json(rep)
+
+
+# kind: (step returning (state, u, v, moves), JSON writer, SVG writer,
+# stop exceptions, word for a stop, word for a step, report reader)
+_RUNNERS = {
+    "rauzy": (
+        _rauzy_step, iis_to_json, lambda s: complex_svg(bands.complex_from_iis(s)),
+        (NoAdmissibleMove, AmbiguousMove), "stopped", "induction", _rauzy_report,
+    ),
+    "rips": (
+        # looked up per call, so a wrapped or patched machine step is the one run
+        lambda x: bands._rips_step_tracked(x), complex_to_json, complex_svg,
+        Halted, "halted", "machine", _rips_report,
+    ),
+}
+
+
+def _run_steps(kind, x, steps, emit_dir, svg_dir):
+    """Step the machine up to `steps` times, printing the moves and
+    writing each state, then read the kind's report off that one run:
+    (state, u, v) per state, the start first; u and v are the machine's
+    transition matrices and None for the induction."""
+    step, to_json, to_svg, stop, stopped, noun, report = _RUNNERS[kind]
+    run, logs = [(x, None, None)], []
+    _emit_state(0, x, to_json, to_svg, emit_dir, svg_dir)
+    for n in range(1, steps + 1):
+        try:
+            x, u, v, moves = step(x)
+        except stop as exc:
+            print(f"{stopped} before step {n}: {exc}")
+            break
+        run.append((x, u, v))
+        logs.append(moves)
+        for m in moves:
+            detail = " ".join(f"{key}={val}" for key, val in m.items() if key != "move")
+            print(f"  step {n:3d}  {m['move']:<9} {detail}")
+        _emit_state(n, x, to_json, to_svg, emit_dir, svg_dir)
+    print(f"{len(logs)} {noun} steps completed")
+    summary = {"kind": kind, "steps": len(logs), "move_log": [m for ms in logs for m in ms]}
+    cut = len(logs) < steps
+    report(run, logs, cut, summary)
     if emit_dir:
         with open(os.path.join(emit_dir, "summary.json"), "w") as fh:
-            json.dump(payload, fh, indent=1)
-
-
-def _run_rauzy(s, steps, emit_dir, svg_dir):
-    start = s
-    log = []
-    report = None
-    _emit_state(
-        0, lambda: iis_to_json(s), lambda: complex_svg(complex_from_iis(s)),
-        emit_dir, svg_dir,
-    )
-    code = 0
-    done = 0
-    for n in range(1, steps + 1):
-        try:
-            s, moves = rauzy_step(s, RIGHT, with_log=True)
-        except (NoAdmissibleMove, AmbiguousMove) as exc:
-            print(f"stopped before step {n}: {exc}")
-            code = 3
-            break
-        log.extend(moves)
-        done = n
-        _print_moves(n, moves)
-        _emit_state(
-            n, lambda s=s: iis_to_json(s),
-            lambda s=s: complex_svg(complex_from_iis(s)), emit_dir, svg_dir,
-        )
-        if report is None:
-            hit = affine_match(start, s)
-            if hit is not None:
-                k, t = hit
-                report = SimilarityReport(n, k, t, tuple(log))
-    print(f"{done} induction steps completed")
-    summary = {"kind": "rauzy", "steps": done, "move_log": list(log)}
-    if report is not None:
-        print(
-            f"similarity report: period {report.period}, contraction "
-            f"{_decimal(report.contraction)}, translation "
-            f"{_decimal(report.translation)}"
-        )
-        summary["similarity"] = similarity_report_to_json(report)
-    elif code == 0:
-        print(f"no scaled return within {steps} steps")
-    _write_summary(emit_dir, summary)
-    return code
-
-
-def _run_rips(x, steps, emit_dir, svg_dir):
-    start = x
-    log = []
-    _emit_state(0, lambda: complex_to_json(x), lambda: complex_svg(x), emit_dir, svg_dir)
-    code = 0
-    done = 0
-    for n in range(1, steps + 1):
-        try:
-            x, moves = rips_step(x)
-        except Halted as exc:
-            print(f"halted before step {n}: {exc}")
-            code = 3
-            break
-        log.extend(moves)
-        done = n
-        _print_moves(n, moves)
-        _emit_state(
-            n, lambda x=x: complex_to_json(x), lambda x=x: complex_svg(x),
-            emit_dir, svg_dir,
-        )
-    print(f"{done} machine steps completed")
-    summary = {"kind": "rips", "steps": done, "move_log": list(log)}
-    if code == 0 and steps > 0:
-        try:
-            rep = detect_rips_cycle(start, steps)
-        except NotFound as exc:
-            print(str(exc))
-        else:
-            ok, (lo, hi) = one_end_criterion(rep)
-            print(
-                f"cycle report: prefix {rep.prefix_steps}, period "
-                f"{rep.period_steps}, contraction {_decimal(rep.contraction)}"
-            )
-            print(
-                f"contraction x length growth in [{float(lo):.6f}, "
-                f"{float(hi):.6f}]{' < 1' if ok else ''}"
-            )
-            summary["cycle"] = cycle_report_to_json(rep)
-    _write_summary(emit_dir, summary)
-    return code
+            json.dump(summary, fh, indent=1)
+    return 3 if cut else 0
 
 
 def _cmd_run(args):
@@ -190,10 +184,8 @@ def _cmd_run(args):
     for d in (args.emit_json, args.svg):
         if d:
             os.makedirs(d, exist_ok=True)
-    system = _system_for(args.kind, args.system)
-    if args.kind == "rauzy":
-        return _run_rauzy(system, args.steps, args.emit_json, args.svg)
-    return _run_rips(system, args.steps, args.emit_json, args.svg)
+    return _run_steps(args.kind, _system_for(args.kind, args.system), args.steps,
+                      args.emit_json, args.svg)
 
 
 # -- section ----------------------------------------------------------------------
@@ -297,7 +289,8 @@ def _build_parser():
     r.add_argument("kind", choices=("rauzy", "rips"))
     r.add_argument(
         "--system", required=True, metavar="s1|s2|PATH",
-        help="bundled system name or path to a serialized one",
+        help="bundled system name or path to a serialized one; run rips "
+        "normalizes a serialized complex before step 0",
     )
     r.add_argument("--steps", type=int, required=True)
     r.add_argument("--emit-json", metavar="DIR", help="write per-step JSON states")

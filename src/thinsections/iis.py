@@ -332,9 +332,9 @@ def reduce(s, side):
     return IIS(s.field, support, pairs)
 
 
-def rauzy_step(s, side, with_log=False):
+def rauzy_step(s, side):
     """Admissible transmission on `side`, then the reduction there when
-    its precondition holds."""
+    its precondition holds.  Returns (new system, move log)."""
     touchers = _end_touchers(s, side)
     if len(touchers) < 2:
         raise NoAdmissibleMove(f"need two intervals at the {side} end")
@@ -359,9 +359,7 @@ def rauzy_step(s, side, with_log=False):
         log.append({"move": "reduce", "side": side, "pair": along})
     except PreconditionFailed:
         pass
-    if with_log:
-        return out, log
-    return out
+    return out, log
 
 
 @dataclass(frozen=True)
@@ -424,7 +422,7 @@ def detect_self_similarity(s, max_steps, policy="right"):
         for cur, log in frontier:
             for side in sides:
                 try:
-                    nxt, moves = rauzy_step(cur, side, with_log=True)
+                    nxt, moves = rauzy_step(cur, side)
                 except (NoAdmissibleMove, AmbiguousMove):
                     continue
                 hit = affine_match(s, nxt)

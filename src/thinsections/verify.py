@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polynomials as P
-from .bands import complex_from_iis, detect_rips_cycle, one_end_criterion
+from .bands import complex_from_iis, detect_rips_cycle, one_end_criterion, one_end_product
 from .iis import SYSTEM_MATRIX, build_system, detect_self_similarity, system_field, system_params, validate
-from .linalg import char_poly, perron_root_interval
+from .linalg import char_poly
 from .reference import (
     LENGTH_CYCLE,
     WIDTH_CYCLE,
@@ -275,10 +275,7 @@ def _width_cycle(name):
 
 def _one_end_product(name):
     """Certify lo <= contraction * growth rate <= hi < 1 with lo > 0."""
-    eps = Fraction(1, 10**9)
-    c_lo, c_hi = cycle_contraction(name).enclosure(eps)
-    m_lo, m_hi = perron_root_interval(LENGTH_CYCLE[name], eps)
-    lo, hi = max(c_lo, Fraction(0)) * m_lo, c_hi * m_hi
+    (lo, hi), (m_lo, m_hi) = one_end_product(cycle_contraction(name), LENGTH_CYCLE[name])
     return (
         _PRODUCT_RECORDED[name],
         f"[{_frac_decimal(lo, 6)}, {_frac_decimal(hi, 6)}]",

@@ -1196,7 +1196,7 @@ def rauzy_descendants(draw):
     s = build_system(draw(st.sampled_from(["s1", "s2"])))
     for side in draw(st.lists(st.sampled_from([LEFT, RIGHT]), max_size=8)):
         try:
-            s = rauzy_step(s, side)
+            s = rauzy_step(s, side)[0]
         except (NoAdmissibleMove, AmbiguousMove):
             pass
     return s

@@ -220,6 +220,66 @@ def test_run_rips_on_overlapping_arcs(tmp_path, capsys):
     assert "2 machine steps completed" in capsys.readouterr().out
 
 
+def _swapped_arcs(x):
+    """x with its two support arcs listed in the other order."""
+    from thinsections.bands import Band, BandComplex, BandEnd
+
+    def end(e):
+        return BandEnd(1 - e.arc, e.lo, e.hi)
+
+    bands = [Band(end(b.bottom), end(b.top), b.length) for b in x.bands]
+    return BandComplex(x.field, x.supports[::-1], bands)
+
+
+def test_run_rips_reports_the_cycle_of_the_printed_run(tmp_path):
+    """A JSON complex is normalized before step 0, so the cycle report
+    names emitted states and its move log is the one printed."""
+    from thinsections.bands import _normalized, complex_from_iis, rips_step
+    from thinsections.serialize import complex_to_json
+
+    x = complex_from_iis(iis.build_system("s1"))
+    for _ in range(3):
+        x, _ = rips_step(x)
+    assert len(x.supports) == 2
+    path = tmp_path / "swapped.json"
+    swapped = _swapped_arcs(x)
+    path.write_text(json.dumps(complex_to_json(swapped)))
+    emit = tmp_path / "states"
+    assert main(["run", "rips", "--system", str(path), "--steps", "45",
+                 "--emit-json", str(emit)]) == 0
+    summary = json.loads((emit / "summary.json").read_text())
+    cycle = summary["cycle"]
+    start, period = cycle["prefix_steps"], cycle["period_steps"]
+    assert cycle["complex_start"] == json.loads((emit / f"step_{start:03d}.json").read_text())
+    assert cycle["complex_end"] == json.loads(
+        (emit / f"step_{start + period:03d}.json").read_text())
+    cur = _normalized(swapped)
+    assert json.loads((emit / "step_000.json").read_text()) == complex_to_json(cur)
+    log = []
+    for _ in range(45):
+        cur, moves = rips_step(cur)
+        log.extend(moves)
+    assert summary["move_log"] == log
+
+
+@pytest.mark.parametrize("system,steps,calls", [("s1", 45, 45), ("s2", 45, 45), ("s2", 18, 18)])
+def test_run_rips_steps_the_machine_once(monkeypatch, capsys, system, steps, calls):
+    from thinsections import bands
+
+    step = bands._rips_step_tracked
+    counted = []
+
+    def counting(x):
+        counted.append(x)
+        return step(x)
+
+    monkeypatch.setattr(bands, "_rips_step_tracked", counting)
+    assert main(["run", "rips", "--system", system, "--steps", str(steps)]) == 0
+    assert len(counted) == calls
+    out = capsys.readouterr().out
+    assert ("cycle report" in out) == (steps == 45)
+
+
 def test_run_rejects_negative_steps():
     assert main(["run", "rauzy", "--system", "s1", "--steps", "-3"]) == 2
 
