@@ -7,8 +7,9 @@ and reads its report off that one run (`run rips` normalizes a JSON
 complex before step 0, so every printed state is normal); `section`
 traces plane sections of a bundled surface and reports the per-level
 census.  Exit codes: 0 success, 1 verification failures,
-2 usage or internal error, 3 a runner stopped early (no admissible
-move / machine halted).
+2 usage or internal error (an unreadable input or an unwritable output
+path is a usage error), 3 a runner stopped early (no admissible move /
+machine halted).
 """
 
 import argparse
@@ -314,7 +315,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ThinSectionsError as exc:
+    except (ThinSectionsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error contract

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import EmptyWindow, InvalidSystem, NearSaddle, WindowTooLarge
+from .errors import EmptyWindow, InvalidSystem, NearSaddle, PreconditionFailed, WindowTooLarge
 from .surface import _floor_towards
 
 __all__ = [
@@ -257,9 +257,12 @@ def sample_levels(surface, count, seed, R, eps=DEFAULT_EPS):
     """Deterministic section levels over one x2-period, resampled away from
     tangency faces so trace_section accepts every one of them.
 
-    Raises NearSaddle when _DRAWS_PER_LEVEL draws in a row all fall within
-    the guard of a tangency face of some translate in the window.
+    Raises PreconditionFailed when seed is negative, and NearSaddle when
+    _DRAWS_PER_LEVEL draws in a row all fall within the guard of a
+    tangency face of some translate in the window.
     """
+    if seed < 0:
+        raise PreconditionFailed(f"seed ({seed}) must be >= 0")
     R = _window_radius(R)
     rng = np.random.default_rng(seed)
     period = float(surface.plate_period)

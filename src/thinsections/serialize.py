@@ -7,35 +7,31 @@ array, lowest degree first, otherwise.  A standalone field element
 carries its field inline: {"modulus": [...], "root_interval": [lo, hi],
 "poly": [...]}.
 
-Every loader goes back through the ordinary constructors, so reading an
-artifact re-runs the same validation as building the object in process;
-a hand-edited file that breaks an invariant fails to load.
+Two documents are read back, the inputs `--system` takes: systems and
+band complexes.  Their loaders go back through the ordinary
+constructors, so reading one re-runs the same validation as building
+the object in process; a hand-edited file that breaks an invariant
+fails to load.  Cycle reports, similarity reports and section
+components are written only.
 """
 
 from fractions import Fraction
 
 from . import polynomials as P
-from .bands import Band, BandComplex, BandEnd, CycleReport, SupportArc, _audit_cycle
-from .errors import AuditError
+from .bands import Band, BandComplex, BandEnd, SupportArc
 from .iis import IIS, IntervalPair
-from .linalg import RatMatrix
 from .numberfield import NumberField
-from .sections import WINDOW_CLASSES, SectionComponent
 
 __all__ = [
     "complex_from_json",
     "complex_to_json",
-    "components_from_json",
     "components_to_json",
-    "cycle_report_from_json",
     "cycle_report_to_json",
-    "element_from_json",
     "element_to_json",
     "field_from_json",
     "field_to_json",
     "iis_from_json",
     "iis_to_json",
-    "matrix_from_json",
     "matrix_to_json",
     "poly_from_json",
     "poly_to_json",
@@ -59,12 +55,6 @@ def matrix_to_json(m):
     return [[_frac_str(e) for e in m.row(i)] for i in range(m.rows)]
 
 
-def matrix_from_json(rows):
-    if len({len(row) for row in rows}) > 1:
-        raise AuditError("matrix rows differ in length")
-    return RatMatrix.from_rows([[Fraction(s) for s in row] for row in rows])
-
-
 def field_to_json(field):
     lo, hi = field.root_interval
     return {
@@ -73,18 +63,10 @@ def field_to_json(field):
     }
 
 
-def field_from_json(obj, like=None):
-    """Rebuild a field, reusing `like` when it is the same field.
-
-    Reuse keeps deserialized elements interoperable with an already
-    refined in-process field and skips re-validation.
-    """
+def field_from_json(obj):
     modulus = poly_from_json(obj["modulus"])
     lo, hi = (Fraction(s) for s in obj["root_interval"])
-    rebuilt = NumberField(modulus, (lo, hi))
-    if like is not None and like == rebuilt:
-        return like
-    return rebuilt
+    return NumberField(modulus, (lo, hi))
 
 
 def value_to_json(x):
@@ -106,11 +88,6 @@ def element_to_json(x):
     return out
 
 
-def element_from_json(obj, like=None):
-    field = field_from_json(obj, like)
-    return field.element(poly_from_json(obj["poly"]))
-
-
 # -- interval identification systems ------------------------------------------------
 
 
@@ -128,8 +105,8 @@ def iis_to_json(s):
     }
 
 
-def iis_from_json(obj, like=None):
-    field = field_from_json(obj["field"], like)
+def iis_from_json(obj):
+    field = field_from_json(obj["field"])
     support = tuple(value_from_json(v, field) for v in obj["support"])
     pairs = [
         IntervalPair(
@@ -173,8 +150,8 @@ def complex_to_json(x):
     }
 
 
-def complex_from_json(obj, like=None):
-    field = field_from_json(obj["field"], like)
+def complex_from_json(obj):
+    field = field_from_json(obj["field"])
 
     def end(e):
         lo, hi = (value_from_json(v, field) for v in e["interval"])
@@ -209,43 +186,6 @@ def cycle_report_to_json(rep):
     }
 
 
-def cycle_report_from_json(obj, like=None):
-    """Rebuild a cycle report and re-check its defining identities."""
-    field = field_from_json(obj["field"], like)
-    start = complex_from_json(obj["complex_start"], field)
-    end = complex_from_json(obj["complex_end"], field)
-    contraction = value_from_json_or_element(obj["contraction"], field)
-    wm = matrix_from_json(obj["width_matrix"])
-    lm = matrix_from_json(obj["length_matrix"])
-    ps = [value_from_json(v, field) for v in obj["params_start"]]
-    pt = [value_from_json(v, field) for v in obj["params_end"]]
-    ls = [Fraction(s) for s in obj["lengths_start"]]
-    lt = [Fraction(s) for s in obj["lengths_end"]]
-    _audit_cycle(wm.to_rows(), ps, pt, lm.to_rows(), ls, lt)
-    if pt != [contraction * a for a in ps]:
-        raise AuditError("stored contraction does not scale the values")
-    return CycleReport(
-        prefix_steps=obj["prefix_steps"],
-        period_steps=obj["period_steps"],
-        contraction=contraction,
-        width_matrix=wm,
-        length_matrix=lm,
-        params_start=ps,
-        params_end=pt,
-        lengths_start=ls,
-        lengths_end=lt,
-        complex_start=start,
-        complex_end=end,
-    )
-
-
-def value_from_json_or_element(v, field):
-    """Accept either the in-context form or a standalone element."""
-    if isinstance(v, dict):
-        return element_from_json(v, field)
-    return value_from_json(v, field)
-
-
 # -- traced sections -----------------------------------------------------------------
 
 
@@ -257,17 +197,3 @@ def components_to_json(components):
         }
         for c in components
     ]
-
-
-def components_from_json(arr):
-    out = []
-    for c in arr:
-        if c["window_class"] not in WINDOW_CLASSES:
-            raise AuditError(f"unknown window class {c['window_class']!r}")
-        polylines = tuple(
-            tuple((float(x), float(z)) for x, z in pl) for pl in c["polylines"]
-        )
-        if any(len(pl) < 2 for pl in polylines):
-            raise AuditError("polyline with fewer than two points")
-        out.append(SectionComponent(polylines, c["window_class"]))
-    return tuple(out)

@@ -53,8 +53,7 @@ from thinsections.iis import (
     system_params)
 from thinsections.linalg import RatMatrix, char_poly, mat_over_field, perron_root_interval
 from thinsections.numberfield import rational_field
-from thinsections.serialize import (
-    complex_from_json, complex_to_json, cycle_report_from_json, cycle_report_to_json)
+from thinsections.serialize import complex_from_json, complex_to_json
 
 
 @pytest.fixture(scope="module")
@@ -1212,9 +1211,6 @@ def test_rauzy_descendants_cycle_and_are_one_ended(s):
         built = _recording_arranged(mp)
         rep = detect_rips_cycle(complex_from_iis(s), 80)
     assert one_end_criterion(rep)[0]
-    # loading re-runs the period audits and the contraction check
-    doc = cycle_report_to_json(rep)
-    assert cycle_report_to_json(cycle_report_from_json(doc)) == doc
     _check_derived(built)
 
 

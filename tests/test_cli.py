@@ -10,7 +10,7 @@ import pytest
 from thinsections import iis
 from thinsections.cli import main
 from thinsections.linalg import RatMatrix
-from thinsections.serialize import cycle_report_from_json, iis_from_json
+from thinsections.serialize import iis_from_json
 from thinsections.verify import STATUS_APPROX, STATUS_EXACT, collect_rows, summarize
 
 
@@ -168,8 +168,8 @@ def test_run_rips_cycle_summary(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cycle report: prefix 5, period 13" in out
     summary = json.loads((emit / "summary.json").read_text())
-    rep = cycle_report_from_json(summary["cycle"])
-    assert (rep.prefix_steps, rep.period_steps) == (5, 13)
+    cycle = summary["cycle"]
+    assert (cycle["prefix_steps"], cycle["period_steps"]) == (5, 13)
 
 
 def test_run_rips_zero_steps(tmp_path):
@@ -317,6 +317,19 @@ def test_run_rips_rejects_unknown_arc(tmp_path, capsys, arc):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["section", "--example", "1", "--level", "0.13", "--radius", "3", "--svg", "{missing}/x.svg"],
+    ["section", "--example", "1", "--level", "0.13", "--radius", "3", "--json", "{missing}/x.json"],
+    ["run", "rips", "--system", "s1", "--steps", "0", "--emit-json", "{file}"],
+], ids=["section-svg", "section-json", "run-emit-json-on-a-file"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = [a.format(missing=tmp_path / "missing", file=file) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- section command -----------------------------------------------------------------
 
 
@@ -384,6 +397,12 @@ def test_section_rejects_fewer_than_one_level(capsys):
         assert main(["section", "--example", "1", "--levels", n, "--radius", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--levels" in err
+
+
+def test_section_rejects_a_negative_seed(capsys):
+    argv = ["section", "--example", "1", "--levels", "1", "--radius", "5", "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: seed (-1) must be >= 0")
 
 
 def test_section_at_a_far_level(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from thinsections import _kernels, iis, polynomials as P, sections
-from thinsections.errors import EmptyWindow, NearSaddle, WindowTooLarge
+from thinsections.errors import EmptyWindow, NearSaddle, PreconditionFailed, WindowTooLarge
 from thinsections.iis import system_params
 from thinsections.sections import (
     MAX_RADIUS,
@@ -53,6 +53,11 @@ def test_radius_above_the_limit_rejected_before_emitting(ex1, refuse_to_emit):
     assert sections._window_radius(MAX_RADIUS) == MAX_RADIUS
     with pytest.raises(AssertionError, match="was built"):
         trace_section(ex1, 0.1, MAX_RADIUS)
+
+
+def test_negative_seed_rejected(ex1):
+    with pytest.raises(PreconditionFailed):
+        sample_levels(ex1, 1, -1, 5.0)
 
 
 def test_tiny_window_is_empty(ex1):
