@@ -11,7 +11,7 @@ from .numberfield import (  # noqa: F401
     minimal_field,
     rational_field,
 )
-from .linalg import RatMatrix, char_poly, eigen_kernel, perron_root  # noqa: F401
+from .linalg import char_poly, eigen_kernel  # noqa: F401
 from .iis import (  # noqa: F401
     IIS,
     IntervalPair,

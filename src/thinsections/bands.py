@@ -53,7 +53,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .iis import OrbitChart
-from .linalg import RatMatrix, perron_root_interval
+from .linalg import perron_root_interval
 from .numberfield import common_denominator, dot_minus
 
 orbit_neighbors = OrbitChart.neighbors
@@ -654,8 +654,8 @@ class CycleReport:
     prefix_steps: int
     period_steps: int
     contraction: object
-    width_matrix: RatMatrix
-    length_matrix: RatMatrix
+    width_matrix: tuple
+    length_matrix: tuple
     params_start: list
     params_end: list
     lengths_start: list
@@ -710,8 +710,8 @@ def rips_cycle(run):
                 prefix_steps=s,
                 period_steps=t - s,
                 contraction=k,
-                width_matrix=RatMatrix.from_rows(u_period),
-                length_matrix=RatMatrix.from_rows(v_period),
+                width_matrix=tuple(map(tuple, u_period)),
+                length_matrix=tuple(map(tuple, v_period)),
                 params_start=ps,
                 params_end=pt,
                 lengths_start=ls,

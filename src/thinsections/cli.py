@@ -13,6 +13,7 @@ machine halted).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -195,8 +196,6 @@ def _cmd_run(args):
 def _cmd_section(args):
     if args.level is None and args.levels < 1:
         raise ThinSectionsError("--levels must be >= 1")
-    surface = build_surface(args.example)
-    R = args.radius
     explicit = args.level is not None
     if explicit:
         try:
@@ -204,67 +203,72 @@ def _cmd_section(args):
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ThinSectionsError(
                 f"--level {args.level!r}: not a list of finite numbers") from None
-    else:
-        levels = sample_levels(surface, args.levels, args.seed, R)
-        print(f"sampled {len(levels)} levels with seed {args.seed}")
-    per_level = []
-    skipped = []
-    first = None
-    for lv in levels:
-        try:
-            comps = trace_section(surface, lv, R)
-        except NearSaddle as exc:
-            skipped.append({"level": lv, "reason": str(exc)})
-            print(f"level {lv:.9f}: skipped, too close to a tangency height")
-            continue
-        census = component_census(comps)
-        entry = {"level": lv, "census": census}
-        if explicit:
-            entry["components"] = components_to_json(comps)
-        per_level.append(entry)
-        if first is None:
-            first = comps
-        print(
-            f"level {lv:.9f}: {sum(census.values())} components "
-            f"(spanning {census['spanning']}, boundary-clipped "
-            f"{census['boundary-clipped']}, closed {census['closed']})"
-        )
-    histogram = {}
-    for entry in per_level:
-        n = entry["census"]["spanning"]
-        histogram[n] = histogram.get(n, 0) + 1
-    traced = len(per_level)
-    aggregate = {
-        "traced": traced,
-        "skipped": len(skipped),
-        "spanning_histogram": {str(k): histogram[k] for k in sorted(histogram)},
-        "fraction_single_spanning": (
-            histogram.get(1, 0) / traced if traced else 0.0
-        ),
-        "closed_total": sum(e["census"]["closed"] for e in per_level),
-    }
-    print(
-        f"aggregate: spanning histogram {aggregate['spanning_histogram']}, "
-        f"single-spanning fraction {aggregate['fraction_single_spanning']:.3f}, "
-        f"closed total {aggregate['closed_total']}"
-    )
-    if args.json:
-        payload = {
-            "example": args.example,
-            "radius": R,
-            "seed": None if explicit else args.seed,
-            "levels": per_level,
-            "skipped": skipped,
-            "aggregate": aggregate,
+    with contextlib.ExitStack() as stack:
+        # open the outputs first, so a bad path fails before any level is traced
+        json_fh, svg_fh = (stack.enter_context(open(path, "w")) if path else None
+                           for path in (args.json, args.svg))
+        surface = build_surface(args.example)
+        R = args.radius
+        if not explicit:
+            levels = sample_levels(surface, args.levels, args.seed, R)
+            print(f"sampled {len(levels)} levels with seed {args.seed}")
+        per_level = []
+        skipped = []
+        first = None
+        for lv in levels:
+            try:
+                comps = trace_section(surface, lv, R)
+            except NearSaddle as exc:
+                skipped.append({"level": lv, "reason": str(exc)})
+                print(f"level {lv:.9f}: skipped, too close to a tangency height")
+                continue
+            census = component_census(comps)
+            entry = {"level": lv, "census": census}
+            if explicit:
+                entry["components"] = components_to_json(comps)
+            per_level.append(entry)
+            if first is None:
+                first = comps
+            print(
+                f"level {lv:.9f}: {sum(census.values())} components "
+                f"(spanning {census['spanning']}, boundary-clipped "
+                f"{census['boundary-clipped']}, closed {census['closed']})"
+            )
+        histogram = {}
+        for entry in per_level:
+            n = entry["census"]["spanning"]
+            histogram[n] = histogram.get(n, 0) + 1
+        traced = len(per_level)
+        aggregate = {
+            "traced": traced,
+            "skipped": len(skipped),
+            "spanning_histogram": {str(k): histogram[k] for k in sorted(histogram)},
+            "fraction_single_spanning": (
+                histogram.get(1, 0) / traced if traced else 0.0
+            ),
+            "closed_total": sum(e["census"]["closed"] for e in per_level),
         }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=1)
-    if args.svg:
-        if first is None:
-            print("no traced level; skipping the SVG", file=sys.stderr)
-        else:
-            with open(args.svg, "w") as fh:
-                fh.write(section_svg(first, R))
+        print(
+            f"aggregate: spanning histogram {aggregate['spanning_histogram']}, "
+            f"single-spanning fraction {aggregate['fraction_single_spanning']:.3f}, "
+            f"closed total {aggregate['closed_total']}"
+        )
+        if json_fh:
+            payload = {
+                "example": args.example,
+                "radius": R,
+                "seed": None if explicit else args.seed,
+                "levels": per_level,
+                "skipped": skipped,
+                "aggregate": aggregate,
+            }
+            json.dump(payload, json_fh, indent=1)
+        if svg_fh:
+            if first is None:
+                os.remove(args.svg)
+                print("no traced level; skipping the SVG", file=sys.stderr)
+            else:
+                svg_fh.write(section_svg(first, R))
     return 0
 
 

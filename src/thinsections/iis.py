@@ -47,7 +47,7 @@ from .errors import (
     PreconditionFailed,
     SelfTransmission,
 )
-from .linalg import RatMatrix, char_poly, eigen_kernel
+from .linalg import char_poly, eigen_kernel
 from .numberfield import FIXED_BITS, minimal_field
 
 LEFT = "left"
@@ -57,17 +57,13 @@ RIGHT = "right"
 # unique real eigenvalue in (0, 1); the eigenvector coordinates with
 # unit sum of the first three entries are the interval lengths.
 SYSTEM_MATRIX = {
-    "s1": RatMatrix.from_rows(
-        [[3, 1, -1, -4], [-1, 2, 0, 0], [-2, -2, 1, 4], [3, 2, -1, -5]]
-    ),
-    "s2": RatMatrix.from_rows(
-        [
-            [-2, 2, 1, 0, 1],
-            [2, -5, -2, 3, -2],
-            [1, 0, 0, -1, 0],
-            [1, -2, -1, 1, 0],
-            [0, -2, -2, 3, -2],
-        ]
+    "s1": ((3, 1, -1, -4), (-1, 2, 0, 0), (-2, -2, 1, 4), (3, 2, -1, -5)),
+    "s2": (
+        (-2, 2, 1, 0, 1),
+        (2, -5, -2, 3, -2),
+        (1, 0, 0, -1, 0),
+        (1, -2, -1, 1, 0),
+        (0, -2, -2, 3, -2),
     ),
 }
 
@@ -396,28 +392,24 @@ def affine_match(base, other):
     return k, o0 - k * b0
 
 
-_SCHEDULES = {RIGHT: (RIGHT,), LEFT: (LEFT,), "alternate-rl": (RIGHT, LEFT),
-              "alternate-lr": (LEFT, RIGHT), "search": None}
-
-
 def detect_self_similarity(s, max_steps, policy="right"):
     """Search induction schedules for an exact scaled return.
 
-    policy: "right" / "left" (fixed side), "alternate-rl" / "alternate-lr",
-    or "search" (breadth-first over all side sequences, deduplicating
-    states).  Returns a SimilarityReport, or None when no schedule of at
-    most max_steps steps reproduces s up to an affine contraction.  The
+    policy: "right" (the right side at every step) or "search"
+    (breadth-first over all side sequences, deduplicating states).
+    Returns a SimilarityReport, or None when no schedule of at most
+    max_steps steps reproduces s up to an affine contraction.  The
     default is the right-handed induction, the schedule both bundled
     systems contract under; "search" can find shorter mixed-side returns.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    if policy not in _SCHEDULES:
+    if policy not in (RIGHT, "search"):
         raise ValueError(f"unknown policy {policy!r}")
-    cycle = _SCHEDULES[policy]
+    search = policy == "search"
+    sides = (RIGHT, LEFT) if search else (RIGHT,)
     frontier, seen = [(s, [])], {s.canonical_key()}
     for depth in range(1, max_steps + 1):
-        sides = (RIGHT, LEFT) if cycle is None else (cycle[(depth - 1) % len(cycle)],)
         nxt_frontier = []
         for cur, log in frontier:
             for side in sides:
@@ -428,7 +420,7 @@ def detect_self_similarity(s, max_steps, policy="right"):
                 hit = affine_match(s, nxt)
                 if hit is not None:
                     return SimilarityReport(depth, *hit, tuple(log + moves))
-                if cycle is None:
+                if search:
                     key = nxt.canonical_key()
                     if key in seen:
                         continue

@@ -1,6 +1,7 @@
 """Exact dense linear algebra over the rationals and over number fields.
 
-Matrices here are small (nothing above 5x5 in the bundled systems), so
+A matrix is a tuple of integer rows (rational entries work too).  The
+matrices are small (nothing above 11x11 in the bundled cycles), so
 everything is plain dense arithmetic: characteristic polynomials via
 the Faddeev-LeVerrier recursion, kernels via Gaussian elimination with
 exact pivot decisions, and Perron roots via real root isolation.
@@ -14,63 +15,20 @@ from . import polynomials as P
 from .errors import NegativeEntries, NotAnEigenvalue, NotSquare
 
 
-class RatMatrix:
-    """Dense rational matrix, entries row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(Fraction(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, [x for row in rows for x in row])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def is_square(self):
-        return self.rows == self.cols
-
-    def __repr__(self):
-        return f"RatMatrix({self.to_rows()})"
+def _order(m, what):
+    """n for an n x n matrix given as rows; NotSquare otherwise."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise NotSquare(f"{what} of a non-square matrix")
+    return n
 
 
 def char_poly(m):
     """det(xI - M), exact, monic; Faddeev-LeVerrier recursion on the
     integer matrix B = D M (D the lcm of the denominators), where every
     division by k is exact, and c_k(M) = c_k(B) / D^k."""
-    if not m.is_square():
-        raise NotSquare("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    num, den = P.integer_form(m.entries)
+    n = _order(m, "characteristic polynomial")
+    num, den = P.integer_form([x for row in m for x in row])
     b = [num[i * n : (i + 1) * n] for i in range(n)]
     coeffs = [Fraction(0)] * n + [Fraction(1)]
     mk, ck = [[0] * n for _ in range(n)], 1
@@ -103,11 +61,6 @@ def bareiss_solve(rows, rhs):
     for i in reversed(range(n)):
         z[i] = (prev * a[i][n] - sum(map(operator.mul, a[i][i + 1 : n], z[i + 1 :]))) // a[i][i]
     return z, prev
-
-
-def mat_over_field(m, field):
-    """Rows of FieldElements from a rational matrix."""
-    return [[field.rational(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def kernel_basis(rows):
@@ -150,21 +103,18 @@ def kernel_basis(rows):
     return basis
 
 
-def eigen_kernel(m, mu, unit_sum_indices=None):
+def eigen_kernel(m, mu):
     """A nonzero v with (M - mu*I)v = 0, exact over mu's field.
 
-    Normalized so the designated coordinates sum to 1 (by default the
-    first min(3, n) coordinates, matching the bundled systems whose
-    eigenvectors are pinned by a unit sum of the first three entries).
-    Raises NotAnEigenvalue when the kernel is trivial; if the kernel has
-    dimension above 1 a warning is emitted and the first basis vector
-    is returned.
+    Normalized so the first min(3, n) coordinates sum to 1, matching the
+    bundled systems whose eigenvectors are pinned by a unit sum of the
+    first three entries.  Raises NotAnEigenvalue when the kernel is
+    trivial; if the kernel has dimension above 1 a warning is emitted and
+    the first basis vector is returned.
     """
-    if not m.is_square():
-        raise NotSquare("eigen kernel of a non-square matrix")
+    n = _order(m, "eigen kernel")
     field = mu.field
-    n = m.rows
-    rows = mat_over_field(m, field)
+    rows = [[field.rational(x) for x in row] for row in m]
     for i in range(n):
         rows[i][i] = rows[i][i] - mu
     basis = kernel_basis(rows)
@@ -173,26 +123,17 @@ def eigen_kernel(m, mu, unit_sum_indices=None):
     if len(basis) > 1:
         warnings.warn(f"kernel dimension {len(basis)} > 1; returning first basis vector")
     v = basis[0]
-    if unit_sum_indices is None:
-        unit_sum_indices = tuple(range(min(3, n)))
-    s = sum((v[i] for i in unit_sum_indices), field.zero)
+    s = sum(v[:3], field.zero)
     if s.is_zero():
-        raise NotAnEigenvalue("designated coordinates sum to zero; cannot normalize")
+        raise NotAnEigenvalue("first coordinates sum to zero; cannot normalize")
     inv = s.inverse()
     return [x * inv for x in v]
 
 
-def perron_root(m, eps):
-    """Rational approximation within eps of the largest real eigenvalue."""
-    lo, hi = perron_root_interval(m, eps)
-    return (lo + hi) / 2
-
-
 def perron_root_interval(m, eps):
     """Certified rational interval of width < eps around the largest real eigenvalue."""
-    if not m.is_square():
-        raise NotSquare("Perron root of a non-square matrix")
-    if any(e < 0 for e in m.entries):
+    _order(m, "Perron root")
+    if any(e < 0 for row in m for e in row):
         raise NegativeEntries("matrix must be entrywise nonnegative")
     eps = Fraction(eps)
     cp = char_poly(m)

@@ -7,6 +7,7 @@ element.  This module records that data in exact form: the integer
 matrices taking the defining parameters to the stage parameters, the
 per-cycle width and length transition matrices, the stage parameters as
 explicit polynomials in the cubic generator, and the stage band lengths.
+Each matrix is a tuple of integer rows.
 
 Nothing here feeds the reduction machinery in :mod:`thinsections.bands`;
 the detector finds cycles from scratch.  These tables exist so the
@@ -25,7 +26,6 @@ in the vectors because the cycle matrices act on widths and gaps jointly.
 from fractions import Fraction
 
 from .iis import system_field, system_params
-from .linalg import RatMatrix
 
 __all__ = [
     "LENGTH_CYCLE",
@@ -50,52 +50,42 @@ STAGE_ENTRY_MAPS = {
         # vector exactly (it would force the third intermediate width to
         # zero); (2, -1, 0, -2) restores the chain, reproducing all five
         # stage polynomials below.
-        RatMatrix.from_rows(
-            [[-4, 4, 1, 2], [-1, 2, 0, 0], [2, -1, 0, -2], [-1, 3, 0, -1]]
-        ),
-        RatMatrix.from_rows(
-            [[1, -1, -1, 0], [-1, 0, 2, 2], [0, 1, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]]
-        ),
+        ((-4, 4, 1, 2), (-1, 2, 0, 0), (2, -1, 0, -2), (-1, 3, 0, -1)),
+        ((1, -1, -1, 0), (-1, 0, 2, 2), (0, 1, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)),
     ),
     "s2": (
-        RatMatrix.from_rows(
-            [
-                [5, -9, -5, 5, -5],
-                [-1, 3, 1, -2, 2],
-                [-3, 4, 2, -1, 1],
-                [5, -9, -4, 4, -3],
-                [0, -2, -2, 3, -2],
-            ]
+        (
+            (5, -9, -5, 5, -5),
+            (-1, 3, 1, -2, 2),
+            (-3, 4, 2, -1, 1),
+            (5, -9, -4, 4, -3),
+            (0, -2, -2, 3, -2),
         ),
     ),
 }
 
 # One full cycle acting on the stage vector (widths and gaps).
 WIDTH_CYCLE = {
-    "s1": RatMatrix.from_rows(
-        [
-            [8, 2, 4, -5, 0],
-            [-2, 5, 0, 2, -4],
-            [-2, -2, -1, 1, 1],
-            [4, 2, 2, -2, -1],
-            [-3, 0, -2, 2, 0],
-        ]
+    "s1": (
+        (8, 2, 4, -5, 0),
+        (-2, 5, 0, 2, -4),
+        (-2, -2, -1, 1, 1),
+        (4, 2, 2, -2, -1),
+        (-3, 0, -2, 2, 0),
     ),
-    "s2": RatMatrix.from_rows(
-        [
-            [-5, 5, 1, 1, 0],
-            [1, -2, 0, 0, 1],
-            [2, -2, -1, 0, -1],
-            [-4, 5, 1, 0, 1],
-            [-2, 1, -1, 1, 0],
-        ]
+    "s2": (
+        (-5, 5, 1, 1, 0),
+        (1, -2, 0, 0, 1),
+        (2, -2, -1, 0, -1),
+        (-4, 5, 1, 0, 1),
+        (-2, 1, -1, 1, 0),
     ),
 }
 
 # One full cycle acting on the band length vector.
 LENGTH_CYCLE = {
-    "s1": RatMatrix.from_rows([[0, 2, 1, 2], [0, 1, 0, 0], [2, 0, 4, 1], [1, 2, 4, 2]]),
-    "s2": RatMatrix.from_rows([[5, 3, 0], [4, 3, 1], [4, 2, 1]]),
+    "s1": ((0, 2, 1, 2), (0, 1, 0, 0), (2, 0, 4, 1), (1, 2, 4, 2)),
+    "s2": ((5, 3, 0), (4, 3, 1), (4, 2, 1)),
 }
 
 STAGE_LABELS = {
@@ -177,9 +167,8 @@ def entry_stage_params(name):
     vec = list(system_params(name))
     field = system_field(name)
     for m in STAGE_ENTRY_MAPS[name]:
-        rows = m.to_rows()
         vec = [
             sum((field.rational(q) * x for q, x in zip(row, vec)), field.zero)
-            for row in rows
+            for row in m
         ]
     return tuple(vec)

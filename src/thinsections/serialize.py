@@ -52,7 +52,7 @@ def poly_from_json(arr):
 
 
 def matrix_to_json(m):
-    return [[_frac_str(e) for e in m.row(i)] for i in range(m.rows)]
+    return [[_frac_str(e) for e in row] for row in m]
 
 
 def field_to_json(field):

@@ -261,7 +261,7 @@ def _width_cycle(name):
     scaled = stage_params_scaled(name)
     k = cycle_contraction(name)
     res = []
-    for row, target, rec in zip(WIDTH_CYCLE[name].to_rows(), (k * x for x in stage), scaled):
+    for row, target, rec in zip(WIDTH_CYCLE[name], (k * x for x in stage), scaled):
         acc = field.zero
         for coef, val in zip(row, stage):
             acc = acc + val * coef

@@ -9,7 +9,6 @@ import pytest
 
 from thinsections import iis
 from thinsections.cli import main
-from thinsections.linalg import RatMatrix
 from thinsections.serialize import iis_from_json
 from thinsections.verify import STATUS_APPROX, STATUS_EXACT, collect_rows, summarize
 
@@ -84,9 +83,8 @@ def test_all_scope_is_the_union_of_the_others():
 
 
 def test_corrupted_parameter_matrix_fails(monkeypatch):
-    rows = iis.SYSTEM_MATRIX["s1"].to_rows()
-    rows[0][0] = 4
-    monkeypatch.setitem(iis.SYSTEM_MATRIX, "s1", RatMatrix.from_rows(rows))
+    rows = iis.SYSTEM_MATRIX["s1"]
+    monkeypatch.setitem(iis.SYSTEM_MATRIX, "s1", ((4, *rows[0][1:]), *rows[1:]))
     monkeypatch.setattr(iis, "_FIELD_CACHE", {})
     out = collect_rows("s1")
     failed = {r.claim for r in out if r.status == "fail"}
@@ -320,14 +318,18 @@ def test_run_rips_rejects_unknown_arc(tmp_path, capsys, arc):
 @pytest.mark.parametrize("argv", [
     ["section", "--example", "1", "--level", "0.13", "--radius", "3", "--svg", "{missing}/x.svg"],
     ["section", "--example", "1", "--level", "0.13", "--radius", "3", "--json", "{missing}/x.json"],
+    ["section", "--example", "1", "--levels", "2", "--radius", "5", "--svg", "{missing}/x.svg"],
     ["run", "rips", "--system", "s1", "--steps", "0", "--emit-json", "{file}"],
-], ids=["section-svg", "section-json", "run-emit-json-on-a-file"])
+], ids=["section-svg", "section-json", "section-sampled-svg", "run-emit-json-on-a-file"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     file = tmp_path / "file"
     file.write_text("")
     argv = [a.format(missing=tmp_path / "missing", file=file) for a in argv]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    # outputs are opened before any work: no level is traced first
+    assert not [line for line in out.splitlines() if line.startswith("level")]
 
 
 # -- section command -----------------------------------------------------------------

@@ -310,9 +310,10 @@ def test_rational_exchange_has_no_contraction():
     assert detect_self_similarity(s, 10, policy="search") is None
 
 
-def test_alternating_policies_do_not_close(s1):
-    assert detect_self_similarity(s1, 12, policy="alternate-rl") is None
-    assert detect_self_similarity(s1, 12, policy="alternate-lr") is None
+@pytest.mark.parametrize("policy", ["left", "alternate-rl", "bogus"])
+def test_unknown_policy_raises(s1, policy):
+    with pytest.raises(ValueError, match="unknown policy"):
+        detect_self_similarity(s1, 12, policy=policy)
 
 
 def test_mirror_conjugation(s1):

@@ -1,4 +1,4 @@
-"""Rational matrices, characteristic polynomials, exact eigenvectors."""
+"""Matrices as integer rows, characteristic polynomials, exact eigenvectors."""
 
 from fractions import Fraction
 
@@ -8,30 +8,20 @@ from hypothesis import given, settings, strategies as st
 from thinsections import polynomials as P
 from thinsections.errors import NegativeEntries, NotAnEigenvalue, NotSquare
 from thinsections.iis import SYSTEM_MATRIX, system_field
-from thinsections.linalg import (
-    RatMatrix,
-    bareiss_solve,
-    char_poly,
-    eigen_kernel,
-    mat_over_field,
-    perron_root,
-    perron_root_interval,
-)
+from thinsections.linalg import bareiss_solve, char_poly, eigen_kernel, perron_root_interval
 
 N1 = SYSTEM_MATRIX["s1"]
 N2 = SYSTEM_MATRIX["s2"]
 
 # width/length transition matrices of the two band-complex cycles
-L1 = RatMatrix.from_rows([[0, 2, 1, 2], [0, 1, 0, 0], [2, 0, 4, 1], [1, 2, 4, 2]])
-L2 = RatMatrix.from_rows([[5, 3, 0], [4, 3, 1], [4, 2, 1]])
+L1 = ((0, 2, 1, 2), (0, 1, 0, 0), (2, 0, 4, 1), (1, 2, 4, 2))
+L2 = ((5, 3, 0), (4, 3, 1), (4, 2, 1))
 
 
-def transpose(m):
-    return RatMatrix(m.cols, m.rows, [m[i, j] for j in range(m.cols) for i in range(m.rows)])
-
-
-def apply(m, vec):
-    return [sum(c * v for c, v in zip(m.row(i), vec)) for i in range(m.rows)]
+def perron_root(m, eps):
+    """Midpoint of the certified interval around the Perron root."""
+    lo, hi = perron_root_interval(m, eps)
+    return (lo + hi) / 2
 
 
 def matmul(a, b):
@@ -39,21 +29,13 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def test_matrix_basics():
-    m = RatMatrix.from_rows([[1, 2], [3, 4]])
-    assert m[(0, 1)] == 2
-    assert transpose(m).to_rows() == [[1, 3], [2, 4]]
-    v = apply(m, [Fraction(1), Fraction(1)])
-    assert v == [Fraction(3), Fraction(7)]
-
-
 def test_char_poly_frozen_values():
     assert char_poly(N1) == P.poly([-1, 5, -4, -1, 1])
     expect = P.mul(P.poly([-1, 0, 1]), P.poly([-1, 12, 8, 1]))
     assert char_poly(N2) == expect
-    assert char_poly(RatMatrix(3, 3, [0] * 9)) == P.poly([0, 0, 0, 1])
+    assert char_poly(((0,) * 3,) * 3) == P.poly([0, 0, 0, 1])
     with pytest.raises(NotSquare):
-        char_poly(RatMatrix(2, 3, [0] * 6))
+        char_poly(((0,) * 3,) * 2)
 
 
 int_entries = st.integers(min_value=-4, max_value=4)
@@ -61,11 +43,11 @@ int_entries = st.integers(min_value=-4, max_value=4)
 
 def _reference_char_poly(m):
     """Faddeev-LeVerrier on the rational matrix itself."""
-    n = m.rows
+    n = len(m)
     coeffs = [Fraction(0)] * n + [Fraction(1)]
     mk = [[Fraction(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = matmul(m.to_rows(), mk)
+        mk = matmul(m, mk)
         c = coeffs[n - k] = -sum(mk[i][i] for i in range(n)) / k
         for i in range(n):
             mk[i][i] += c
@@ -76,7 +58,7 @@ def _reference_char_poly(m):
 @given(st.integers(min_value=0, max_value=5), st.data())
 def test_char_poly_matches_rational_recursion(n, data):
     entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
-    m = RatMatrix(n, n, data.draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     assert char_poly(m) == _reference_char_poly(m)
 
 
@@ -88,11 +70,10 @@ def test_cayley_hamilton(n, data):
             st.lists(int_entries, min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
-    m = RatMatrix.from_rows(rows)
-    cp = char_poly(m)
+    cp = char_poly(rows)
     acc = [[0] * n for _ in range(n)]
     for c in reversed(cp):
-        acc = matmul(acc, m.to_rows())
+        acc = matmul(acc, rows)
         for i in range(n):
             acc[i][i] += c
     assert acc == [[0] * n for _ in range(n)]
@@ -109,7 +90,7 @@ def test_eigen_kernel_s1():
     for got, want in zip(approx, expect):
         assert abs(got - want) < 1e-6
     # exact residue: (N1 - lam I) v = 0
-    for i, row in enumerate(mat_over_field(N1, field)):
+    for i, row in enumerate(N1):
         mvi = sum((rj * vj for rj, vj in zip(row, v)), field.zero)
         assert (mvi - lam * v[i]).is_zero()
 
@@ -122,7 +103,7 @@ def test_eigen_kernel_s2():
     expect = [0.449502637, 0.294275700, 0.256221664, 0.429230670, 0.089796349]
     for got, want in zip(approx, expect):
         assert abs(got - want) < 1e-6
-    for i, row in enumerate(mat_over_field(N2, field)):
+    for i, row in enumerate(N2):
         mvi = sum((rj * vj for rj, vj in zip(row, v)), field.zero)
         assert (mvi - lam * v[i]).is_zero()
     for vi in v:
@@ -132,7 +113,7 @@ def test_eigen_kernel_s2():
 def test_eigen_kernel_identity():
     field = system_field("s1")
     with pytest.warns(UserWarning):
-        v = eigen_kernel(RatMatrix.from_rows([[1, 0], [0, 1]]), field.one, unit_sum_indices=(0, 1))
+        v = eigen_kernel(((1, 0), (0, 1)), field.one)
     assert (v[0] + v[1] - field.one).is_zero()
 
 
@@ -154,12 +135,24 @@ def test_perron_roots_of_length_matrices():
 
 
 def test_perron_root_guards():
-    eye = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert perron_root(eye, Fraction(1, 100)) == 1
     with pytest.raises(NegativeEntries):
-        perron_root(RatMatrix.from_rows([[-1]]), Fraction(1, 10))
+        perron_root(((-1,),), Fraction(1, 10))
     with pytest.raises(NotSquare):
-        perron_root(RatMatrix(2, 3, [0] * 6), Fraction(1, 10))
+        perron_root(((0,) * 3,) * 2, Fraction(1, 10))
+
+
+@pytest.mark.parametrize("rows", [((1, 2, 3), (4, 5, 6)), ((1, 2), (3,)), ((1,), (2, 3)), ((0, 1),)],
+                         ids=["2x3", "ragged-short", "ragged-long", "1x2"])
+def test_non_square_rows_raise_not_square(rows):
+    field = system_field("s1")
+    with pytest.raises(NotSquare):
+        char_poly(rows)
+    with pytest.raises(NotSquare):
+        eigen_kernel(rows, field.one)
+    with pytest.raises(NotSquare):
+        perron_root_interval(rows, Fraction(1, 10))
 
 
 def _reference_solve(mat, rhs):

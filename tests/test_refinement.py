@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from thinsections import polynomials as P
 from thinsections.errors import AuditError
 from thinsections.iis import system_field
-from thinsections.linalg import RatMatrix, char_poly, perron_root_interval
+from thinsections.linalg import char_poly, perron_root_interval
 from thinsections.numberfield import (
     _REFINE_CAP,
     FieldElement,
@@ -151,7 +151,7 @@ def _isolated():
     """(squarefree polynomial, isolating interval) of every real root of
     the cubic, the quartic and the characteristic polynomial of a
     nonnegative matrix."""
-    m = RatMatrix.from_rows([[0, 2, 1, 2], [0, 1, 0, 0], [2, 0, 4, 1], [1, 2, 4, 2]])
+    m = ((0, 2, 1, 2), (0, 1, 0, 0), (2, 0, 4, 1), (1, 2, 4, 2))
     out = []
     for p in (P.poly(CUBIC), P.poly(QUARTIC), char_poly(m)):
         q = P.squarefree_part(p)
@@ -170,7 +170,7 @@ def test_refine_root_matches_the_loop(k, width):
 
 
 def test_perron_root_interval_matches_the_loop():
-    m = RatMatrix.from_rows([[0, 2, 1, 2], [0, 1, 0, 0], [2, 0, 4, 1], [1, 2, 4, 2]])
+    m = ((0, 2, 1, 2), (0, 1, 0, 0), (2, 0, 4, 1), (1, 2, 4, 2))
     cp = char_poly(m)
     lo, hi = P.isolate_real_roots(cp)[-1]
     eps = Fraction(1, 10 ** 9)
