@@ -30,13 +30,10 @@ from .bands import (  # noqa: F401
     Band,
     BandComplex,
     SupportArc,
-    collapse_free_subarc,
     complex_from_iis,
     detect_rips_cycle,
     find_free_subarcs,
-    merge_long_bands,
     one_end_criterion,
     pruning_decay,
-    rips_step,
     support_measure,
 )

@@ -5,12 +5,12 @@ bands: rectangles whose two base intervals lie on support arcs and are
 identified by a translation.  An interval identification system turns
 into a band complex with one arc and one band per pair.
 
-The only move the machine needs on thin complexes is the collapse from
-a free subarc: a positive-measure piece of a base whose interior meets
-no other base is pushed through its band onto the other base and the
-support loses the piece.  After every collapse, chains of bands glued
-along a shared base are merged (lengths add) and support regions
-carrying no base are deleted.
+The machine has one step, `_rips_step_tracked`.  Its only move on thin
+complexes is the collapse from a free subarc: a positive-measure piece
+of a base whose interior meets no other base is pushed through its band
+onto the other base and the support loses the piece.  After every
+collapse, chains of bands glued along a shared base are merged (lengths
+add) and support regions carrying no base are deleted.
 
 All endpoints are exact field elements.  A complex's segmentation holds
 each arc's sorted breakpoints and every band end's span: the ordinals
@@ -48,8 +48,6 @@ from .errors import (
     Halted,
     InvalidSystem,
     NotFound,
-    NotFree,
-    NotMaximal,
     PreconditionFailed,
 )
 from .iis import OrbitChart
@@ -263,29 +261,24 @@ class FreeSubarc:
     arc: int
     lo: object
     hi: object
-    kind: str  # "free" or "dead"
-    band: int = -1
-    role: str = ""
-    seg: int = -1  # index in segmentation(x)'s segs
+    band: int
+    role: str
+    seg: int  # index in segmentation(x)'s segs
 
 
 def find_free_subarcs(x):
-    """Maximal positive-measure subarcs whose interior meets at most one
-    base: collapse candidates ("free", tagged with the covering base)
-    and uncovered pieces ("dead")."""
+    """The collapse candidates, by arc, then position: maximal
+    positive-measure subarcs whose interior meets exactly one base,
+    tagged with that base."""
     _, segs, _ = segmentation(x)
     # Single segments are maximal: an interior breakpoint is an endpoint
     # of some base, which covers one of the two segments meeting there,
-    # so two adjacent segments are never both dead, nor both covered by
-    # the same one base alone.
-    out = []
-    for s, (ai, lo, hi, covers) in enumerate(segs):
-        if len(covers) == 1:
-            bi, role = covers[0]
-            out.append(FreeSubarc(ai, lo, hi, "free", bi, role, s))
-        elif not covers:
-            out.append(FreeSubarc(ai, lo, hi, "dead", seg=s))
-    return out
+    # so two adjacent segments are never covered by the same one base alone.
+    return [
+        FreeSubarc(ai, lo, hi, *covers[0], s)
+        for s, (ai, lo, hi, covers) in enumerate(segs)
+        if len(covers) == 1
+    ]
 
 
 # -- the step ledger ---------------------------------------------------------------
@@ -384,24 +377,10 @@ def _arranged(field, supports, bands, points, spans, rows=None):
 # -- moves -------------------------------------------------------------------------
 
 
-def _locate_free(x, arc, lo, hi):
-    recs = find_free_subarcs(x)
-    for rec in recs:
-        if rec.kind != "free" or rec.arc != arc:
-            continue
-        if (rec.lo, rec.hi) == (lo, hi):
-            return rec
-    for rec in recs:
-        if rec.kind != "free" or rec.arc != arc:
-            continue
-        if rec.lo <= lo and hi <= rec.hi:
-            raise NotMaximal("subarc is properly contained in a free subarc")
-    raise NotFree("interval is not a free subarc of any base")
-
-
 def _collapse(x, rec):
-    """Collapse the free segment `rec` of x; returns the new complex and
-    its ledger over x.
+    """Collapse the free segment `rec` of x: the support loses the open
+    segment and its band is replaced by at most two remnants.  Returns
+    the new complex and its ledger over x.
 
     The segmentation follows from x's: arc alpha's breakpoints split at
     the segment, and each remnant of the band puts one inner point on
@@ -485,26 +464,6 @@ def _collapse(x, rec):
     return _arranged(x.field, raw_arcs, raw_bands, points, raw_spans, raw_rows)
 
 
-def collapse_free_subarc(x, arc, interval=None):
-    """Collapse the band over a maximal free subarc: the support loses
-    the open subarc, the band over it is replaced by at most two
-    remnants, and the subarc's structure transfers through the band to
-    the other base.
-
-    `arc` is either a record from find_free_subarcs or an arc index with
-    `interval` = (lo, hi)."""
-    if isinstance(arc, FreeSubarc):
-        rec = arc
-        if rec.kind != "free":
-            raise NotFree("record does not describe a free subarc")
-        rec = _locate_free(x, rec.arc, rec.lo, rec.hi)
-    else:
-        lo, hi = interval
-        rec = _locate_free(x, arc, lo, hi)
-    out, _ = _collapse(x, rec)
-    return out
-
-
 def _find_merge(x):
     """First pair of ends, in end order, of two different bands with
     equal spans whose segments carry no other base."""
@@ -551,13 +510,6 @@ def _merge(x, ledger):
         x, ledger = _merge_once(x, hit, ledger)
 
 
-def merge_long_bands(x):
-    """Fuse every chain of bands glued end to end along shared bases
-    that meet no other band; lengths add along the chain."""
-    out, _, _ = _merge(x, _ledger(x))
-    return out
-
-
 def _drop_dead(x, ledger):
     """Delete every maximal support subarc carrying no base: the runs of
     covered segments become the arcs, each with its slice of the
@@ -602,10 +554,18 @@ def _mat_mul(a, b):
 
 
 def _rips_step_tracked(x):
-    frees = [r for r in find_free_subarcs(x) if r.kind == "free"]
+    """One machine iteration: collapse the free subarc with the leftmost
+    left endpoint on the lowest arc, then merge band chains, then delete
+    dead support.  Returns (new complex, u, v, move log), u and v the
+    step's integer matrices for segment and band lengths.
+
+    The lowest arc is the one of least index that carries a free
+    subarc.  Index order is position order only on a normal complex,
+    which `complex_from_iis` and every machine step produce; `run rips`
+    and `detect_rips_cycle` normalize any other start complex first."""
+    frees = find_free_subarcs(x)
     if not frees:
         raise Halted("no free subarc: the machine is stuck on this complex")
-    # find_free_subarcs lists records by arc, then position
     best = frees[0]
     log = [{"move": "collapse", "arc": best.arc, "band": best.band, "end": best.role}]
     x1, ledger = _collapse(x, best)
@@ -622,19 +582,6 @@ def _rips_step_tracked(x):
     # positions, v is the band rows.
     u = _transition_matrix(x, x3, ledger)
     return x3, u, ledger[1], log
-
-
-def rips_step(x):
-    """One machine iteration: collapse the free subarc with the leftmost
-    left endpoint on the lowest arc, then merge band chains, then delete
-    dead support.  Returns (new complex, move log).
-
-    The lowest arc is the one of least index that carries a free
-    subarc.  Index order is position order only on a normal complex,
-    which `complex_from_iis` and every machine step produce; `run rips`
-    and `detect_rips_cycle` normalize any other start complex first."""
-    x3, _, _, log = _rips_step_tracked(x)
-    return x3, log
 
 
 # -- cycle detection ---------------------------------------------------------------
@@ -742,20 +689,24 @@ def _audit_cycle(width_rows, params_start, params_end, length_rows, lengths_star
             raise AuditError("length matrix does not reproduce the band lengths")
 
 
-def one_end_product(contraction, length_matrix, eps=Fraction(1, 10**9)):
+# Width bound of the enclosures of the contraction and the Perron root.
+_ONE_END_EPS = Fraction(1, 10**9)
+
+
+def one_end_product(contraction, length_matrix):
     """Exact rational intervals (lo, hi) around contraction times the
     Perron root of the length matrix, and (m_lo, m_hi) around the root:
     a negative lower bound of the contraction's enclosure counts as 0."""
-    c_lo, c_hi = contraction.enclosure(Fraction(eps))
-    m_lo, m_hi = perron_root_interval(length_matrix, Fraction(eps))
+    c_lo, c_hi = contraction.enclosure(_ONE_END_EPS)
+    m_lo, m_hi = perron_root_interval(length_matrix, _ONE_END_EPS)
     return (max(c_lo, Fraction(0)) * m_lo, c_hi * m_hi), (m_lo, m_hi)
 
 
-def one_end_criterion(report, eps=Fraction(1, 10**9)):
+def one_end_criterion(report):
     """Certified test that contraction times the Perron root of the
     length matrix is below 1.  Returns (bool, (lo, hi)) with an exact
     rational interval around the product."""
-    (lo, hi), _ = one_end_product(report.contraction, report.length_matrix, eps)
+    (lo, hi), _ = one_end_product(report.contraction, report.length_matrix)
     return hi < 1, (lo, hi)
 
 
@@ -920,35 +871,20 @@ def _wilson(k, n):
     return (max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half)))
 
 
+@dataclass(frozen=True)
 class PruningReport:
-    """Sequence of surviving-measure estimates, one per pruning round.
+    """Surviving-measure estimates, one per pruning round.
 
     `survivors[r]` counts the decided samples (`samples - exhausted`)
     still present after round r + 1, `estimates[r]` is their fraction and
     `wilson[r]` its Wilson 95% interval, (0.0, 1.0) when no sample was
     decided."""
 
-    __slots__ = ("estimates", "samples", "exhausted", "survivors", "wilson")
-
-    def __init__(self, estimates, samples, exhausted, survivors):
-        self.estimates = estimates
-        self.samples = samples
-        self.exhausted = exhausted
-        self.survivors = survivors
-        self.wilson = [_wilson(k, samples - exhausted) for k in survivors]
-
-    def __iter__(self):
-        return iter(self.estimates)
-
-    def __len__(self):
-        return len(self.estimates)
-
-    def __getitem__(self, i):
-        return self.estimates[i]
-
-    def __repr__(self):
-        shown = ", ".join(f"{e:.3f}" for e in self.estimates)
-        return f"PruningReport([{shown}], exhausted={self.exhausted}/{self.samples})"
+    estimates: list
+    samples: int
+    exhausted: int
+    survivors: list
+    wilson: list
 
 
 def pruning_decay(s, rounds, samples, seed=0, cap=20000):
@@ -987,4 +923,5 @@ def pruning_decay(s, rounds, samples, seed=0, cap=20000):
     decided = samples - exhausted
     # int / int is correctly rounded, as float(Fraction(n, decided)) is
     estimates = [n / decided if decided else 0.0 for n in survivors]
-    return PruningReport(estimates, samples, exhausted, survivors)
+    wilson = [_wilson(k, decided) for k in survivors]
+    return PruningReport(estimates, samples, exhausted, survivors, wilson)

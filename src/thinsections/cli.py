@@ -193,6 +193,21 @@ def _cmd_run(args):
 # -- section ----------------------------------------------------------------------
 
 
+def _output(stack, path):
+    """`path` opened for writing; `stack` closes it and, when its block
+    raises, removes it, so a failed run leaves no partial file."""
+    fh = open(path, "w")
+
+    def remove_on_error(exc_type, exc, tb):
+        if exc_type is not None:
+            # --json and --svg may name one file
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+
+    stack.push(remove_on_error)
+    return stack.enter_context(fh)
+
+
 def _cmd_section(args):
     if args.level is None and args.levels < 1:
         raise ThinSectionsError("--levels must be >= 1")
@@ -205,7 +220,7 @@ def _cmd_section(args):
                 f"--level {args.level!r}: not a list of finite numbers") from None
     with contextlib.ExitStack() as stack:
         # open the outputs first, so a bad path fails before any level is traced
-        json_fh, svg_fh = (stack.enter_context(open(path, "w")) if path else None
+        json_fh, svg_fh = (_output(stack, path) if path else None
                            for path in (args.json, args.svg))
         surface = build_surface(args.example)
         R = args.radius

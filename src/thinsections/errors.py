@@ -65,14 +65,6 @@ class OutOfSupport(ThinSectionsError):
     pass
 
 
-class NotFree(ThinSectionsError):
-    pass
-
-
-class NotMaximal(ThinSectionsError):
-    pass
-
-
 class Halted(ThinSectionsError):
     pass
 

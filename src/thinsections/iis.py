@@ -193,17 +193,10 @@ def system_params(name):
     return _bundled(name)[1]
 
 
-def build_system(spec):
-    """Construct a system: "s1", "s2", or an explicit mapping."""
-    if isinstance(spec, IIS):
-        return spec
-    if isinstance(spec, dict):
-        from .serialize import iis_from_json
-
-        return iis_from_json(spec)
-    name = spec.lower()
+def build_system(name):
+    """The bundled system "s1" or "s2"."""
     if name not in SYSTEM_MATRIX:
-        raise InvalidSystem(f"unknown system {spec!r}")
+        raise InvalidSystem(f"unknown system {name!r}")
     field = system_field(name)
     params = system_params(name)
     zero = field.zero

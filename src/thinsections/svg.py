@@ -33,7 +33,12 @@ def _document(width, height, body):
     return head + body + "</svg>\n"
 
 
-def complex_svg(x, width=760):
+# Picture widths in px; a section plot is square.
+_COMPLEX_WIDTH = 760
+_SECTION_WIDTH = 720
+
+
+def complex_svg(x):
     """Schematic of a band complex.
 
     Arcs are stacked top to bottom and share one value axis.  A band
@@ -46,13 +51,13 @@ def complex_svg(x, width=760):
         vals.append(float(arc.lo))
         vals.append(float(arc.hi))
     if not vals:
-        return _document(width, 80, "")
+        return _document(_COMPLEX_WIDTH, 80, "")
     vmin, vmax = min(vals), max(vals)
     span = (vmax - vmin) or 1.0
     ml, mr = 40.0, 20.0
 
     def X(v):
-        return ml + (float(v) - vmin) / span * (width - ml - mr)
+        return ml + (float(v) - vmin) / span * (_COMPLEX_WIDTH - ml - mr)
 
     same_arc = [b for b in x.bands if b.bottom.arc == b.top.arc]
     lift_room = 30.0 + 16.0 * len(same_arc)
@@ -114,19 +119,18 @@ def complex_svg(x, width=760):
             f'<text x="{_fmt(x0 - 26)}" y="{_fmt(y + 4)}" font-size="12" '
             f'fill="black">a{i}</text>\n'
         )
-    return _document(width, int(height), "".join(body))
+    return _document(_COMPLEX_WIDTH, int(height), "".join(body))
 
 
-def section_svg(components, radius, grid=1.0, width=720):
+def section_svg(components, radius):
     """Plane-section plot: bold polylines over a light unit grid.
 
     The window is the square of half-side `radius`; grid lines sit at
-    integer multiples of `grid` in both directions.
+    the integers in both directions.
     """
     R = float(radius)
     m = 18.0
-    scale = (width - 2 * m) / (2 * R)
-    height = width
+    scale = (_SECTION_WIDTH - 2 * m) / (2 * R)
 
     def px(x):
         return m + (x + R) * scale
@@ -136,9 +140,8 @@ def section_svg(components, radius, grid=1.0, width=720):
 
     body = []
     k = 0
-    while k * grid <= R:
-        for s in ((k,) if k == 0 else (k, -k)):
-            v = s * grid
+    while k <= R:
+        for v in ((k,) if k == 0 else (k, -k)):
             body.append(
                 f'<line x1="{_fmt(px(v))}" y1="{_fmt(py(-R))}" x2="{_fmt(px(v))}" '
                 f'y2="{_fmt(py(R))}" stroke="#dcdce6" stroke-width="1"/>\n'
@@ -162,4 +165,4 @@ def section_svg(components, radius, grid=1.0, width=720):
                 f'stroke="{color}" stroke-width="{w}" stroke-linejoin="round" '
                 f'stroke-linecap="round"/>\n'
             )
-    return _document(width, height, "".join(body))
+    return _document(_SECTION_WIDTH, _SECTION_WIDTH, "".join(body))

@@ -24,15 +24,12 @@ from thinsections.bands import (
     _rips_step_tracked,
     _round_bounds,
     _wilson,
-    collapse_free_subarc,
     combinatorial_signature,
     complex_from_iis,
     detect_rips_cycle,
     find_free_subarcs,
-    merge_long_bands,
     one_end_criterion,
     pruning_decay,
-    rips_step,
     segment_values,
     segmentation,
     support_measure,
@@ -44,8 +41,6 @@ from thinsections.errors import (
     Halted,
     NoAdmissibleMove,
     NotFound,
-    NotFree,
-    NotMaximal,
     PreconditionFailed,
 )
 from thinsections.iis import (
@@ -100,6 +95,16 @@ def rational_complex(arcs, bands):
         for (a1, l1, h1), (a2, l2, h2), ln in bands
     ]
     return BandComplex(_QF, sa, bs)
+
+
+def collapse(x, rec):
+    """Collapse the free subarc `rec` of x, the step's first move alone."""
+    return bands._collapse(x, rec)[0]
+
+
+def merge_chains(x):
+    """Fuse every chain of bands glued along bases meeting no other band."""
+    return bands._merge(x, bands._ledger(x))[0]
 
 
 def drop_dead_subarcs(x):
@@ -168,7 +173,7 @@ def test_segmentation_partitions_support(s1, x1):
 
 def test_first_free_subarcs(s1, x1):
     a, b, c, u = system_params("s1")
-    recs = [r for r in find_free_subarcs(x1) if r.kind == "free"]
+    recs = find_free_subarcs(x1)
     assert len(recs) == 2
     # the singly covered stretch of the widest base, and its mirror image
     assert (recs[0].lo - b).is_zero() and (recs[0].hi - u).is_zero()
@@ -178,23 +183,13 @@ def test_first_free_subarcs(s1, x1):
     assert recs[1].band == 1 and recs[1].role == "top"
 
 
-def test_dead_subarc_detection():
-    x = rational_complex([(0, 10)], [((0, 0, 2), (0, 8, 10), 1)])
-    recs = find_free_subarcs(x)
-    kinds = [(r.kind, float(r.lo), float(r.hi)) for r in recs]
-    assert ("free", 0.0, 2.0) in kinds
-    assert ("free", 8.0, 10.0) in kinds
-    assert ("dead", 2.0, 8.0) in kinds
-
-
 # -- collapse ----------------------------------------------------------------------
 
 
 def test_first_collapse_reference(s1, x1):
     a, b, c, u = system_params("s1")
     one = s1.field.one
-    rec = [r for r in find_free_subarcs(x1) if r.kind == "free"][0]
-    out = collapse_free_subarc(x1, rec)
+    out = collapse(x1, find_free_subarcs(x1)[0])
     # support loses exactly the open subarc (b, u)
     assert (support_measure(out) - (one - (u - b))).is_zero()
     got = [(float(ar.lo), float(ar.hi)) for ar in out.supports]
@@ -215,21 +210,9 @@ def test_first_collapse_reference(s1, x1):
         assert bd.length == ln
 
 
-def test_collapse_guards(s1, x1):
-    a, b, c, u = system_params("s1")
-    with pytest.raises(NotFree):
-        collapse_free_subarc(x1, 0, (s1.field.zero, b))  # doubly covered
-    half = b + (u - b) * Fraction(1, 2)
-    with pytest.raises(NotMaximal):
-        collapse_free_subarc(x1, 0, (b, half))  # proper subinterval
-    with pytest.raises(NotFree):
-        collapse_free_subarc(x1, 0, (s1.field.zero, u))  # straddles segments
-
-
 def test_full_base_collapse_deletes_band():
     x = rational_complex([(0, 3)], [((0, 0, 1), (0, 2, 3), 1)])
-    rec = [r for r in find_free_subarcs(x) if r.kind == "free"][0]
-    out = collapse_free_subarc(x, rec)
+    out = collapse(x, find_free_subarcs(x)[0])
     assert len(out.bands) == 0
     assert [(float(ar.lo), float(ar.hi)) for ar in out.supports] == [(1.0, 3.0)]
 
@@ -241,7 +224,7 @@ def test_merge_two_band_chain():
     x = rational_complex(
         [(0, 3)], [((0, 0, 1), (0, 1, 2), 1), ((0, 1, 2), (0, 2, 3), 1)]
     )
-    out = merge_long_bands(x)
+    out = merge_chains(x)
     assert len(out.bands) == 1
     bd = out.bands[0]
     assert bd.length == 2
@@ -263,7 +246,7 @@ def test_merge_chain_of_three():
             ((0, 2, 3), (0, 3, 4), 1),
         ],
     )
-    out = merge_long_bands(x)
+    out = merge_chains(x)
     assert len(out.bands) == 1 and out.bands[0].length == 3
     assert sum(b.length for b in out.bands) == sum(b.length for b in x.bands)
 
@@ -277,12 +260,12 @@ def test_merge_requires_exactly_double_cover():
             ((0, 1, 2), (0, 4, 5), 1),  # third cover blocks the chain
         ],
     )
-    out = merge_long_bands(x)
+    out = merge_chains(x)
     assert len(out.bands) == 3
 
 
 def test_merge_identity_on_initial_complex(x1):
-    out = merge_long_bands(x1)
+    out = merge_chains(x1)
     assert len(out.bands) == 3
     assert (support_measure(out) - support_measure(x1)).is_zero()
 
@@ -305,7 +288,7 @@ def test_drop_dead_reference():
 def test_rips_step_reference(s1, x1):
     a, b, c, u = system_params("s1")
     one = s1.field.one
-    out, log = rips_step(x1)
+    out, _, _, log = _rips_step_tracked(x1)
     # collapse of (b, u) through the widest band, then the two bands over
     # [0, b] fuse, then the dead [0, b] disappears
     assert log[0] == {"move": "collapse", "arc": 0, "band": 1, "end": "bottom"}
@@ -337,7 +320,6 @@ def test_rips_step_on_overlapping_arcs():
     for row, band in zip(v, y.bands):
         assert sum(c * l for c, l in zip(row, lengths)) == band.length
     assert u == [[0, 0, 1, 1, 0], [0, 1, 0, 0, 0]] and v == [[0, 1]]
-    assert rips_step(x)[1] == log
 
 
 def test_collapse_image_on_old_breakpoint_takes_its_row():
@@ -376,13 +358,12 @@ def test_rips_step_halts_on_interval_exchange():
         ],
     )
     with pytest.raises(Halted):
-        rips_step(iet)
+        _rips_step_tracked(iet)
 
 
 def test_rips_step_composition_matches_moves(s1, x1):
-    rec = [r for r in find_free_subarcs(x1) if r.kind == "free"][0]
-    manual = drop_dead_subarcs(merge_long_bands(collapse_free_subarc(x1, rec)))
-    auto, _ = rips_step(x1)
+    manual = drop_dead_subarcs(merge_chains(collapse(x1, find_free_subarcs(x1)[0])))
+    auto = _rips_step_tracked(x1)[0]
     assert len(manual.bands) == len(auto.bands)
     assert len(manual.supports) == len(auto.supports)
     assert (support_measure(manual) - support_measure(auto)).is_zero()
@@ -418,8 +399,8 @@ def test_rips_step_preserves_orbit_relations(s1, x1):
         return (src - dst).is_zero()
 
     rng = random.Random(12)
-    step1, _ = rips_step(x1)
-    step2, _ = rips_step(step1)
+    step1 = _rips_step_tracked(x1)[0]
+    step2 = _rips_step_tracked(step1)[0]
     checked = 0
     for x_new in (step1, step2):
         for arc in x_new.supports:
@@ -511,7 +492,7 @@ def test_cycle_repeats_for_five_periods(request, name):
     x = _normalized(complex_from_iis(build_system(name)))
     run = [x]
     for _ in range(prefix + 5 * period):
-        x, _ = rips_step(x)
+        x = _rips_step_tracked(x)[0]
         run.append(x)
     sigs = [combinatorial_signature(y) for y in run]
     for t in range(prefix, prefix + 4 * period + 1):
@@ -715,7 +696,7 @@ def test_pruning_monotone_and_strictly_decaying(s1):
     assert rep.exhausted == 0
     assert all(x >= y for x, y in zip(rep.estimates, rep.estimates[1:]))
     assert 0 < rep.estimates[-1] < rep.estimates[0] <= 1
-    assert len(rep) == 20 and rep[0] == rep.estimates[0]
+    assert len(rep.estimates) == len(rep.survivors) == len(rep.wilson) == 20
 
 
 def test_pruning_interval_exchange_never_decays():
@@ -1086,26 +1067,26 @@ def small_systems(draw):
 @given(small_systems())
 def test_step_bookkeeping_randomized(s):
     x = complex_from_iis(s)
-    frees = [r for r in find_free_subarcs(x) if r.kind == "free"]
+    frees = find_free_subarcs(x)
     if not frees:
         with pytest.raises(Halted):
-            rips_step(x)
+            _rips_step_tracked(x)
         return
     best = frees[0]
     for r in frees[1:]:
         if r.arc < best.arc or (r.arc == best.arc and (r.lo - best.lo).sign() < 0):
             best = r
-    collapsed = collapse_free_subarc(x, best)
+    collapsed = collapse(x, best)
     # the support loses exactly the free subarc
     drop = support_measure(x) - support_measure(collapsed)
     assert (drop - (best.hi - best.lo)).is_zero()
-    merged = merge_long_bands(collapsed)
+    merged = merge_chains(collapsed)
     assert (support_measure(merged) - support_measure(collapsed)).is_zero()
     assert sum(b.length for b in merged.bands) == sum(b.length for b in collapsed.bands)
     final = drop_dead_subarcs(merged)
     assert (support_measure(x) - support_measure(final)).sign() >= 0
     # the composed moves agree with the packaged step
-    auto, log = rips_step(x)
+    auto, _, _, log = _rips_step_tracked(x)
     assert log[0]["move"] == "collapse"
     assert (support_measure(final) - support_measure(auto)).is_zero()
     assert len(final.bands) == len(auto.bands)
@@ -1166,7 +1147,7 @@ def test_derived_segmentation_matches_sorted(name, request, monkeypatch):
     x = request.getfixturevalue({"s1": "x1", "s2": "x2"}[name])
     built = _recording_arranged(monkeypatch)
     for _ in range(200):
-        x, _ = rips_step(x)
+        x = _rips_step_tracked(x)[0]
     # every step builds its collapse, merge and drop-dead complexes
     assert len(built) >= 200
     _check_derived(built)
@@ -1239,8 +1220,7 @@ def test_step_audits_only_new_bands(x1, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Band, "__init__", counting)
-    frees = [r for r in find_free_subarcs(x1) if r.kind == "free"]
-    remnants = len(collapse_free_subarc(x1, frees[0]).bands) - len(x1.bands) + 1
+    remnants = len(collapse(x1, find_free_subarcs(x1)[0]).bands) - len(x1.bands) + 1
     audited.clear()
     _, _, _, log = _rips_step_tracked(x1)
     merges = sum(m["move"] == "merge" for m in log)
@@ -1307,13 +1287,7 @@ def _ref_free_subarcs(x):
         for lo, hi in zip(pts, pts[1:]):
             covers = _ref_covers(x, ai, lo, hi)
             if len(covers) == 1:
-                out.append((ai, lo, hi, "free") + covers[0])
-            elif covers:
-                continue
-            elif out and out[-1][3] == "dead" and out[-1][0] == ai and out[-1][2] == lo:
-                out[-1] = (ai, out[-1][1], hi, "dead", -1, "")
-            else:
-                out.append((ai, lo, hi, "dead", -1, ""))
+                out.append((ai, lo, hi) + covers[0])
     return out
 
 
@@ -1339,7 +1313,7 @@ def _check_spans_against_reference(x):
     ref_sig = (tuple(len(pts) - 1 for pts in ref_breaks), ref_spans)
     assert combinatorial_signature(x) == ref_sig
     assert _find_merge(x) == _ref_find_merge(x)
-    got = [(r.arc, r.lo, r.hi, r.kind, r.band, r.role) for r in find_free_subarcs(x)]
+    got = [(r.arc, r.lo, r.hi, r.band, r.role) for r in find_free_subarcs(x)]
     assert got == _ref_free_subarcs(x)
 
 
@@ -1352,8 +1326,8 @@ def test_spans_match_exact_reference(s):
     x = complex_from_iis(s)
     for _ in range(4):
         _check_spans_against_reference(x)
-        frees = [r for r in find_free_subarcs(x) if r.kind == "free"]
+        frees = find_free_subarcs(x)
         if not frees:
             return
-        _check_spans_against_reference(collapse_free_subarc(x, frees[0]))
-        x, _ = rips_step(x)
+        _check_spans_against_reference(collapse(x, frees[0]))
+        x = _rips_step_tracked(x)[0]

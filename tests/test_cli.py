@@ -232,12 +232,12 @@ def _swapped_arcs(x):
 def test_run_rips_reports_the_cycle_of_the_printed_run(tmp_path):
     """A JSON complex is normalized before step 0, so the cycle report
     names emitted states and its move log is the one printed."""
-    from thinsections.bands import _normalized, complex_from_iis, rips_step
+    from thinsections.bands import _normalized, _rips_step_tracked, complex_from_iis
     from thinsections.serialize import complex_to_json
 
     x = complex_from_iis(iis.build_system("s1"))
     for _ in range(3):
-        x, _ = rips_step(x)
+        x = _rips_step_tracked(x)[0]
     assert len(x.supports) == 2
     path = tmp_path / "swapped.json"
     swapped = _swapped_arcs(x)
@@ -255,7 +255,7 @@ def test_run_rips_reports_the_cycle_of_the_printed_run(tmp_path):
     assert json.loads((emit / "step_000.json").read_text()) == complex_to_json(cur)
     log = []
     for _ in range(45):
-        cur, moves = rips_step(cur)
+        cur, _, _, moves = _rips_step_tracked(cur)
         log.extend(moves)
     assert summary["move_log"] == log
 
@@ -330,6 +330,22 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("error:")
     # outputs are opened before any work: no level is traced first
     assert not [line for line in out.splitlines() if line.startswith("level")]
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--levels", "2", "--radius", "5", "--json", "{dir}/s.json", "--svg", "{dir}/missing/x.svg"],
+     "No such file"),
+    (["--levels", "1", "--radius", "600", "--json", "{dir}/s.json", "--svg", "{dir}/x.svg"],
+     "limit"),
+    (["--levels", "1", "--radius", "600", "--json", "{dir}/x", "--svg", "{dir}/x"], "limit"),
+], ids=["unwritable-svg", "window-too-large", "window-too-large-one-path"])
+def test_failed_section_leaves_no_output(tmp_path, capsys, argv, reason):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert main(["section", "--example", "1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    # every file the run opened is removed again
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- section command -----------------------------------------------------------------

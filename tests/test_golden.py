@@ -1,8 +1,8 @@
 """Machine move logs and verifier rows pinned byte for byte.
 
-The golden files hold the 45-step `rips_step` move logs of s1 and s2 and
-the `verify --json` document of scope "all".  A change that is meant to
-alter them re-records both with
+The golden files hold the 45-step `_rips_step_tracked` move logs of s1
+and s2 and the `verify --json` document of scope "all".  A change that
+is meant to alter them re-records both with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -10,7 +10,7 @@ alter them re-records both with
 import json
 from pathlib import Path
 
-from thinsections.bands import complex_from_iis, rips_step
+from thinsections.bands import _rips_step_tracked, complex_from_iis
 from thinsections.iis import build_system
 from thinsections.verify import collect_rows, rows_to_json
 
@@ -24,7 +24,7 @@ def rips_moves():
         x = complex_from_iis(build_system(name))
         logs = []
         for _ in range(RIPS_STEPS):
-            x, log = rips_step(x)
+            x, _, _, log = _rips_step_tracked(x)
             logs.append(log)
         out[name] = logs
     return out

@@ -146,6 +146,12 @@ def test_invalid_systems():
         rational_system((2, 2), [])  # empty support
 
 
+@pytest.mark.parametrize("name", ["s3", "S1"])
+def test_build_system_takes_only_bundled_names(name):
+    with pytest.raises(InvalidSystem):
+        build_system(name)
+
+
 def test_validate_examples(s1, s2):
     assert validate(s1) == {"balanced": True, "symmetric": True}
     v2 = validate(s2)

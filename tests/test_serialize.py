@@ -82,8 +82,8 @@ def test_iis_from_json_revalidates(s1):
         iis_from_json(obj)
 
 
-def test_build_system_accepts_mapping(s1):
-    back = build_system(_reload(iis_to_json(s1)))
+def test_iis_from_json_reads_a_reloaded_mapping(s1):
+    back = iis_from_json(_reload(iis_to_json(s1)))
     assert affine_match(s1, back) is not None
 
 
