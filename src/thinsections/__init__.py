@@ -17,8 +17,6 @@ from .iis import (  # noqa: F401
     IntervalPair,
     build_system,
     detect_self_similarity,
-    orbit_bfs,
-    point_valence,
     rauzy_step,
     reduce,
     system_field,

@@ -200,9 +200,7 @@ def _output(stack, path):
 
     def remove_on_error(exc_type, exc, tb):
         if exc_type is not None:
-            # --json and --svg may name one file
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
+            os.remove(path)
 
     stack.push(remove_on_error)
     return stack.enter_context(fh)
@@ -211,6 +209,11 @@ def _output(stack, path):
 def _cmd_section(args):
     if args.level is None and args.levels < 1:
         raise ThinSectionsError("--levels must be >= 1")
+    if args.json and args.svg and (
+            os.path.realpath(args.json) == os.path.realpath(args.svg)
+            or os.path.exists(args.json) and os.path.exists(args.svg)
+            and os.path.samefile(args.json, args.svg)):
+        raise ThinSectionsError(f"--json and --svg name one file: {args.json!r}")
     explicit = args.level is not None
     if explicit:
         try:

@@ -9,6 +9,9 @@ grid points, and whole-array pointer jumping along the pairs orders every
 connected component into one chain, after which one pass classifies all
 components.  Floats carry x2, where levels within eps of a tangency face
 are refused up front, and the drawn points, which classify within eps.
+Equal coordinates of the drawn points share one float object: a window
+has few distinct values (501 x1 and 301 x3 among 43,484 points of example
+1 at R = 50), so sharing keeps the returned polylines small.
 """
 
 import math
@@ -36,8 +39,9 @@ WINDOW_CLASSES = ("spanning", "boundary-clipped", "closed")
 DEFAULT_EPS = 1e-9
 
 # Largest window radius traced.  Memory grows as R^2: example 1 at level
-# 0.8294913849009875 took 716 MB and 6.1 s at R = 400, and 1,036 MB and
-# 8.1 s at R = 500, each in a fresh CPython 3.11 process.
+# 0.8294913849009875 peaked at 371 / 544 / 797 MB (ru_maxrss) and traced in
+# 1.6 / 3.3 / 5.3 s at R = 300 / 400 / 500, each in a fresh CPython 3.11
+# process (best of two runs, 2-core x86-64 host).
 MAX_RADIUS = 500
 
 # Draws sample_levels makes for one level before it gives up.
@@ -190,6 +194,30 @@ def _chain_order(partner):
     return order, first, key[first] >= n2
 
 
+def _shared_floats(values):
+    """``values`` (float64) as an object array of the same shape holding
+    one float object per distinct bit pattern, so equal coordinates share
+    one float and -0.0 and 0.0 stay apart.
+
+    The bit patterns hash (Fibonacci hashing, top 12 bits) into 4,096
+    slots; each slot makes one float of the value of one of its entries,
+    and every entry with that value takes it.  The entries whose value
+    differs from their slot's are shared among themselves the same way:
+    O(n) per pass, no sort.
+    """
+    flat = values.reshape(-1)
+    if flat.shape[0] == 0:
+        return np.empty(values.shape, object)
+    bits = flat.view(np.uint64)
+    slot = ((bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52)).astype(np.intp)
+    rep = np.zeros(4096, np.intp)
+    rep[slot] = np.arange(flat.shape[0])
+    out = flat[rep].astype(object)[slot]
+    own = np.flatnonzero(bits != bits[rep][slot])
+    out[own] = _shared_floats(flat[own])
+    return out.reshape(values.shape)
+
+
 def _chains(seg, partner):
     """Order the segments into one point chain per connected component.
 
@@ -206,8 +234,8 @@ def _chains(seg, partner):
     Returns (members, first, chains, closed): the segment indices of every
     component one after another, the offset of each component in them, a
     tuple of (x1, x3) points per component and a closed flag per
-    component.  Paths come first, by starting endpoint, then cycles, by
-    first segment.
+    component.  Equal coordinates share one float object (_shared_floats).
+    Paths come first, by starting endpoint, then cycles, by first segment.
     """
     order, first, closed = _chain_order(partner)
     # a chain is its start endpoint, then the exit endpoint of each member
@@ -219,8 +247,7 @@ def _chains(seg, partner):
     idx[exits] = order ^ 1
     idx[at] = order[first]
     idx[stop[closed] - 1] = order[first[closed]]
-    ends = seg.reshape(-1, 2)
-    pts = list(zip(ends[idx, 0].tolist(), ends[idx, 1].tolist()))
+    pts = list(zip(*_shared_floats(seg.reshape(-1, 2)[idx]).T.tolist()))
     chains = [tuple(pts[a:b]) for a, b in zip(at.tolist(), stop.tolist())]
     return order >> 1, first, chains, closed
 

@@ -44,11 +44,13 @@ from thinsections.errors import (
     PreconditionFailed,
 )
 from thinsections.iis import (
-    IIS, LEFT, RIGHT, IntervalPair, OrbitChart, build_system, orbit_bfs, rauzy_step,
+    IIS, LEFT, RIGHT, IntervalPair, OrbitChart, build_system, rauzy_step,
     system_params)
 from thinsections.linalg import char_poly, perron_root_interval
 from thinsections.numberfield import rational_field
 from thinsections.serialize import complex_from_json, complex_to_json
+
+from orbit_slices import orbit_bfs
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Verifier rows and the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.dom.minidom
@@ -337,8 +338,9 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
      "No such file"),
     (["--levels", "1", "--radius", "600", "--json", "{dir}/s.json", "--svg", "{dir}/x.svg"],
      "limit"),
-    (["--levels", "1", "--radius", "600", "--json", "{dir}/x", "--svg", "{dir}/x"], "limit"),
-], ids=["unwritable-svg", "window-too-large", "window-too-large-one-path"])
+    (["--levels", "1", "--radius", "3", "--json", "{dir}/same", "--svg", "{dir}/same"],
+     "name one file"),
+], ids=["unwritable-svg", "window-too-large", "one-path"])
 def test_failed_section_leaves_no_output(tmp_path, capsys, argv, reason):
     argv = [a.format(dir=tmp_path) for a in argv]
     assert main(["section", "--example", "1", *argv]) == 2
@@ -346,6 +348,16 @@ def test_failed_section_leaves_no_output(tmp_path, capsys, argv, reason):
     assert err.startswith("error:") and reason in err
     # every file the run opened is removed again
     assert list(tmp_path.iterdir()) == []
+
+
+def test_section_refuses_a_file_named_twice(tmp_path, capsys):
+    # a hard link names an existing file by a second path
+    (tmp_path / "a").write_text("kept")
+    os.link(tmp_path / "a", tmp_path / "b")
+    argv = ["--json", str(tmp_path / "a"), "--svg", str(tmp_path / "b")]
+    assert main(["section", "--example", "1", "--levels", "1", "--radius", "3", *argv]) == 2
+    assert "name one file" in capsys.readouterr().err
+    assert (tmp_path / "a").read_text() == "kept"
 
 
 # -- section command -----------------------------------------------------------------

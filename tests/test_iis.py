@@ -27,8 +27,6 @@ from thinsections.iis import (
     build_system,
     detect_self_similarity,
     neighbors,
-    orbit_bfs,
-    point_valence,
     rauzy_step,
     reduce,
     system_params,
@@ -43,6 +41,8 @@ from thinsections.numberfield import (
     rational_field,
 )
 from thinsections.serialize import iis_from_json, iis_to_json
+
+from orbit_slices import orbit_bfs, point_valence
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -317,6 +317,63 @@ def test_example_2_census_reported_not_gated(ex2):
     assert sum(census.values()) > 0
 
 
+# -- shared coordinate objects ---------------------------------------------------
+
+
+def test_shared_floats_keeps_every_bit_pattern():
+    v = np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5])
+    out = sections._shared_floats(v).tolist()
+    assert [math.copysign(1.0, x) for x in out] == [1, -1, 1, -1, 1, 1]
+    assert out == v.tolist() and out[0] is out[4] and out[1] is out[3] and out[2] is out[5]
+    assert out[0] is not out[1]
+    # 4,999 distinct values in 4,096 slots: some bit patterns collide
+    w = np.arange(1.0, 5000.0)
+    out = sections._shared_floats(np.stack([w, w[::-1]], axis=1))
+    assert out.shape == (4999, 2) and out.tolist() == np.stack([w, w[::-1]], axis=1).tolist()
+    assert all(a is b for a, b in zip(out[:, 0], out[::-1, 1]))
+    assert len({id(x) for x in out.ravel()}) == 4999
+    assert sections._shared_floats(np.empty(0)).tolist() == []
+
+
+def _coordinates(components):
+    return [v for c in components for chain in c.polylines for p in chain for v in p]
+
+
+def test_polylines_share_their_coordinates(ex1, ex2):
+    for surface in (ex1, ex2):
+        for level in sample_levels(surface, 2, 0, 20.0):
+            values = _coordinates(trace_section(surface, level, 20.0))
+            distinct = np.unique(np.array(values).view(np.uint64)).shape[0]
+            assert len({id(v) for v in values}) <= distinct + 64
+
+
+@pytest.mark.parametrize("R", [5.0, 20.0, 50.0])
+def test_sharing_leaves_the_trace_unchanged(ex1, ex2, monkeypatch, R):
+    for surface in (ex1, ex2):
+        levels = [lv for seed in range(4) for lv in sample_levels(surface, 3, seed, R)]
+        shared = [repr(trace_section(surface, lv, R)) for lv in levels]
+        with monkeypatch.context() as m:
+            # the reference: one float object per coordinate, as tolist() makes
+            m.setattr(sections, "_shared_floats", lambda values: values.astype(object))
+            traced = [trace_section(surface, lv, R) for lv in levels]
+        values = _coordinates(traced[0])
+        assert len({id(v) for v in values}) == len(values)
+        assert shared == [repr(t) for t in traced]
+
+
+def test_closed_chain_ends_on_its_first_point():
+    # a unit square of two plate and two wall segments; keys name its corners
+    seg = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1.0],
+                    [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+    key = np.array([[0, 1], [1, 2], [3, 2], [0, 3]], np.int32)
+    members, first, chains, closed = sections._chains(seg, _kernels.match_endpoints(key))
+    assert closed.tolist() == [True] and first.tolist() == [0]
+    assert sorted(members.tolist()) == [0, 1, 2, 3]
+    (chain,) = chains
+    assert len(chain) == 5 and chain[-1] == chain[0] and chain[-1][0] is chain[0][0]
+    assert sorted(chain[:4]) == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+
+
 # -- sampling -------------------------------------------------------------------
 
 
