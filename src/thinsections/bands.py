@@ -125,15 +125,16 @@ class BandComplex:
     new complex.  Its segmentation is therefore fixed once and cached in
     the `_segmentation` slot: sorted by `segmentation` for a complex from
     this auditing constructor, derived for a move's from `_arranged`.
+    `segment_values` caches the segment lengths in the `_lengths` slot.
     """
 
-    __slots__ = ("field", "supports", "bands", "_segmentation")
+    __slots__ = ("field", "supports", "bands", "_segmentation", "_lengths")
 
     def __init__(self, field, supports, bands):
         self.field = field
         self.supports = tuple(supports)
         self.bands = tuple(bands)
-        self._segmentation = None
+        self._segmentation = self._lengths = None
         for b in self.bands:
             for e in b.ends():
                 if type(e.arc) is not int or not 0 <= e.arc < len(self.supports):
@@ -251,9 +252,10 @@ def _first_segments(breaks):
 
 
 def segment_values(x):
-    """The parameter vector: elementary segment lengths, canonical order."""
-    _, segs, _ = segmentation(x)
-    return [hi - lo for _, lo, hi, _ in segs]
+    """The parameter vector: segment lengths in canonical order, a new list."""
+    if x._lengths is None:
+        x._lengths = tuple(hi - lo for _, lo, hi, _ in segmentation(x)[1])
+    return list(x._lengths)
 
 
 @dataclass
@@ -318,14 +320,13 @@ def _transition_matrix(x_old, x_new, ledger):
     positions of the segment's two breakpoints, checked exactly against
     the segment's length."""
     values = common_denominator(segment_values(x_old))
-    _, segs, _ = segmentation(x_new)
     ends = [pq for at in ledger[0] for pq in zip(at, at[1:])]
     rows = []
-    for (_, lo, hi, _), ((a, row_lo), (b, row_hi)) in zip(segs, ends):
+    for target, ((a, row_lo), (b, row_hi)) in zip(segment_values(x_new), ends):
         if a != b:
             raise AuditError("segment ends lie on different start arcs")
         row = [h - l for h, l in zip(row_hi, row_lo)]
-        _row_check(row, values, hi - lo, "segment bookkeeping row does not match its value")
+        _row_check(row, values, target, "segment bookkeeping row does not match its value")
         rows.append(row)
     return rows
 
@@ -368,7 +369,7 @@ def _arranged(field, supports, bands, points, spans, rows=None):
     spans = tuple(ends[i] for i in order)
     segmented = (breaks, _segments(breaks, spans), spans)
     supports = tuple(supports[i] for i in arc_order)
-    out = _built(BandComplex, field, supports, tuple(out_bands), segmented)
+    out = _built(BandComplex, field, supports, tuple(out_bands), segmented, None)
     if rows is None:
         return out
     return out, ([[p for _, p in kept[i]] for i in arc_order], [rows[i] for i in order])

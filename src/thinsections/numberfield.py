@@ -35,6 +35,8 @@ The one exception is `Band.__init__`'s width audit, a difference's
 (`tests/test_ordering.py` checks).  A constant hashes as the rational it
 equals and meets another field's elements as that rational, so hashes
 agree with `==`; two non-constants of different fields raise FieldMismatch.
+Binary operators pass an operand over the same field object straight to
+the operation; only other operands go through coercion.
 """
 
 import functools
@@ -251,11 +253,13 @@ def _element(field, num, den):
 
 
 def _coerced(op):
-    """The binary method op(self, o), with `other` coerced into self's field
-    first (or, when self is a constant of another field, self into other's);
-    NotImplemented when neither can be."""
+    """The binary method op(self, o), with `other` (unless over self's field
+    object) coerced into self's field first (or, when self is a constant of
+    another field, self into other's); NotImplemented when neither can be."""
     @functools.wraps(op)
     def method(self, other):
+        if other.__class__ is FieldElement and other.field is self.field:
+            return op(self, other)
         o = self._coerce(other)
         if o is not NotImplemented:
             return op(self, o)
@@ -461,8 +465,8 @@ class FieldElement:
         """-1, 0 or 1 as self <, = or > the element o of the same field."""
         if self._num == o._num and self._den == o._den:
             return 0
-        alo, ahi = self._bracket()
-        blo, bhi = o._bracket()
+        alo, ahi = self._bounds or self._bracket()
+        blo, bhi = o._bounds or o._bracket()
         if ahi < blo or bhi < alo:
             SIGN_FILTER["decided"] += 1
             return -1 if ahi < blo else 1

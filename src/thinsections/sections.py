@@ -124,15 +124,20 @@ def _emit(surface, level, R, eps):
     return seg, key
 
 
-def _classify(rows, first, closed, R, eps):
+def _column_bounds(col, first):
+    return np.minimum.reduceat(col, first), np.maximum.reduceat(col, first)
+
+
+def _classify(seg, members, first, closed, R, eps):
     """Window class of every component at once.
 
-    ``rows`` are the member segments of all components one after another,
-    component k starting at row first[k]; each component's bounding box
-    comes from one reduceat over its rows.
+    ``seg[members]`` are the segments of all components one after another,
+    component k from row first[k]; its bounding box comes from reduceats
+    over its rows, one gathered column at a time (no copy of all the rows).
     """
-    lo = np.minimum.reduceat(np.minimum(rows[:, :2], rows[:, 2:]), first)
-    hi = np.maximum.reduceat(np.maximum(rows[:, :2], rows[:, 2:]), first)
+    mins, maxs = zip(*(_column_bounds(seg[members, j], first) for j in range(4)))
+    lo = np.minimum(np.column_stack(mins[:2]), np.column_stack(mins[2:]))
+    hi = np.maximum(np.column_stack(maxs[:2]), np.column_stack(maxs[2:]))
     tol = max(eps, 1e-9)
     spans = ((lo <= -R + tol) & (hi >= R - tol)).any(axis=1)
     diameter = (hi - lo).max(axis=1)
@@ -266,7 +271,7 @@ def trace_section(surface, level, R, eps=DEFAULT_EPS):
         return ()
     partner = _kernels.match_endpoints(key)
     members, first, chains, closed = _chains(seg, partner)
-    classes = _classify(seg[members], first, closed, R, eps)
+    classes = _classify(seg, members, first, closed, R, eps)
     components = [SectionComponent((chain,), c) for chain, c in zip(chains, classes)]
     rank = {c: i for i, c in enumerate(WINDOW_CLASSES)}
     components.sort(key=lambda c: (rank[c.window_class], c.polylines))

@@ -8,6 +8,8 @@ All coordinates are exact number-field elements; floats only enter
 when a caller asks for them.
 """
 
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -223,11 +225,7 @@ def x2_shift_coefficients(surface, value):
 
 def saddle_levels(surface):
     values = tuple(w.fixed for w in surface.walls if w.orient == "h")
-    distinct = True
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] == values[j]:
-                distinct = False
+    distinct = len(set(values)) == len(values)
     classes = []
     for i, v in enumerate(values):
         for cls in classes:
@@ -297,16 +295,17 @@ def _floor_towards(value, unit):
     remainder, so the rounds needed grow with the digits of value/unit,
     not with its size.
     """
-    n = int(float(value) // float(unit))
+    u = float(unit)
+    n = int(float(value) // u)
     while True:
         over = value - (n + 1) * unit
         if over.sign() >= 0:
-            n += 1 + max(0, int(float(over) // float(unit)))
+            n += 1 + max(0, int(float(over) // u))
             continue
         rest = value - n * unit
         if rest.sign() >= 0:
             return n
-        n += min(-1, int(float(rest) // float(unit)))
+        n += min(-1, int(float(rest) // u))
 
 
 def _into_cell(surface, boxes):
@@ -319,13 +318,13 @@ def _into_cell(surface, boxes):
     multiples of the plate period P.  e1 and e3 also drag x2 by their
     x2-components.  A range, at most one unit wide, starting in cell n is
     cut at (n + 1) * unit; a piece in cell 0 keeps its coordinates.  Each
-    step floors each distinct range start once (many faces share one).  A
-    point (all ranges degenerate) is never split, so lattice translates of
-    one point reduce to the same cell point.
+    step floors each distinct range start and builds each shift k * unit
+    once (many faces share them).  A point (all ranges degenerate) is never
+    split, so lattice translates of one point reduce to the same cell point.
     """
     e1y, e3y = surface.lattice[0][1], surface.lattice[2][1]
     for axis, unit, drag in ((0, 1, e1y), (2, 1, e3y), (1, surface.plate_period, None)):
-        floors, out = {}, []
+        floors, shifts, out = {}, {}, []
         for tag, box in boxes:
             lo, hi = box[axis]
             if lo not in floors:
@@ -335,9 +334,14 @@ def _into_cell(surface, boxes):
             pieces = [(n, lo, hi)] if hi <= cut else [(n, lo, cut), (n + 1, cut, hi)]
             for k, a, b in pieces:
                 moved = list(box)
-                moved[axis] = (a - k * unit, b - k * unit) if k else (a, b)
-                if k and drag is not None:
-                    moved[1] = (moved[1][0] - k * drag, moved[1][1] - k * drag)
+                if k:
+                    if k not in shifts:
+                        shifts[k] = k * unit, None if drag is None else k * drag
+                    step, lift = shifts[k]
+                    a, b = a - step, b - step
+                    if lift is not None:
+                        moved[1] = (moved[1][0] - lift, moved[1][1] - lift)
+                moved[axis] = (a, b)
                 out.append((tag, tuple(moved)))
         boxes = out
     return boxes
@@ -352,20 +356,17 @@ def _dedup_sorted(vals):
 
 
 def _atom_set(rects, cuts_u, cuts_v):
+    """Grid cells (i, j) the rectangles cover, by bisection: every
+    rectangle end is one of the cuts."""
     covered = set()
     for (u0, u1), (v0, v1) in rects:
-        for i in range(len(cuts_u) - 1):
-            if cuts_u[i] < u0 or u1 < cuts_u[i + 1]:
-                continue
-            for j in range(len(cuts_v) - 1):
-                if v0 <= cuts_v[j] and cuts_v[j + 1] <= v1:
-                    covered.add((i, j))
+        js = range(bisect_left(cuts_v, v0), bisect_left(cuts_v, v1))
+        covered.update((i, j) for i in range(bisect_left(cuts_u, u0), bisect_left(cuts_u, u1))
+                       for j in js)
     return covered
 
 
 def _same_union(rects_a, rects_b):
-    if not rects_a or not rects_b:
-        return not rects_a and not rects_b
     both = rects_a + rects_b
     cuts_u = _dedup_sorted([v for r in both for v in r[0]])
     cuts_v = _dedup_sorted([v for r in both for v in r[1]])
@@ -373,18 +374,18 @@ def _same_union(rects_a, rects_b):
 
 
 def _group_by_plane(boxes):
-    """Faces by plane: ((axis, value), rectangles in the other two ranges)."""
-    groups = []
+    """Faces by plane: (axis, value) -> rectangles in the other two ranges."""
+    groups = {}
     for axis, box in boxes:
-        value = box[axis][0]
-        rect = tuple(r for i, r in enumerate(box) if i != axis)
-        for key, rects in groups:
-            if key == (axis, value):
-                rects.append(rect)
-                break
-        else:
-            groups.append(((axis, value), [rect]))
+        groups.setdefault((axis, box[axis][0]), []).append(
+            tuple(r for i, r in enumerate(box) if i != axis))
     return groups
+
+
+@functools.lru_cache(maxsize=8)
+def _own_planes(surface):
+    """The surface's own faces in the cell, by plane (shared: not modified)."""
+    return _group_by_plane(_into_cell(surface, _faces(surface)))
 
 
 def check_central_symmetry(surface, point):
@@ -392,24 +393,17 @@ def check_central_symmetry(surface, point):
 
     Faces are reflected, translated back into the fundamental cell, and
     compared plane by plane as exact unions of rectangles, so pieces that
-    the reflection shears across cell boundaries still match.
+    the reflection shears across cell boundaries still match.  The
+    surface's own faces are reduced to the cell once per surface and
+    cached.
     """
-    faces = _faces(surface)
-    reflected = [(axis, tuple((2 * p - hi, 2 * p - lo) for p, (lo, hi) in zip(point, box)))
-                 for axis, box in faces]
-    original = _group_by_plane(_into_cell(surface, faces))
+    twice = [2 * p for p in point]
+    reflected = [(axis, tuple((t - hi, t - lo) for t, (lo, hi) in zip(twice, box)))
+                 for axis, box in _faces(surface)]
+    original = _own_planes(surface)
     image = _group_by_plane(_into_cell(surface, reflected))
-    if len(original) != len(image):
-        return False
-    for key, rects in original:
-        for ikey, irects in image:
-            if ikey == key:
-                if not _same_union(rects, irects):
-                    return False
-                break
-        else:
-            return False
-    return True
+    return original.keys() == image.keys() and all(
+        _same_union(rects, image[key]) for key, rects in original.items())
 
 
 # -- closed-surface bookkeeping ---------------------------------------------
@@ -417,16 +411,11 @@ def check_central_symmetry(surface, point):
 
 def _reassemble_tubes(surface):
     """Group wall faces back into tubes; audit that each tube closes up."""
-    groups = []  # (height interval, its walls), compared exactly
+    groups = {}  # height interval -> its walls
     for w in surface.walls:
-        for x3, group in groups:
-            if x3 == w.x3:
-                group.append(w)
-                break
-        else:
-            groups.append((w.x3, [w]))
+        groups.setdefault(w.x3, []).append(w)
     tubes = []
-    for _, group in groups:
+    for group in groups.values():
         vs = sorted((w for w in group if w.orient == "v"), key=lambda w: w.fixed)
         hs = sorted((w for w in group if w.orient == "h"), key=lambda w: w.fixed)
         if len(vs) != 2 or len(hs) != 2:

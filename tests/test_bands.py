@@ -173,6 +173,17 @@ def test_segmentation_partitions_support(s1, x1):
     assert (total - support_measure(x1)).is_zero()
 
 
+def test_segment_values_returns_a_fresh_list(x1):
+    # the lengths are cached on the complex; a caller's edits stay its own
+    first = segment_values(x1)
+    want = [hi - lo for _, lo, hi, _ in segmentation(x1)[1]]
+    assert first == want
+    first[0] = first[0] + 1
+    first.append(x1.field.one)
+    assert segment_values(x1) == want
+    assert segment_values(x1) is not segment_values(x1)
+
+
 def test_first_free_subarcs(s1, x1):
     a, b, c, u = system_params("s1")
     recs = find_free_subarcs(x1)

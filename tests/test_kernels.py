@@ -303,7 +303,7 @@ def _check_chains(seg, partner, R, eps=1e-9):
     ref = _reference_chains(seg, partner)
     assert got == ref
     assert repr(chains) == repr([chain for _, chain, _ in ref])
-    classes = _classify(seg[members], first, closed, R, eps)
+    classes = _classify(seg, members, first, closed, R, eps)
     assert classes == [_reference_classify(seg[m], c, R, eps) for m, _, c in ref]
     return ref
 

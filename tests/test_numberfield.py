@@ -1,5 +1,6 @@
 """Field arithmetic in Q(lam) with certified signs and enclosures."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,32 @@ def test_non_constants_of_two_fields_still_raise():
     ):
         with pytest.raises(FieldMismatch):
             op()
+
+
+def test_operands_off_the_same_field_object_keep_their_results(f1, f2):
+    # only an element over the very same field object skips coercion; an
+    # equal field's elements, another field's constants and ints or
+    # Fractions give what the same values over f1 give
+    twin = minimal_field(P.poly(QUARTIC), (Fraction(1, 5), Fraction(3, 10)))
+    assert twin is not f1 and twin == f1
+    x = f1.gen + Fraction(1, 3)
+    y, y_twin = f1.gen * f1.gen - 2, twin.gen * twin.gen - 2
+    c, c_other = f1.rational(Fraction(-5, 2)), f2.rational(Fraction(-5, 2))
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv,
+           operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+    pairs = [((x, y_twin), (x, y)), ((y_twin, x), (y, x)),
+             ((x, c_other), (x, c)), ((c_other, x), (c, x))]
+    for q in (3, Fraction(-7, 4)):
+        pairs += [((x, q), (x, f1.rational(q))), ((q, x), (f1.rational(q), x))]
+    for op in ops:
+        for got, want in pairs:
+            assert op(*got) == op(*want)
+    assert (x + c_other).field is f1 and (c_other * x).field is f1
+    assert (x - y_twin).field is f1 and (y_twin - x).field is twin
+    assert x.compare(y_twin) == x.compare(y) and x.compare(3) == x.compare(f1.rational(3))
+    for op in ops:
+        with pytest.raises(FieldMismatch):
+            op(x, f2.gen)
 
 
 def test_rational_field_embeds():

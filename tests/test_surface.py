@@ -17,8 +17,13 @@ from thinsections.surface import (
     saddle_levels,
     x2_shift_coefficients,
     _assemble,
+    _atom_set,
+    _dedup_sorted,
+    _faces,
     _floor_towards,
+    _group_by_plane,
     _into_cell,
+    _own_planes,
 )
 
 
@@ -248,6 +253,98 @@ def test_shifted_tube_breaks_symmetry(ex1, p1):
     broken = PLSurface(f, (plate_a, ex1.plates[1]), walls, ex1.lattice, "broken")
     assert check_central_symmetry(broken, central_symmetry_point(broken)) is False
     assert check_central_symmetry(broken, central_symmetry_point(ex1)) is False
+
+
+def _atom_set_by_grid_scan(rects, cuts_u, cuts_v):
+    """Reference atom set: test every cell of the grid against every rectangle."""
+    covered = set()
+    for (u0, u1), (v0, v1) in rects:
+        for i in range(len(cuts_u) - 1):
+            if cuts_u[i] < u0 or u1 < cuts_u[i + 1]:
+                continue
+            for j in range(len(cuts_v) - 1):
+                if v0 <= cuts_v[j] and cuts_v[j + 1] <= v1:
+                    covered.add((i, j))
+    return covered
+
+
+def _symmetric_by_grid_scan(surface, point):
+    """Reference check: the uncached reduction, compared by grid scans."""
+    reflected = [(axis, tuple((2 * p - hi, 2 * p - lo) for p, (lo, hi) in zip(point, box)))
+                 for axis, box in _faces(surface)]
+    original = _own_planes.__wrapped__(surface)
+    image = _group_by_plane(_into_cell(surface, reflected))
+    if original.keys() != image.keys():
+        return False
+    for key, rects in original.items():
+        both = rects + image[key]
+        cuts = [_dedup_sorted([v for r in both for v in r[k]]) for k in (0, 1)]
+        if _atom_set_by_grid_scan(rects, *cuts) != _atom_set_by_grid_scan(image[key], *cuts):
+            return False
+    return True
+
+
+small_share = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@st.composite
+def rect_unions(draw):
+    """Two unions of rectangles over the s1 field whose ends share a few values."""
+    f = system_field("s1")
+    pool = [f.element(draw(st.tuples(small_share, small_share))) for _ in range(4)]
+    pool = _dedup_sorted(pool + [f.gen + draw(small_share)])
+
+    def rect():
+        u = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+        v = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+        return tuple(sorted(u)), tuple(sorted(v))
+
+    return ([rect() for _ in range(draw(st.integers(1, 4)))],
+            [rect() for _ in range(draw(st.integers(1, 4)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rect_unions())
+def test_atom_set_bisection_matches_grid_scan(unions):
+    both = unions[0] + unions[1]
+    cuts = [_dedup_sorted([v for r in both for v in r[k]]) for k in (0, 1)]
+    for rects in unions:
+        assert _atom_set(rects, *cuts) == _atom_set_by_grid_scan(rects, *cuts)
+
+
+def _tabulated_point(surface):
+    p = central_symmetry_point(surface)
+    return (q(surface.field, 3, 10), p[1], p[2])
+
+
+@pytest.mark.parametrize("point", [central_symmetry_point, _tabulated_point])
+@pytest.mark.parametrize("example", [1, 2])
+def test_symmetry_check_matches_reference_and_cache(ex1, ex2, example, point):
+    surf = ex1 if example == 1 else ex2
+    pt = point(surf)
+    want = point is central_symmetry_point
+    assert check_central_symmetry(surf, pt) is want
+    assert check_central_symmetry(surf, pt) is want  # the cached reduction
+    assert _symmetric_by_grid_scan(surf, pt) is want
+    assert _own_planes(surf) is _own_planes(surf)
+    assert _own_planes(surf) == _own_planes.__wrapped__(surf)
+
+
+@settings(max_examples=12, deadline=None)
+@given(example=st.sampled_from([1, 2]),
+       half_shift=st.tuples(*[st.integers(-1, 1)] * 3),
+       offset=st.tuples(*[st.sampled_from([0, 0, Fraction(1, 10), Fraction(-1, 3)])] * 3))
+def test_symmetry_check_at_drawn_points(ex1, ex2, example, half_shift, offset):
+    # the centre moved by half a lattice vector is a centre too
+    surf = ex1 if example == 1 else ex2
+    half = Fraction(1, 2)
+    pt = tuple(c + sum((k * half * e[i] for k, e in zip(half_shift, surf.lattice)), d * surf.field.one)
+               for i, (c, d) in enumerate(zip(central_symmetry_point(surf), offset)))
+    got = check_central_symmetry(surf, pt)
+    assert check_central_symmetry(surf, pt) is got
+    assert got is _symmetric_by_grid_scan(surf, pt)
+    if not any(offset):
+        assert got is True
 
 
 def _into_cell_flooring_every_range(surface, boxes):
