@@ -50,7 +50,7 @@ from .errors import (
     NotFound,
     PreconditionFailed,
 )
-from .iis import OrbitChart
+from .iis import OrbitChart, _built
 from .linalg import perron_root_interval
 from .numberfield import common_denominator, dot_minus
 
@@ -145,14 +145,6 @@ class BandComplex:
 
     def __repr__(self):
         return f"BandComplex({list(self.supports)}, {list(self.bands)})"
-
-
-def _built(cls, *values):
-    """cls with `values` in its slots, unaudited: for copies of audited data."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        setattr(obj, name, value)
-    return obj
 
 
 def complex_from_iis(s):

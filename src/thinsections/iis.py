@@ -72,6 +72,15 @@ _ROOT_HINT = {"s1": (Fraction(1, 5), Fraction(3, 10)), "s2": (Fraction(0), Fract
 _FIELD_CACHE = {}
 
 
+def _built(cls, *values):
+    """cls with `values` in its slots, unaudited: the package's one way to
+    build an object whose invariants hold by construction."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        setattr(obj, name, value)
+    return obj
+
+
 class IntervalPair:
     """Two width-matched closed subintervals identified by a translation.
 
@@ -119,6 +128,9 @@ class IIS:
     A system is immutable (every move builds a new one), so the half of
     an OrbitChart that does not depend on its point and the sorted
     canonical pairs are built once, in the `_chart` and `_canonical` slots.
+    This constructor and IntervalPair's audit any input; transmit and
+    reduce build their results unaudited with `_built`, since each changes
+    one pair in a way that keeps positive, equal widths and containment.
     """
 
     __slots__ = ("field", "support", "pairs", "_chart", "_canonical")
@@ -145,11 +157,8 @@ class IIS:
 
     def intervals(self):
         """All (pair index, side, (lo, hi)) triples."""
-        out = []
-        for i, p in enumerate(self.pairs):
-            out.append((i, LEFT, p.left))
-            out.append((i, RIGHT, p.right))
-        return out
+        return [(i, w, iv) for i, p in enumerate(self.pairs)
+                for w, iv in ((LEFT, p.left), (RIGHT, p.right))]
 
     def canonical_pairs(self):
         """The pairs' canonical endpoint tuples, in field order."""
@@ -159,12 +168,12 @@ class IIS:
 
     def canonical_key(self):
         """Hashable exact signature: the integer residues of the support and
-        of the canonical pairs, sorted.
+        of the canonical pairs, in field order.
 
         Valid for fields with canonical residues (irreducible modulus).
         """
         r = lambda xs: tuple((x._num, x._den) for x in xs)
-        return r(self.support), tuple(sorted(r(p.canonical()) for p in self.pairs))
+        return r(self.support), tuple(map(r, self.canonical_pairs()))
 
     def __repr__(self):
         lo, hi = self.support
@@ -263,13 +272,12 @@ def transmit(s, i, j, which_side_of_j, which_of_i=None):
     if not _contains(target, moved):
         raise NotContained("interval of pair i is not inside the target")
     shift = dest[0] - target[0]
+    # The image is a translate of `moved`, which lies in `target`, so it
+    # lands inside `dest` with the width of pair i's other interval.
     image = (moved[0] + shift, moved[1] + shift)
-    new_pair = (
-        IntervalPair(image, pi.right) if which_of_i == LEFT else IntervalPair(pi.left, image)
-    )
-    pairs = list(s.pairs)
-    pairs[i] = new_pair
-    return IIS(s.field, s.support, pairs)
+    ends = (image, pi.right) if which_of_i == LEFT else (pi.left, image)
+    pairs = s.pairs[:i] + (_built(IntervalPair, *ends),) + s.pairs[i + 1:]
+    return _built(IIS, s.field, s.support, pairs, None, None)
 
 
 def _end_touchers(s, side):
@@ -293,17 +301,13 @@ def reduce(s, side):
             f"support end covered by {len(touchers)} intervals, need exactly 1"
         )
     k, which = touchers[0]
-    pk = s.pairs[k]
-    tgt = pk.interval(which)
-    partner = pk.other(which)
-    crit = []
-    for _, _, (lo, hi) in s.intervals():
-        crit.append(lo)
-        crit.append(hi)
-    interior = [p for p in crit if tgt[0] < p < tgt[1]]
-    if not interior:
+    tgt, partner = s.pairs[k].interval(which), s.pairs[k].other(which)
+    # tgt alone reaches the support end, so every other endpoint falls
+    # short of it; u, the nearest of them, must lie inside tgt.
+    outer, pick = (tgt[1], max) if side == RIGHT else (tgt[0], min)
+    u = pick(x for _, _, iv in s.intervals() for x in iv if x is not outer)
+    if not tgt[0] < u < tgt[1]:
         raise PreconditionFailed("no critical point interior to the end interval")
-    u = max(interior) if side == RIGHT else min(interior)
     if side == RIGHT:
         new_tgt = (tgt[0], u)
         new_partner = (partner[0], partner[1] - (tgt[1] - u))
@@ -312,13 +316,11 @@ def reduce(s, side):
         new_tgt = (u, tgt[1])
         new_partner = (partner[0] + (u - tgt[0]), partner[1])
         support = (u, s.support[1])
-    if which == LEFT:
-        new_pair = IntervalPair(new_tgt, new_partner)
-    else:
-        new_pair = IntervalPair(new_partner, new_tgt)
-    pairs = list(s.pairs)
-    pairs[k] = new_pair
-    return IIS(s.field, support, pairs)
+    # tgt and its partner lose the same length, and every other endpoint
+    # is at or inside u, so the result needs no audit.
+    ends = (new_tgt, new_partner) if which == LEFT else (new_partner, new_tgt)
+    pairs = s.pairs[:k] + (_built(IntervalPair, *ends),) + s.pairs[k + 1:]
+    return _built(IIS, s.field, support, pairs, None, None)
 
 
 def rauzy_step(s, side):
@@ -332,9 +334,7 @@ def rauzy_step(s, side):
     (i1, w1), (i2, w2) = touchers
     if i1 == i2:
         raise NoAdmissibleMove("both end intervals belong to the same pair")
-    width1 = s.pairs[i1].width
-    width2 = s.pairs[i2].width
-    sg = width1.compare(width2)
+    sg = s.pairs[i1].width.compare(s.pairs[i2].width)
     if sg == 0:
         raise AmbiguousMove("end intervals have equal widths")
     if sg < 0:
@@ -391,9 +391,11 @@ def detect_self_similarity(s, max_steps, policy="right"):
     policy: "right" (the right side at every step) or "search"
     (breadth-first over all side sequences, deduplicating states).
     Returns a SimilarityReport, or None when no schedule of at most
-    max_steps steps reproduces s up to an affine contraction.  The
-    default is the right-handed induction, the schedule both bundled
-    systems contract under; "search" can find shorter mixed-side returns.
+    max_steps steps reproduces s up to an affine contraction.  When no
+    side the policy tries admits a first step, raises the first side's
+    NoAdmissibleMove or AmbiguousMove instead.  The default is the
+    right-handed induction, the schedule both bundled systems contract
+    under; "search" can find shorter mixed-side returns.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -403,12 +405,13 @@ def detect_self_similarity(s, max_steps, policy="right"):
     sides = (RIGHT, LEFT) if search else (RIGHT,)
     frontier, seen = [(s, [])], {s.canonical_key()}
     for depth in range(1, max_steps + 1):
-        nxt_frontier = []
+        nxt_frontier, stuck = [], []
         for cur, log in frontier:
             for side in sides:
                 try:
                     nxt, moves = rauzy_step(cur, side)
-                except (NoAdmissibleMove, AmbiguousMove):
+                except (NoAdmissibleMove, AmbiguousMove) as exc:
+                    stuck.append(exc)
                     continue
                 hit = affine_match(s, nxt)
                 if hit is not None:
@@ -419,6 +422,8 @@ def detect_self_similarity(s, max_steps, policy="right"):
                         continue
                     seen.add(key)
                 nxt_frontier.append((nxt, log + moves))
+        if depth == 1 and len(stuck) == len(sides):
+            raise stuck[0]
         frontier = nxt_frontier
     return None
 

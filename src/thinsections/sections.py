@@ -38,9 +38,9 @@ WINDOW_CLASSES = ("spanning", "boundary-clipped", "closed")
 
 DEFAULT_EPS = 1e-9
 
-# Largest window radius traced.  Memory grows as R^2: example 1 at level
-# 0.8294913849009875 peaked at 371 / 544 / 797 MB (ru_maxrss) and traced in
-# 1.6 / 3.3 / 5.3 s at R = 300 / 400 / 500, each in a fresh CPython 3.11
+# Largest window radius traced.  Memory grows with R: example 1 at level
+# 0.8294913849009875 peaked at 374 / 474 / 730 MB (ru_maxrss) and traced in
+# 2.3 / 4.1 / 6.0 s at R = 300 / 400 / 500, each in a fresh CPython 3.11
 # process (best of two runs, 2-core x86-64 host).
 MAX_RADIUS = 500
 

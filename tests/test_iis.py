@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thinsections import polynomials
+from thinsections import iis, polynomials
 from thinsections.bands import pruning_decay
 from thinsections.errors import (
     AmbiguousMove,
@@ -316,6 +316,26 @@ def test_rational_exchange_has_no_contraction():
     assert detect_self_similarity(s, 10, policy="search") is None
 
 
+@pytest.mark.parametrize("policy", ["right", "search"])
+def test_self_similarity_raises_without_a_first_step(policy):
+    # every pair touches both support ends, so both sides are ambiguous
+    gasket = rational_system(
+        (0, 1), [((0, Fraction(1, 2)), (Fraction(1, 2), 1)),
+                 ((0, Fraction(1, 3)), (Fraction(2, 3), 1)),
+                 ((0, Fraction(1, 6)), (Fraction(5, 6), 1))]
+    )
+    with pytest.raises(AmbiguousMove):
+        detect_self_similarity(gasket, 10, policy=policy)
+    # one interval at the right end, two at the left: the right policy
+    # has no first step; the search takes the left one and dies at depth 2
+    s = rational_system((0, 10), [((0, 4), (6, 10)), ((0, 3), (5, 8))])
+    if policy == "right":
+        with pytest.raises(NoAdmissibleMove):
+            detect_self_similarity(s, 10, policy=policy)
+    else:
+        assert detect_self_similarity(s, 10, policy=policy) is None
+
+
 @pytest.mark.parametrize("policy", ["left", "alternate-rl", "bogus"])
 def test_unknown_policy_raises(s1, policy):
     with pytest.raises(ValueError, match="unknown policy"):
@@ -418,6 +438,100 @@ def test_affine_match_sorts_the_base_once(s1, monkeypatch):
 
 def test_s2_exhaustive_search_finds_period_8(s2):
     assert detect_self_similarity(s2, 12, policy="search").period == 8
+
+
+@pytest.fixture(scope="module")
+def rauzy_walks(s1, s2):
+    """Per bundled system: the systems the search's breadth-first walk
+    reaches in 12 steps on both sides, every step's output (repeats are
+    kept but not stepped again) and every (system, side) a step hands to
+    reduce."""
+    walks, real = {}, iis.reduce
+    for name, s in (("s1", s1), ("s2", s2)):
+        states, outs, reduced = [s], [], []
+
+        def recorded(t, side):
+            reduced.append((t, side))
+            return real(t, side)
+
+        frontier, seen = [s], {s.canonical_key()}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(iis, "reduce", recorded)
+            for _ in range(12):
+                nxt = []
+                for cur in frontier:
+                    for side in ("left", "right"):
+                        try:
+                            out = rauzy_step(cur, side)[0]
+                        except (NoAdmissibleMove, AmbiguousMove):
+                            continue
+                        outs.append(out)
+                        if out.canonical_key() not in seen:
+                            seen.add(out.canonical_key())
+                            nxt.append(out)
+                states += nxt
+                frontier = nxt
+        walks[name] = states, outs, reduced
+    return walks
+
+
+@pytest.mark.parametrize("which", ["s1", "s2"])
+def test_moves_build_what_the_audit_accepts(rauzy_walks, which):
+    # transmit and reduce skip the constructors' audit; rebuilding every
+    # system they make through the auditing constructors must accept it
+    _, outs, reduced = rauzy_walks[which]
+    assert len(outs) > 600
+    for out in outs + [t for t, _ in reduced]:
+        again = IIS(out.field, out.support, [IntervalPair(p.left, p.right) for p in out.pairs])
+        assert again.canonical_key() == out.canonical_key()
+        assert type(out.support) is tuple and type(out.pairs) is tuple
+
+
+def _nearest_interior(s, side):
+    """Brute force: the critical point strictly inside the sole interval at
+    the support end that lies nearest that end, or None."""
+    a0, b0 = s.support
+    ends = [iv for _, _, iv in s.intervals() if (iv[1] == b0 if side == "right" else iv[0] == a0)]
+    if len(ends) != 1:
+        return None
+    lo, hi = ends[0]
+    inside = [x for _, _, iv in s.intervals() for x in iv if lo < x < hi]
+    if not inside:
+        return None
+    return max(inside) if side == "right" else min(inside)
+
+
+@pytest.mark.parametrize("which", ["s1", "s2"])
+def test_reduce_cuts_at_the_nearest_interior_point(rauzy_walks, which):
+    states, _, reduced = rauzy_walks[which]
+    cut = failed = 0
+    for s, side in [(t, side) for t in states for side in ("left", "right")] + reduced:
+        u = _nearest_interior(s, side)
+        if u is None:
+            failed += 1
+            with pytest.raises(PreconditionFailed):
+                reduce(s, side)
+            continue
+        cut += 1
+        a0, b0 = s.support
+        assert reduce(s, side).support == ((a0, u) if side == "right" else (u, b0))
+    assert cut > 600 and failed > 800
+
+
+def test_reduce_ignores_an_endpoint_at_the_inner_end():
+    # the other endpoint nearest the right end is 6, the inner end of [6, 10]
+    s = rational_system((0, 10), [((6, 10), (0, 4)), ((4, 6), (0, 2))])
+    for t, side in ((s, "right"), (mirror_system(s), "left")):
+        with pytest.raises(PreconditionFailed):
+            reduce(t, side)
+    # one endpoint inside [6, 10] at 8: the cut lands there
+    s = rational_system((0, 10), [((6, 10), (0, 4)), ((4, 6), (0, 2)), ((7, 8), (1, 2))])
+    out = reduce(s, "right")
+    assert [float(x) for x in out.support] == [0, 8]
+    assert [float(x) for iv in out.pairs[0].intervals() for x in iv] == [6, 8, 0, 2]
+    out = reduce(mirror_system(s), "left")
+    assert [float(x) for x in out.support] == [2, 10]
+    assert [float(x) for iv in out.pairs[0].intervals() for x in iv] == [2, 4, 8, 10]
 
 
 @pytest.mark.xfail(
