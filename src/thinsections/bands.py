@@ -32,15 +32,16 @@ every band's length as an integer row over the start bands.  Positions
 travel with their breakpoints, a collapse's new points get theirs from
 the band, a merge adds two length rows, and a row of u is the
 difference of the positions of a new segment's two breakpoints,
-checked against its exact length.  A cycle is a later complex with the
-same combinatorial shape whose entire parameter vector is a common
-exact multiple of the earlier one.
+checked on integer residues against its exact length.  A cycle is a
+later complex with the same combinatorial shape whose entire parameter
+vector is a common exact multiple of the earlier one.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     AuditError,
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .iis import OrbitChart, _built
 from .linalg import perron_root_interval
-from .numberfield import common_denominator, dot_minus
+from .numberfield import common_denominator, dot_equals
 
 orbit_neighbors = OrbitChart.neighbors
 
@@ -120,6 +121,9 @@ class Band:
 class BandComplex:
     """Support arcs plus bands over them.
 
+    The constructor audits an input: bases in their arcs (else AuditError),
+    pairwise disjoint arcs with no shared point and positive band lengths
+    (else InvalidSystem).  Moves keep these and build through `_built`.
     A complex is immutable: no code outside the constructors assigns to
     a complex, its arcs, its bands or their ends, and every move builds a
     new complex.  Its segmentation is therefore fixed once and cached in
@@ -142,6 +146,11 @@ class BandComplex:
                 arc = self.supports[e.arc]
                 if e.lo < arc.lo or arc.hi < e.hi:
                     raise AuditError("band base escapes its support arc")
+            if b.length <= 0:
+                raise InvalidSystem(f"band length must be positive: {b.length}")
+        arcs = sorted(self.supports, key=lambda arc: arc.lo)
+        if any(p.hi >= q.lo for p, q in zip(arcs, arcs[1:])):
+            raise InvalidSystem("support arcs overlap or share a point")
 
     def __repr__(self):
         return f"BandComplex({list(self.supports)}, {list(self.bands)})"
@@ -200,7 +209,7 @@ def segmentation(x):
                 bi, k, slot = tag
                 ords[bi][k][slot] = len(out) - 1
         breaks.append(out)
-    spans = tuple(tuple(tuple(end) for end in pair) for pair in ords)
+    spans = tuple((tuple(bottom), tuple(top)) for bottom, top in ords)
     x._segmentation = (breaks, _segments(breaks, spans), spans)
     return x._segmentation
 
@@ -208,14 +217,15 @@ def segmentation(x):
 def _segments(breaks, spans):
     """segmentation's segs, read from the breakpoints and the spans."""
     covers = [[[] for _ in pts[1:]] for pts in breaks]
-    for bi, pair in enumerate(spans):
-        for role, (arc, i, j) in zip(_ROLES, pair):
-            for t in range(i, j):
-                covers[arc][t].append((bi, role))
+    for bi, ((a, i, j), (c, k, l)) in enumerate(spans):
+        for cover in covers[a][i:j]:
+            cover.append((bi, "bottom"))
+        for cover in covers[c][k:l]:
+            cover.append((bi, "top"))
     return [
-        (ai, lo, hi, covers[ai][t])
+        (ai, lo, hi, cover)
         for ai, pts in enumerate(breaks)
-        for t, (lo, hi) in enumerate(zip(pts, pts[1:]))
+        for lo, hi, cover in zip(pts, pts[1:], covers[ai])
     ]
 
 
@@ -225,22 +235,20 @@ def _renumbered(points, spans):
     a's candidate breakpoints, spans name keys, and kept[a] lists the
     kept points' entries in order."""
     used = [{min(pts), max(pts)} for pts in points]
-    for pair in spans:
-        for a, i, j in pair:
-            used[a].update((i, j))
+    for (a, i, j), (c, k, l) in spans:
+        used[a].update((i, j))
+        used[c].update((k, l))
     keep = [sorted(u) for u in used]
-    renum = [{m: n for n, m in enumerate(ks)} for ks in keep]
+    new = [{m: n for n, m in enumerate(ks)} for ks in keep]
     kept = [[pts[m] for m in ks] for pts, ks in zip(points, keep)]
-    spans = [tuple((a, renum[a][i], renum[a][j]) for a, i, j in pair) for pair in spans]
+    spans = [((a, new[a][i], new[a][j]), (c, new[c][k], new[c][l]))
+             for (a, i, j), (c, k, l) in spans]
     return kept, spans
 
 
 def _first_segments(breaks):
     """Index in segs of each arc's first segment."""
-    out = [0]
-    for pts in breaks[:-1]:
-        out.append(out[-1] + len(pts) - 1)
-    return out
+    return [0, *accumulate(len(pts) - 1 for pts in breaks[:-1])]
 
 
 def segment_values(x):
@@ -300,9 +308,9 @@ def _ledger(x):
 
 
 def _row_check(row, common, target, message):
-    """Raise AuditError(message) unless row . values == target exactly,
-    the values given as common_denominator(values)."""
-    if not dot_minus(row, common, target).is_zero():
+    """Raise AuditError(message) unless row . values == target, decided on
+    integer residues by `dot_equals` (`is_zero` only over a reducible modulus)."""
+    if not dot_equals(row, common, target):
         raise AuditError(message)
 
 
@@ -346,7 +354,7 @@ def _arranged(field, supports, bands, points, spans, rows=None):
     kept, spans = _renumbered(points, spans)
     arc_order = sorted(range(len(supports)), key=lambda i: supports[i].lo)
     remap = {old: new for new, old in enumerate(arc_order)}
-    ends = [tuple((remap[a], i, j) for a, i, j in pair) for pair in spans]
+    ends = [((remap[a], i, j), (remap[c], k, l)) for (a, i, j), (c, k, l) in spans]
     flips = [t < b for b, t in ends]
     ends = [(t, b) if flip else (b, t) for (b, t), flip in zip(ends, flips)]
     order = sorted(range(len(bands)), key=ends.__getitem__)
@@ -385,8 +393,7 @@ def _collapse(x, rec):
     e, o = band.ends()[k], band.ends()[1 - k]
     (alpha, ei, ej), (oarc, oi, oj) = spans[rec.band][k], spans[rec.band][1 - k]
     t0 = rec.seg - _first_segments(breaks)[alpha]
-    t1 = t0 + 1
-    j0, j1 = rec.lo, rec.hi
+    t1, j0, j1 = t0 + 1, rec.lo, rec.hi
     arc = x.supports[alpha]
     at, rows = _ledger(x)
 
@@ -436,10 +443,10 @@ def _collapse(x, rec):
         return key
 
     raw_bands, raw_spans, raw_rows = [], [], []
-    for bi, (b, pair) in enumerate(zip(x.bands, spans)):
+    for bi, (b, (bottom, top)) in enumerate(zip(x.bands, spans)):
         if bi != rec.band:
             raw_bands.append(b)
-            raw_spans.append(tuple(span(*end) for end in pair))
+            raw_spans.append((span(*bottom), span(*top)))
             raw_rows.append(rows[bi])
             continue
         for (r0, i), (r1, j) in (((e.lo, ei), (j0, t0)), ((j1, t1), (e.hi, ej))):
@@ -447,12 +454,11 @@ def _collapse(x, rec):
                 continue
             lo, hi = r0 + shift, r1 + shift
             ends = [BandEnd(alpha, r0, r1), BandEnd(oarc, lo, hi)]
-            ends_span = [span(alpha, i, j), (oraw, image(i, lo), image(j, hi))]
+            ends_span = (span(alpha, i, j), (oraw, image(i, lo), image(j, hi)))
             if k:
-                ends.reverse()
-                ends_span.reverse()
+                ends, ends_span = ends[::-1], ends_span[::-1]
             raw_bands.append(Band(*ends, band.length))
-            raw_spans.append(tuple(ends_span))
+            raw_spans.append(ends_span)
             raw_rows.append(rows[rec.band])
     return _arranged(x.field, raw_arcs, raw_bands, points, raw_spans, raw_rows)
 
@@ -510,31 +516,25 @@ def _drop_dead(x, ledger):
     breaks, segs, spans = segmentation(x)
     first = _first_segments(breaks)
     at, rows = ledger
-    # runs [i, j] of consecutive covered segments on one arc become the new arcs
-    runs = []
-    run_at = []
+    # runs [i, j] of consecutive covered segments on one arc become the new
+    # arcs; run_at[s] is segment s's run (t > 0: s - 1 is on the same arc)
+    runs, run_at = [], []
     for s, (ai, _, _, covers) in enumerate(segs):
-        if not covers:
-            run_at.append(None)
-            continue
         t = s - first[ai]
-        if run_at and run_at[-1] is not None and runs[-1][0] == ai:
+        if covers and t and run_at[-1] is not None:
             runs[-1][2] = t + 1
-        else:
+        elif covers:
             runs.append([ai, t, t + 1])
-        run_at.append(len(runs) - 1)
+        run_at.append(len(runs) - 1 if covers else None)
     raw_arcs = [SupportArc(breaks[a][i], breaks[a][j]) for a, i, j in runs]
     points = [{m: (breaks[a][m], at[a][m]) for m in range(i, j + 1)} for a, i, j in runs]
-    raw_spans = [tuple((run_at[first[a] + i], i, j) for a, i, j in pair) for pair in spans]
+    raw_spans = [((run_at[first[a] + i], i, j), (run_at[first[c] + k], k, l))
+                 for (a, i, j), (c, k, l) in spans]
     return _arranged(x.field, raw_arcs, x.bands, points, raw_spans, rows)
 
 
 def _mat_mul(a, b):
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    n = len(b[0])
+    n = len(b[0]) if b else 0
     out = []
     for row in a:
         acc = [0] * n
@@ -628,8 +628,7 @@ def rips_cycle(run):
     complex, then (complex, u, v) of each step, taken only as far as
     the cycle.  The report carries the integer period matrices for
     segment lengths (width_matrix) and band lengths (length_matrix)."""
-    states = []
-    by_sig = {}
+    states, by_sig = [], {}
     for t, (cur, u, v) in enumerate(run):
         pt, lt = segment_values(cur), [b.length for b in cur.bands]
         states.append((cur, pt, lt, u, v))

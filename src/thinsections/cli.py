@@ -17,6 +17,7 @@ import contextlib
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import bands
@@ -252,10 +253,7 @@ def _cmd_section(args):
                 f"(spanning {census['spanning']}, boundary-clipped "
                 f"{census['boundary-clipped']}, closed {census['closed']})"
             )
-        histogram = {}
-        for entry in per_level:
-            n = entry["census"]["spanning"]
-            histogram[n] = histogram.get(n, 0) + 1
+        histogram = Counter(entry["census"]["spanning"] for entry in per_level)
         traced = len(per_level)
         aggregate = {
             "traced": traced,

@@ -28,8 +28,9 @@ putting back an earlier interval (as `sections` does after a far-level
 reduction) restores one that also isolated the root, so the bounds
 taken at any time enclose the value for good.
 
-Equality is one primitive too, `==`: canonical residues over an
-irreducible modulus, a zero test of the difference over a reducible one.
+Equality is one primitive too, `==` (`dot_equals` for an integer row
+against an element): canonical residues over an irreducible modulus,
+`is_zero` of the difference over a reducible one.
 The one exception is `Band.__init__`'s width audit, a difference's
 `sign() != 0` kept because the benchmark self-test counts its zero signs
 (`tests/test_ordering.py` checks).  A constant hashes as the rational it
@@ -518,15 +519,17 @@ def common_denominator(values):
     return [[c * (den // v._den) for c in v._num] for v in values], den
 
 
-def dot_minus(row, common, target):
-    """row . values - target as one element built from its integer residue,
-    for a row of rationals and values given as common_denominator(values)."""
-    (nums, den), (row, rden) = common, P.integer_form(row)
-    den, tden = den * rden, target._den
+def dot_equals(row, common, target):
+    """Whether row . values == target, for a row of ints and the values as
+    common_denominator(values): the integer residue of row . values - target
+    is all 0 over an irreducible modulus; over a reducible one `is_zero` decides."""
+    (nums, den), tden = common, target._den
     acc = [-den * c for c in target._num] + [0] * (target.field.degree - len(target._num))
     for coef, num in zip(row, nums):
         if coef:
             coef *= tden
             for k, c in enumerate(num):
                 acc[k] += coef * c
-    return _element(target.field, acc, den * tden)
+    if target.field.irreducible:
+        return not any(acc)
+    return _element(target.field, acc, den * tden).is_zero()

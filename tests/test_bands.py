@@ -1,6 +1,7 @@
 """Band complexes: machine moves, cycle detection, end criterion, pruning."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from thinsections.errors import (
     AuditError,
     DepthExhausted,
     Halted,
+    InvalidSystem,
     NoAdmissibleMove,
     NotFound,
     PreconditionFailed,
@@ -139,6 +141,24 @@ def test_constructor_guards():
             [SupportArc(q(0), q(2))],
             [Band(BandEnd(0, q(0), q(1)), BandEnd(0, q(1), q(3)), Fraction(1))],
         )
+
+
+@pytest.mark.parametrize("arcs,length", [
+    ([(0, 3), (0, 3)], 1),
+    ([(0, 3), (2, 5)], 1),
+    ([(0, 3), (3, 5)], 1),
+    ([(3, 5), (-1, 4)], 1),
+    ([(0, 3), (4, 5)], 0),
+    ([(0, 3), (4, 5)], -1),
+], ids=["one-arc-twice", "overlapping", "sharing-a-point", "overlapping-out-of-order",
+        "zero-length", "negative-length"])
+def test_constructor_rejects_invalid_inputs(arcs, length):
+    # one band on each arc, inside it; the arcs or the second length are bad
+    (a, _), (b, _) = arcs
+    bands_ = [((0, a, a + 1), (0, a + 1, a + 2), 1),
+              ((1, b, b + Fraction(1, 2)), (1, b + Fraction(1, 2), b + 1), length)]
+    with pytest.raises(InvalidSystem):
+        rational_complex(arcs, bands_)
 
 
 def test_complex_from_iis_shape(s1, x1):
@@ -314,12 +334,11 @@ def test_rips_step_reference(s1, x1):
     assert stats[2] == (pytest.approx(float(c)), 1)
 
 
-def test_rips_step_on_overlapping_arcs():
-    # arcs are separate pieces of the support, so two may cover the same
-    # values; each new segment must be read over its own old arc
+def test_rips_step_on_two_arcs():
+    # each new segment must be read over its own old arc
     x = rational_complex(
-        [(0, 3), (0, 3)],
-        [((0, 0, 1), (1, 1, 2), 1), ((0, 1, 3), (1, 0, 2), 1)],
+        [(0, 3), (4, 7)],
+        [((0, 0, 1), (1, 5, 6), 1), ((0, 1, 3), (1, 4, 6), 1)],
     )
     y, u, v, log = _rips_step_tracked(x)
     assert log[0] == {"move": "collapse", "arc": 0, "band": 0, "end": "bottom"}
@@ -332,7 +351,7 @@ def test_rips_step_on_overlapping_arcs():
     assert len(v) == len(y.bands) == 1
     for row, band in zip(v, y.bands):
         assert sum(c * l for c, l in zip(row, lengths)) == band.length
-    assert u == [[0, 0, 1, 1, 0], [0, 1, 0, 0, 0]] and v == [[0, 1]]
+    assert u == [[0, 1, 0, 0, 0], [0, 0, 1, 1, 0]] and v == [[0, 1]]
 
 
 def test_collapse_image_on_old_breakpoint_takes_its_row():
@@ -593,6 +612,67 @@ def test_s2_length_growth_is_exactly_49(rep2):
     cr = char_poly(ref.WIDTH_CYCLE["s2"])
     _, rem = P.divmod_poly(char_poly(rep2.width_matrix), cr)
     assert not P.is_zero(rem)  # unlike the widest system, no spectral embedding
+
+
+# x^3 - 8x^2 + 16x - 1 and x^3 - 40x^2 + 160x - 1: the printed s2 cycle is
+# taken twice, since the detected one contracts by lam^2
+_WIDTH_CUBIC = {"s1": ([-1, 16, -8, 1], 1, 11), "s2": ([-1, 160, -40, 1], 2, 10)}
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_width_cycles_share_a_cubic_with_the_printed_ones(request, name):
+    rep = request.getfixturevalue("rep" + name[1])
+    cubic, power, size = _WIDTH_CUBIC[name]
+    printed = once = ref.WIDTH_CYCLE[name]
+    for _ in range(power - 1):
+        printed = [[sum(map(operator.mul, row, col)) for col in zip(*once)] for row in printed]
+    assert len(rep.width_matrix) == size
+    for m in (rep.width_matrix, printed):
+        _, rem = P.divmod_poly(char_poly(m), P.poly(cubic))
+        assert P.is_zero(rem)
+
+
+# -- audits of the integer bookkeeping ---------------------------------------------
+
+
+def _step_with_ledger(x):
+    """The moves of `_rips_step_tracked(x)` with the ledger they carry."""
+    x1, ledger = bands._collapse(x, find_free_subarcs(x)[0])
+    x2, ledger, _ = bands._merge(x1, ledger)
+    return bands._drop_dead(x2, ledger)
+
+
+def test_transition_matrix_rejects_a_position_off_by_one(x1):
+    # over s1, steps 0 and 1 start from complexes with segments of length
+    # lam and lam^2: every breakpoint position off by one in any start
+    # segment changes some row of u by that segment's value
+    x = x1
+    for _ in range(2):
+        y, (at, rows) = _step_with_ledger(x)
+        u = _rips_step_tracked(x)[1]
+        assert bands._transition_matrix(x, y, (at, rows)) == u
+        for a, positions in enumerate(at):
+            for m, (arc, row) in enumerate(positions):
+                for s in range(len(row)):
+                    for d in (1, -1):
+                        bad = [list(p) for p in at]
+                        bad[a][m] = (arc, [c + d * (t == s) for t, c in enumerate(row)])
+                        with pytest.raises(AuditError):
+                            bands._transition_matrix(x, y, (bad, rows))
+        x = y
+
+
+def test_audit_cycle_rejects_a_changed_width_entry(rep1):
+    rows = [list(row) for row in rep1.width_matrix]
+    lengths = [list(row) for row in rep1.length_matrix]
+    audit = (rep1.params_start, rep1.params_end, lengths, rep1.lengths_start, rep1.lengths_end)
+    bands._audit_cycle(rows, *audit)
+    for i, row in enumerate(rows):
+        for j in range(len(row)):
+            bad = [list(r) for r in rows]
+            bad[i][j] += 1
+            with pytest.raises(AuditError, match="width matrix"):
+                bands._audit_cycle(bad, *audit)
 
 
 def test_detect_guards(x1):

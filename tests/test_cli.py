@@ -201,22 +201,27 @@ def test_run_rips_halts_nonzero(tmp_path, capsys):
     assert (emit / "summary.json").exists()
 
 
-def test_run_rips_on_overlapping_arcs(tmp_path, capsys):
-    from thinsections.bands import Band, BandComplex, BandEnd, SupportArc
-    from thinsections.numberfield import rational_field
-    from thinsections.serialize import complex_to_json
-
-    f = rational_field()
-    n = [f.rational(k) for k in range(4)]
-    arcs = [SupportArc(n[0], n[3]), SupportArc(n[0], n[3])]
-    bands = [
-        Band(BandEnd(0, n[0], n[1]), BandEnd(1, n[1], n[2]), 1),
-        Band(BandEnd(0, n[1], n[3]), BandEnd(1, n[0], n[2]), 1),
-    ]
-    path = tmp_path / "overlap.json"
-    path.write_text(json.dumps(complex_to_json(BandComplex(f, arcs, bands))))
-    assert main(["run", "rips", "--system", str(path), "--steps", "2"]) == 0
-    assert "2 machine steps completed" in capsys.readouterr().out
+@pytest.mark.parametrize("edit", [
+    {"supports": [["0", "1"], ["1/2", "2"]]},
+    {"supports": [["0", "1"], ["1", "2"]]},
+    {"length": "0"},
+    {"length": "-1"},
+], ids=["overlapping-arcs", "touching-arcs", "zero-length", "negative-length"])
+def test_run_rips_rejects_an_invalid_complex(tmp_path, capsys, edit):
+    # the emitted start state of s1 with one edit is invalid input: exit 2
+    assert main(["run", "rips", "--system", "s1", "--steps", "0",
+                 "--emit-json", str(tmp_path)]) == 0
+    state = json.loads((tmp_path / "step_000.json").read_text())
+    if "supports" in edit:
+        state["supports"] = edit["supports"]
+    else:
+        state["bands"][1]["length"] = edit["length"]
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert main(["run", "rips", "--system", str(path), "--steps", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def _swapped_arcs(x):

@@ -17,6 +17,8 @@ from thinsections.iis import system_field, system_params
 from thinsections.numberfield import (
     FieldElement,
     NumberField,
+    common_denominator,
+    dot_equals,
     field_new,
     minimal_field,
     rational_field,
@@ -412,3 +414,34 @@ def test_float_of_a_rational_is_the_enclosure_midpoint(name, monkeypatch):
     assert calls == []
     assert got == mid == [float(q) for q in values]
     assert all(type(v) is float for v in got)
+
+
+# -- integer rows against exact values -----------------------------------------------
+
+
+def test_dot_equals_over_a_reducible_modulus_decides_by_value():
+    # over (t - 1)(t^2 - 2) with the root sqrt 2, the residue t^2 - 2 is not
+    # the zero polynomial but its value is 0: the row is accepted
+    f = field_new(P.mul(P.poly([-1, 1]), P.poly([-2, 0, 1])), (Fraction(13, 10), Fraction(3, 2)))
+    assert not f.irreducible
+    r = f.gen
+    common = common_denominator([r * r, r, f.rational(Fraction(1, 3))])
+    assert dot_equals([1, 0, 0], common, f.rational(2))
+    assert dot_equals([1, 0, 3], common, f.rational(3))
+    assert dot_equals([2, -1, 0], common, 4 - r)
+    assert not dot_equals([1, 1, 0], common, f.rational(2))
+    assert not dot_equals([1, 0, 0], common, f.rational(1))
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_dot_equals_reads_every_coefficient(name):
+    # a target off by q lam^k, for each power k below the degree, is refused
+    f = system_field(name)
+    values = list(system_params(name))
+    row = [3, -1, 0, 2, 5][: len(values)]
+    exact = sum((c * v for c, v in zip(row, values)), f.zero)
+    common = common_denominator(values)
+    assert dot_equals(row, common, exact)
+    for k in range(f.degree):
+        for q in (1, Fraction(-1, 6)):
+            assert not dot_equals(row, common, exact + q * f.gen ** k)
