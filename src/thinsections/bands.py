@@ -63,7 +63,7 @@ class SupportArc:
 
     def __init__(self, lo, hi):
         if hi <= lo:
-            raise AuditError("support arc must have positive length")
+            raise InvalidSystem("support arc must have positive length")
         self.lo = lo
         self.hi = hi
 
@@ -100,9 +100,9 @@ class Band:
 
     def __init__(self, bottom, top, length):
         if (bottom.width() - top.width()).sign() != 0:
-            raise AuditError("band bases must have equal width")
+            raise InvalidSystem("band bases must have equal width")
         if bottom.hi <= bottom.lo:
-            raise AuditError("band width must be positive")
+            raise InvalidSystem("band width must be positive")
         self.bottom = bottom
         self.top = top
         self.length = Fraction(length)
@@ -121,9 +121,9 @@ class Band:
 class BandComplex:
     """Support arcs plus bands over them.
 
-    The constructor audits an input: bases in their arcs (else AuditError),
-    pairwise disjoint arcs with no shared point and positive band lengths
-    (else InvalidSystem).  Moves keep these and build through `_built`.
+    The constructor audits an input: bases in their arcs, pairwise
+    disjoint arcs with no shared point and positive band lengths (else
+    InvalidSystem).  Moves keep these and build through `_built`.
     A complex is immutable: no code outside the constructors assigns to
     a complex, its arcs, its bands or their ends, and every move builds a
     new complex.  Its segmentation is therefore fixed once and cached in
@@ -145,7 +145,7 @@ class BandComplex:
                     raise InvalidSystem(f"band end names no support arc: {e.arc!r}")
                 arc = self.supports[e.arc]
                 if e.lo < arc.lo or arc.hi < e.hi:
-                    raise AuditError("band base escapes its support arc")
+                    raise InvalidSystem("band base escapes its support arc")
             if b.length <= 0:
                 raise InvalidSystem(f"band length must be positive: {b.length}")
         arcs = sorted(self.supports, key=lambda arc: arc.lo)

@@ -207,25 +207,16 @@ def build_system(name):
     if name not in SYSTEM_MATRIX:
         raise InvalidSystem(f"unknown system {name!r}")
     field = system_field(name)
-    params = system_params(name)
     zero = field.zero
-    if name == "s1":
-        a, b, c, u = params
-        support = (zero, a + b + c)
-        pairs = (
-            IntervalPair((zero, a), (b + c, a + b + c)),
-            IntervalPair((zero, b), (a + c, a + b + c)),
-            IntervalPair((u, u + c), (a + b - u, a + b + c - u)),
-        )
-    else:
-        a, b, c, d, e = params
-        support = (zero, a + b + c)
-        pairs = (
-            IntervalPair((zero, a), (b + c, a + b + c)),
-            IntervalPair((zero, b), (a + c, a + b + c)),
-            IntervalPair((d, d + c), (e, e + c)),
-        )
-    return IIS(field, support, pairs)
+    a, b, c, *rest = system_params(name)
+    # the third pair: [u, u + c] and [a + b - u, a + b + c - u] for s1
+    d, e = (rest[0], a + b - rest[0]) if name == "s1" else rest
+    pairs = (
+        IntervalPair((zero, a), (b + c, a + b + c)),
+        IntervalPair((zero, b), (a + c, a + b + c)),
+        IntervalPair((d, d + c), (e, e + c)),
+    )
+    return IIS(field, (zero, a + b + c), pairs)
 
 
 def validate(s):
@@ -360,11 +351,7 @@ class SimilarityReport:
 
     @property
     def sides(self):
-        seen = []
-        for m in self.move_log:
-            if m["move"] == "transmit":
-                seen.append(m["side"])
-        return tuple(seen)
+        return tuple(m["side"] for m in self.move_log if m["move"] == "transmit")
 
 
 def affine_match(base, other):

@@ -72,20 +72,11 @@ def divmod_poly(f, g):
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(f) - len(g) + 1, 1)
     r = list(f)
-    dg = degree(g)
-    lg = leading(g)
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        k = len(r) - 1 - dg
-        coef = r[-1] / lg
-        q[k] = coef
+    for k in reversed(range(len(f) - len(g) + 1)):
+        coef = q[k] = r[k + degree(g)] / leading(g)
         for i, b in enumerate(g):
             r[i + k] -= coef * b
-        r.pop()
-    return poly(q), poly(r)
+    return poly(q), poly(r[: degree(g)])
 
 
 def pmod(f, g):

@@ -12,12 +12,19 @@ are refused up front, and the drawn points, which classify within eps.
 Equal coordinates of the drawn points share one float object: a window
 has few distinct values (501 x1 and 301 x3 among 43,484 points of example
 1 at R = 50), so sharing keeps the returned polylines small.
+
+sample_levels draws numpy's default_rng(seed).uniform(0, P) stream, P the
+x2-period, computed in Python ints: the levels do not depend on the
+installed numpy, and numpy.random is never imported.  A seed that is not
+an integer raises PreconditionFailed.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, permutations, product
 
 import numpy as np
 
@@ -46,6 +53,9 @@ MAX_RADIUS = 500
 
 # Draws sample_levels makes for one level before it gives up.
 _DRAWS_PER_LEVEL = 100
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -160,7 +170,7 @@ def _jump(pred, root):
     while True:
         step = rank[ptr]  # 0 exactly where ptr is a root
         count = np.count_nonzero(step)
-        if count == left:
+        if count in (0, left):  # 0: every node is at its root
             return ptr, rank
         left = count
         rank += step
@@ -285,25 +295,65 @@ def component_census(components):
     return counts
 
 
-def sample_levels(surface, count, seed, R, eps=DEFAULT_EPS):
-    """Deterministic section levels over one x2-period, resampled away from
-    tangency faces so trace_section accepts every one of them.
+def _uniform_draws(seed, high):
+    """The doubles numpy.random.default_rng(seed).uniform(0.0, high) draws,
+    computed in Python ints: SeedSequence's pool of four 32-bit words mixed
+    from the seed's 32-bit words, generate_state(4, uint64), PCG64 seeding
+    and XSL-RR output (O'Neill 2014), then (x >> 11) 2^-53 high.  numpy
+    keeps these streams fixed across releases (NEP 19)."""
+    h = 0x43B0D7E5
 
-    Raises PreconditionFailed when seed is negative, and NearSaddle when
-    _DRAWS_PER_LEVEL draws in a row all fall within the guard of a
-    tangency face of some translate in the window.
+    def hashmix(v):
+        nonlocal h
+        v = (v ^ h) * (h := h * 0x931E8875 & _M32) & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for s, d in permutations(range(4), 2):
+        pool[d] = mix(pool[d], hashmix(pool[s]))
+    for w, d in product(words[4:], range(4)):
+        pool[d] = mix(pool[d], hashmix(w))
+    h, bits = 0x8B51F9DD, 0
+    for k in range(8):  # generate_state: eight 32-bit words, little-endian
+        v = (pool[k % 4] ^ h) * (h := h * 0x58F38DED & _M32) & _M32
+        bits |= (v ^ v >> 16) << 32 * k
+    w = [bits >> 64 * k & _M64 for k in range(4)]
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        x, r = (state >> 64 ^ state) & _M64, state >> 122
+        yield (((x >> r | x << 64 - r) & _M64) >> 11) * 2.0 ** -53 * high
+
+
+def sample_levels(surface, count, seed, R, eps=DEFAULT_EPS):
+    """Deterministic section levels over one x2-period P, resampled away
+    from tangency faces so trace_section accepts every one of them.
+
+    The draws are numpy's default_rng(seed).uniform(0, P) stream, computed
+    in ints (_uniform_draws), so they do not depend on the installed numpy.
+    Raises PreconditionFailed when seed is not an integer or is negative,
+    and NearSaddle when _DRAWS_PER_LEVEL draws in a row all fall within
+    the guard of a tangency face of some translate in the window.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise PreconditionFailed(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise PreconditionFailed(f"seed ({seed}) must be >= 0")
     R = _window_radius(R)
-    rng = np.random.default_rng(seed)
-    period = float(surface.plate_period)
+    draws = _uniform_draws(seed, float(surface.plate_period))
     c = _compiled(surface)
     out = []
     guard = 10.0 * max(eps, 1e-12)
     while len(out) < count:
-        for _ in range(_DRAWS_PER_LEVEL):
-            level = float(rng.uniform(0.0, period))
+        for level in islice(draws, _DRAWS_PER_LEVEL):
             # the guard reads only the tangency distance: emit no pieces
             if _kernels.emit_segments(level, R, (), (), *c[2:])[2] >= guard:
                 out.append(level)

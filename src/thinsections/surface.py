@@ -422,12 +422,10 @@ def _reassemble_tubes(surface):
             raise AuditError("tube does not have two pairs of opposite faces")
         l, r = vs[0].fixed, vs[1].fixed
         b, t = hs[0].fixed, hs[1].fixed
-        for w in vs:
-            if w.span != (b, t):
-                raise AuditError("vertical tube faces do not meet the horizontal ones")
-        for w in hs:
-            if w.span != (l, r):
-                raise AuditError("horizontal tube faces do not meet the vertical ones")
+        if any(w.span != (b, t) for w in vs):
+            raise AuditError("vertical tube faces do not meet the horizontal ones")
+        if any(w.span != (l, r) for w in hs):
+            raise AuditError("horizontal tube faces do not meet the vertical ones")
         tubes.append((Rect((l, r), (b, t)), vs[0].x3))
     return tubes
 

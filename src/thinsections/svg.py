@@ -24,6 +24,10 @@ def _poly_points(pts):
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
 
 
+def _line(x0, y0, x1, y1, style):
+    return f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" {style}/>\n'
+
+
 def _document(width, height, body):
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -80,11 +84,8 @@ def complex_svg(x):
             ylift = yb - 14.0 - 16.0 * loops_seen
             quad = [(bl, yb), (bh, yb), (th, ylift), (tl, ylift)]
             for xx in (tl, th):
-                body.append(
-                    f'<line x1="{_fmt(xx)}" y1="{_fmt(ylift)}" x2="{_fmt(xx)}" '
-                    f'y2="{_fmt(yt)}" stroke="{color}" stroke-width="1" '
-                    f'stroke-dasharray="3 3"/>\n'
-                )
+                body.append(_line(xx, ylift, xx, yt, f'stroke="{color}" stroke-width="1" '
+                                  'stroke-dasharray="3 3"'))
         else:
             quad = [(bl, yb), (bh, yb), (th, yt), (tl, yt)]
         body.append(
@@ -92,11 +93,8 @@ def complex_svg(x):
             f'fill-opacity="0.25" stroke="none"/>\n'
         )
         for (x0, x1, yy) in ((bl, bh, yb), (tl, th, yt)):
-            body.append(
-                f'<line x1="{_fmt(x0)}" y1="{_fmt(yy)}" x2="{_fmt(x1)}" '
-                f'y2="{_fmt(yy)}" stroke="{color}" stroke-width="5" '
-                f'stroke-linecap="butt"/>\n'
-            )
+            body.append(_line(x0, yy, x1, yy, f'stroke="{color}" stroke-width="5" '
+                              'stroke-linecap="butt"'))
         cx = (bl + bh + tl + th) / 4
         cy = (yb + (quad[2][1])) / 2
         body.append(
@@ -106,15 +104,9 @@ def complex_svg(x):
     for i, arc in enumerate(x.supports):
         y = Y(i)
         x0, x1 = X(arc.lo), X(arc.hi)
-        body.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(x1)}" y2="{_fmt(y)}" '
-            f'stroke="black" stroke-width="2"/>\n'
-        )
+        body.append(_line(x0, y, x1, y, 'stroke="black" stroke-width="2"'))
         for xx in (x0, x1):
-            body.append(
-                f'<line x1="{_fmt(xx)}" y1="{_fmt(y - 4)}" x2="{_fmt(xx)}" '
-                f'y2="{_fmt(y + 4)}" stroke="black" stroke-width="2"/>\n'
-            )
+            body.append(_line(xx, y - 4, xx, y + 4, 'stroke="black" stroke-width="2"'))
         body.append(
             f'<text x="{_fmt(x0 - 26)}" y="{_fmt(y + 4)}" font-size="12" '
             f'fill="black">a{i}</text>\n'
@@ -138,18 +130,12 @@ def section_svg(components, radius):
     def py(z):
         return m + (R - z) * scale
 
-    body = []
+    body, grid = [], 'stroke="#dcdce6" stroke-width="1"'
     k = 0
     while k <= R:
         for v in ((k,) if k == 0 else (k, -k)):
-            body.append(
-                f'<line x1="{_fmt(px(v))}" y1="{_fmt(py(-R))}" x2="{_fmt(px(v))}" '
-                f'y2="{_fmt(py(R))}" stroke="#dcdce6" stroke-width="1"/>\n'
-            )
-            body.append(
-                f'<line x1="{_fmt(px(-R))}" y1="{_fmt(py(v))}" x2="{_fmt(px(R))}" '
-                f'y2="{_fmt(py(v))}" stroke="#dcdce6" stroke-width="1"/>\n'
-            )
+            body.append(_line(px(v), py(-R), px(v), py(R), grid))
+            body.append(_line(px(-R), py(v), px(R), py(v), grid))
         k += 1
     body.append(
         f'<rect x="{_fmt(px(-R))}" y="{_fmt(py(R))}" width="{_fmt(2 * R * scale)}" '

@@ -22,7 +22,7 @@ discrepancy is stated in the note, never silently smoothed over.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import polynomials as P
@@ -262,9 +262,7 @@ def _width_cycle(name):
     k = cycle_contraction(name)
     res = []
     for row, target, rec in zip(WIDTH_CYCLE[name], (k * x for x in stage), scaled):
-        acc = field.zero
-        for coef, val in zip(row, stage):
-            acc = acc + val * coef
+        acc = sum((val * coef for coef, val in zip(row, stage)), field.zero)
         res.append(acc - target)
         res.append(acc - rec)
     return _exact(
@@ -401,17 +399,7 @@ def rows_to_json(scope, rows):
     s = summarize(rows)
     return {
         "scope": scope,
-        "rows": [
-            {
-                "claim": r.claim,
-                "recorded": r.recorded,
-                "computed": r.computed,
-                "tolerance": r.tolerance,
-                "status": r.status,
-                "note": r.note,
-            }
-            for r in rows
-        ],
+        "rows": [asdict(r) for r in rows],
         "summary": {
             "exact_pass": s[STATUS_EXACT],
             "approx_pass": s[STATUS_APPROX],

@@ -462,6 +462,31 @@ def test_section_requires_levels_or_level():
 # -- console script -------------------------------------------------------------------
 
 
+_NO_NUMPY_RANDOM = """
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    sys.exit(3)  # this numpy loads numpy.random on import
+from thinsections.cli import main
+from thinsections.sections import sample_levels
+from thinsections.surface import build_surface
+sample_levels(build_surface(1), 2, 0, 5.0)
+assert "numpy.random" not in sys.modules, "sample_levels"
+assert main(["section", "--example", "1", "--levels", "2", "--radius", "5"]) == 0
+assert "numpy.random" not in sys.modules, "section --levels"
+"""
+
+
+def test_sampled_sections_do_not_import_numpy_random():
+    # the levels are numpy's default_rng stream computed in ints, so a
+    # fresh interpreter never pays for importing numpy.random
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM],
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode == 3:
+        pytest.skip("the installed numpy imports numpy.random itself")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "thinsections.cli", "verify", "--scope", "surface"],

@@ -249,6 +249,16 @@ def test_sample_levels_match_full_emit_guard(surface, seed, R):
     assert sample_levels(surface, 6, seed, R) == _reference_levels(surface, 6, seed, R)
 
 
+@pytest.mark.parametrize("R, eps", [(0.5, 1e-9), (5.0, 1e-9), (50.0, 1e-9), (5.0, 1e-4)])
+def test_sample_levels_are_numpys_draws_on_64_seeds(surface, R, eps):
+    # the reference draws from numpy.random itself; at R = 5 a guard of
+    # 10 * eps = 1e-3 rejects about 170 draws over the 64 seeds, so the
+    # redraws must follow numpy's stream too
+    for seed in range(64):
+        got = sample_levels(surface, 2, seed, R, eps)
+        assert got == _reference_levels(surface, 2, seed, R, eps), seed
+
+
 @pytest.mark.parametrize("level", [0.1, 0.37, 0.77])
 def test_emit_does_not_depend_on_block_bound(surface, level, monkeypatch):
     # the smallest bound puts one k3 value in each of the 12 blocks at R = 5

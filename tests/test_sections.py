@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -58,6 +59,22 @@ def test_radius_above_the_limit_rejected_before_emitting(ex1, refuse_to_emit):
 def test_negative_seed_rejected(ex1):
     with pytest.raises(PreconditionFailed):
         sample_levels(ex1, 1, -1, 5.0)
+    with pytest.raises(PreconditionFailed):
+        sample_levels(ex1, 1, np.int64(-1), 5.0)
+
+
+@pytest.mark.parametrize("seed", [3.0, 0.5, math.nan, "3", None, Fraction(3)])
+def test_non_integer_seed_rejected(ex1, seed):
+    with pytest.raises(PreconditionFailed, match="integer"):
+        sample_levels(ex1, 1, seed, 5.0)
+
+
+def test_integer_like_seeds_draw_as_their_int(ex1):
+    # operator.index: numpy ints and bools are the ints they equal
+    assert sample_levels(ex1, 3, np.int64(3), 5.0) == sample_levels(ex1, 3, 3, 5.0)
+    assert sample_levels(ex1, 3, np.uint8(7), 5.0) == sample_levels(ex1, 3, 7, 5.0)
+    assert sample_levels(ex1, 3, True, 5.0) == sample_levels(ex1, 3, 1, 5.0)
+    assert sample_levels(ex1, 3, False, 5.0) == sample_levels(ex1, 3, 0, 5.0)
 
 
 def test_tiny_window_is_empty(ex1):
@@ -385,6 +402,21 @@ def test_sample_levels_deterministic(ex1):
     assert all(0 <= lv < period for lv in a)
     for lv in a:
         trace_section(ex1, lv, 6.0)
+
+
+# seeds of one to five 32-bit words: numpy's SeedSequence pools the first
+# four and mixes any further words in afterwards
+_DRAW_SEEDS = [*range(256), 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
+
+
+@pytest.mark.parametrize("example", [None, 1, 2])
+def test_uniform_draws_are_numpys_default_rng_stream(example):
+    # high is 1.0 or a surface's plate period, as sample_levels passes it
+    high = 1.0 if example is None else float(build_surface(example).plate_period)
+    for seed in _DRAW_SEEDS:
+        rng = np.random.default_rng(seed)
+        want = [float(rng.uniform(0.0, high)) for _ in range(30)]
+        assert list(islice(sections._uniform_draws(seed, high), 30)) == want, seed
 
 
 def test_sample_levels_gives_up_near_every_tangency(ex1):

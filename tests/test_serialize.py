@@ -115,7 +115,7 @@ def test_complex_round_trip(s1_cycle):
 def test_complex_from_json_revalidates(s1):
     obj = _reload(complex_to_json(complex_from_iis(s1)))
     obj["bands"][0]["top"]["interval"][1] = "9"  # escapes the support arc
-    with pytest.raises(AuditError):
+    with pytest.raises(InvalidSystem):
         complex_from_json(obj)
 
 

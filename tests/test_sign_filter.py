@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from thinsections import polynomials as P
 from thinsections.bands import Band, BandComplex, BandEnd, SupportArc
-from thinsections.errors import AuditError, DivisionByZero, InvalidSystem
+from thinsections.errors import DivisionByZero, InvalidSystem
 from thinsections.iis import IIS, IntervalPair, system_field
 from thinsections.numberfield import (
     FIXED_BITS,
@@ -293,7 +293,7 @@ def test_band_audit_catches_a_near_tie():
     for lo, hi in ((-eps, 1 - eps), (eps, 1 + eps)):
         b = band(lo, hi)
         before = dict(SIGN_FILTER)
-        with pytest.raises(AuditError):
+        with pytest.raises(InvalidSystem):
             BandComplex(f, [arc], [b])
         assert SIGN_FILTER["fallback"] > before["fallback"]
 
