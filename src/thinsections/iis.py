@@ -376,7 +376,9 @@ def detect_self_similarity(s, max_steps, policy="right"):
     """Search induction schedules for an exact scaled return.
 
     policy: "right" (the right side at every step) or "search"
-    (breadth-first over all side sequences, deduplicating states).
+    (breadth-first over all side sequences, deduplicating states: each
+    distinct state is tested once, as an equal canonical key means an
+    equal support and equal pairs, so an equal match).
     Returns a SimilarityReport, or None when no schedule of at most
     max_steps steps reproduces s up to an affine contraction.  When no
     side the policy tries admits a first step, raises the first side's
@@ -390,7 +392,8 @@ def detect_self_similarity(s, max_steps, policy="right"):
         raise ValueError(f"unknown policy {policy!r}")
     search = policy == "search"
     sides = (RIGHT, LEFT) if search else (RIGHT,)
-    frontier, seen = [(s, [])], {s.canonical_key()}
+    # s's own key is left out of seen: a return to s is always a match
+    frontier, seen = [(s, [])], set()
     for depth in range(1, max_steps + 1):
         nxt_frontier, stuck = [], []
         for cur, log in frontier:
@@ -400,14 +403,14 @@ def detect_self_similarity(s, max_steps, policy="right"):
                 except (NoAdmissibleMove, AmbiguousMove) as exc:
                     stuck.append(exc)
                     continue
-                hit = affine_match(s, nxt)
-                if hit is not None:
-                    return SimilarityReport(depth, *hit, tuple(log + moves))
                 if search:
                     key = nxt.canonical_key()
                     if key in seen:
                         continue
                     seen.add(key)
+                hit = affine_match(s, nxt)
+                if hit is not None:
+                    return SimilarityReport(depth, *hit, tuple(log + moves))
                 nxt_frontier.append((nxt, log + moves))
         if depth == 1 and len(stuck) == len(sides):
             raise stuck[0]

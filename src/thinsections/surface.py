@@ -59,14 +59,6 @@ class Rect:
             and self.x2[1] < other.x2[1]
         )
 
-    def disjoint_from(self, other):
-        return (
-            self.x1[1] <= other.x1[0]
-            or other.x1[1] <= self.x1[0]
-            or self.x2[1] <= other.x2[0]
-            or other.x2[1] <= self.x2[0]
-        )
-
     def __repr__(self):
         f = lambda v: round(float(v), 6)
         return "Rect([%s, %s] x [%s, %s])" % (
@@ -131,12 +123,9 @@ def _assemble(field, a, b, c, y2, y4, label):
     t2 = Rect((q((1, 5)), q((2, 5))), (y2, y2 + c))
     t3 = Rect((q((3, 5)), q((4, 5))), (a, a + c))
     t4 = Rect((q((1, 5)), q((2, 5))), (y4, y4 + c))
-    for hole_pair in ((t2, t3), (t3, t4)):
-        for hole in hole_pair:
-            if not hole.strictly_inside(outer):
-                raise InvalidSystem("tube rectangle leaves the plate")
-        if not hole_pair[0].disjoint_from(hole_pair[1]):
-            raise InvalidSystem("tube rectangles overlap inside a plate")
+    # t3's x1-range is apart from t2's and t4's, so a plate's holes never overlap
+    if not all(hole.strictly_inside(outer) for hole in (t2, t3, t4)):
+        raise InvalidSystem("tube rectangle leaves the plate")
     plates = (
         Plate(outer, (t2, t3), q((1, 4))),
         Plate(outer, (t3, t4), q((3, 4))),
@@ -207,12 +196,11 @@ def x2_shift_coefficients(surface, value):
     """
     if value.is_zero():
         return (0, 0, 0)
-    dim = max(len(surface.field._monic) - 1, 1)
-    cols = [_rational_coeffs(e[1], dim) for e in surface.lattice]
-    if dim != 3:
+    if surface.field.degree != 3:
         raise AuditError("shift-group test expects a cubic field")
+    cols = [_rational_coeffs(e[1], 3) for e in surface.lattice]
     rows = [integer_form([*(c[i] for c in cols), b])[0]
-            for i, b in enumerate(_rational_coeffs(value, dim))]
+            for i, b in enumerate(_rational_coeffs(value, 3))]
     z, det = bareiss_solve([r[:3] for r in rows], [r[3] for r in rows])
     if not det or any(v % det for v in z):
         return None
@@ -391,16 +379,23 @@ def _own_planes(surface):
 def check_central_symmetry(surface, point):
     """Whether x -> 2*point - x maps the surface to itself mod the lattice.
 
-    Faces are reflected, translated back into the fundamental cell, and
-    compared plane by plane as exact unions of rectangles, so pieces that
-    the reflection shears across cell boundaries still match.  The
-    surface's own faces are reduced to the cell once per surface and
-    cached.
+    Faces are reflected, then tested in order.  First the x1 and x3
+    planes: `_into_cell` moves x1 only in its first pass and x3 only in its
+    second, so a reflected x1 or x3 face lands on the plane v - floor(v);
+    planes unlike the surface's own give False with no face reduced.  Then
+    all faces are translated back into the fundamental cell and compared
+    plane by plane as exact unions of rectangles, so pieces that the
+    reflection shears across cell boundaries still match.  The surface's
+    own faces are reduced to the cell once per surface and cached.
     """
     twice = [2 * p for p in point]
     reflected = [(axis, tuple((t - hi, t - lo) for t, (lo, hi) in zip(twice, box)))
                  for axis, box in _faces(surface)]
     original = _own_planes(surface)
+    planes = {(axis, box[axis][0]) for axis, box in reflected if axis != 1}
+    if {(axis, v - _floor_towards(v, 1)) for axis, v in planes} != {
+            key for key in original if key[0] != 1}:
+        return False
     image = _group_by_plane(_into_cell(surface, reflected))
     return original.keys() == image.keys() and all(
         _same_union(rects, image[key]) for key, rects in original.items())

@@ -21,8 +21,11 @@ from thinsections.errors import (
 )
 from thinsections.iis import (
     IIS,
+    LEFT,
+    RIGHT,
     IntervalPair,
     OrbitChart,
+    SimilarityReport,
     affine_match,
     build_system,
     detect_self_similarity,
@@ -438,6 +441,75 @@ def test_affine_match_sorts_the_base_once(s1, monkeypatch):
 
 def test_s2_exhaustive_search_finds_period_8(s2):
     assert detect_self_similarity(s2, 12, policy="search").period == 8
+
+
+def _reference_search(s, max_steps):
+    """The search as it matched every state before dropping a seen one."""
+    frontier, seen = [(s, [])], {s.canonical_key()}
+    for depth in range(1, max_steps + 1):
+        nxt_frontier = []
+        for cur, log in frontier:
+            for side in (RIGHT, LEFT):
+                try:
+                    nxt, moves = rauzy_step(cur, side)
+                except (NoAdmissibleMove, AmbiguousMove):
+                    continue
+                hit = affine_match(s, nxt)
+                if hit is not None:
+                    return SimilarityReport(depth, *hit, tuple(log + moves))
+                key = nxt.canonical_key()
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt_frontier.append((nxt, log + moves))
+        frontier = nxt_frontier
+    return None
+
+
+def _report_fields(rep):
+    return None if rep is None else (rep.period, rep.contraction, rep.translation, rep.move_log)
+
+
+@pytest.mark.parametrize("which", ["s1", "s2"])
+def test_search_equals_matching_every_state(s1, s2, which):
+    s = {"s1": s1, "s2": s2}[which]
+    for n in range(1, 13):
+        got = detect_self_similarity(s, n, policy="search")
+        assert _report_fields(got) == _report_fields(_reference_search(s, n))
+    assert got is not None
+
+
+@pytest.mark.parametrize("which, steps, states", [("s1", 27, 22), ("s2", 108, 84)])
+def test_search_matches_each_distinct_state_once(s1, s2, which, steps, states, monkeypatch):
+    s = {"s1": s1, "s2": s2}[which]
+    stepped, matched = [], []
+    step, match = iis.rauzy_step, iis.affine_match
+
+    def counted_step(cur, side):
+        out = step(cur, side)
+        stepped.append(out[0].canonical_key())
+        return out
+
+    def counted_match(base, other):
+        matched.append(other.canonical_key())
+        return match(base, other)
+
+    monkeypatch.setattr(iis, "rauzy_step", counted_step)
+    monkeypatch.setattr(iis, "affine_match", counted_match)
+    assert detect_self_similarity(s, 12, policy="search") is not None
+    assert matched == list(dict.fromkeys(stepped))
+    assert (len(stepped), len(matched)) == (steps, states)
+
+
+def test_search_reports_a_return_to_the_start(s1, monkeypatch):
+    # a rebuilt copy: the return is recognised by its key, not its identity
+    copy = IIS(s1.field, s1.support, s1.pairs)
+    monkeypatch.setattr(iis, "rauzy_step", lambda cur, side: (
+        copy, [{"move": "transmit", "side": side, "pair": 0}]))
+    rep = detect_self_similarity(s1, 12, policy="search")
+    assert rep.period == 1
+    assert rep.contraction == s1.field.one and rep.translation.is_zero()
+    assert rep.move_log == ({"move": "transmit", "side": RIGHT, "pair": 0},)
 
 
 @pytest.fixture(scope="module")

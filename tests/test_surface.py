@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thinsections import surface as surface_module
 from thinsections.errors import AuditError, InvalidSystem
 from thinsections.iis import system_field, system_params
 from thinsections.surface import (
@@ -24,6 +25,7 @@ from thinsections.surface import (
     _group_by_plane,
     _into_cell,
     _own_planes,
+    _same_union,
 )
 
 
@@ -345,6 +347,69 @@ def test_symmetry_check_at_drawn_points(ex1, ex2, example, half_shift, offset):
     assert got is _symmetric_by_grid_scan(surf, pt)
     if not any(offset):
         assert got is True
+
+
+def _reference_check_central_symmetry(surface, point):
+    """The check without its plane test: every reflected face is reduced
+    into the cell before any plane is compared."""
+    twice = [2 * p for p in point]
+    reflected = [(axis, tuple((t - hi, t - lo) for t, (lo, hi) in zip(twice, box)))
+                 for axis, box in _faces(surface)]
+    original = _own_planes(surface)
+    image = _group_by_plane(_into_cell(surface, reflected))
+    return original.keys() == image.keys() and all(
+        _same_union(rects, image[key]) for key, rects in original.items())
+
+
+def _symmetry_points(surf):
+    """The centre, the tabulated 3/10 point, the centre moved by 1/10 in
+    x2, and the grid x1, x3 in {0, 1/4, 1/2, 3/4}, x2 in {p2, p2 + 1/10}."""
+    f = surf.field
+    c = central_symmetry_point(surf)
+    x2s = (c[1], c[1] + q(f, 1, 10))
+    return [c, _tabulated_point(surf), (c[0], x2s[1], c[2])] + [
+        (q(f, i, 4), y, q(f, k, 4)) for i in range(4) for y in x2s for k in range(4)]
+
+
+def _counting_into_cell(monkeypatch):
+    calls = []
+    reduce = surface_module._into_cell
+    monkeypatch.setattr(surface_module, "_into_cell",
+                        lambda surf, boxes: calls.append(len(boxes)) or reduce(surf, boxes))
+    return calls
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_symmetry_plane_test_agrees_with_full_reduction(ex1, ex2, example, monkeypatch):
+    surf = ex1 if example == 1 else ex2
+    points = _symmetry_points(surf)
+    want = [_reference_check_central_symmetry(surf, pt) for pt in points]
+    assert want[:3] == [True, False, False]
+    calls = _counting_into_cell(monkeypatch)
+    reached = []
+    for pt, expected in zip(points, want):
+        before = len(calls)
+        assert check_central_symmetry(surf, pt) is expected
+        reached.append(len(calls) > before)
+    # the x1 and x3 planes reject 17 of the 35 points; the x2 shift of
+    # 1/10 keeps them, so the full comparison decides that point
+    assert reached[:3] == [True, False, True]
+    assert sum(reached) == 18
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_failing_planes_reject_without_reducing_a_face(ex1, ex2, example, monkeypatch):
+    surf = ex1 if example == 1 else ex2
+    c = central_symmetry_point(surf)
+    # the tabulated point fails on its x1 planes, the centre moved by 1/10
+    # in x3 on its x3 planes alone
+    points = [_tabulated_point(surf), (c[0], c[1], c[2] + q(surf.field, 1, 10))]
+    assert [_reference_check_central_symmetry(surf, pt) for pt in points] == [False, False]
+    _own_planes(surf)  # the surface's own reduction, cached
+    calls = _counting_into_cell(monkeypatch)
+    for pt in points:
+        assert check_central_symmetry(surf, pt) is False
+    assert calls == []
 
 
 def _into_cell_flooring_every_range(surface, boxes):
