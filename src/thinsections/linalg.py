@@ -3,12 +3,12 @@
 A matrix is a tuple of integer rows (rational entries work too).  The
 matrices are small (nothing above 11x11 in the bundled cycles), so
 everything is plain dense arithmetic: characteristic polynomials via
-the Faddeev-LeVerrier recursion, kernels via Gaussian elimination with
-exact pivot decisions, and Perron roots via real root isolation.
+the Faddeev-LeVerrier recursion, an eigenvector as an adjugate column
+read through the characteristic polynomial, and Perron roots via real
+root isolation.  `bareiss_solve` is the one elimination.
 """
 
 import operator
-import warnings
 from fractions import Fraction
 
 from . import polynomials as P
@@ -63,66 +63,35 @@ def bareiss_solve(rows, rhs):
     return z, prev
 
 
-def kernel_basis(rows):
-    """Kernel basis of a square matrix given as rows of FieldElements.
-
-    Gaussian elimination with exact zero tests; returns a list of basis
-    vectors (each a list of FieldElements).
-    """
-    if not rows:
-        return []
-    field = rows[0][0].field
-    n = len(rows)
-    cols = len(rows[0])
-    a = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, n) if not a[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * cols
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis
-
-
 def eigen_kernel(m, mu):
-    """A nonzero v with (M - mu*I)v = 0, exact over mu's field.
+    """A nonzero v with (M - mu*I)v = 0, exact over mu's field; the
+    eigenspace of mu must be a line.
 
-    Normalized so the first min(3, n) coordinates sum to 1, matching the
-    bundled systems whose eigenvectors are pinned by a unit sum of the
-    first three entries.  Raises NotAnEigenvalue when the kernel is
-    trivial; if the kernel has dimension above 1 a warning is emitted and
-    the first basis vector is returned.
+    p = det(xI - M) = (x - mu) q(x) + p(mu) by synthetic division, and
+    Cayley-Hamilton gives (M - mu I) q(M) = -p(mu) I: for an eigenvalue
+    q(M) = adj(mu I - M), of rank 1 when the kernel is a line and 0 when
+    it is larger.  Its first nonzero column is normalized so the first
+    min(3, n) coordinates sum to 1, matching the bundled systems whose
+    eigenvectors are pinned by a unit sum of the first three entries.
+    Raises NotAnEigenvalue when the kernel is trivial or not a line.
     """
     n = _order(m, "eigen kernel")
     field = mu.field
-    rows = [[field.rational(x) for x in row] for row in m]
-    for i in range(n):
-        rows[i][i] = rows[i][i] - mu
-    basis = kernel_basis(rows)
-    if not basis:
+    q = [field.zero]
+    for c in reversed(char_poly(m)):
+        q.append(mu * q[-1] + c)
+    if not q.pop().is_zero():  # p(mu)
         raise NotAnEigenvalue("kernel is trivial")
-    if len(basis) > 1:
-        warnings.warn(f"kernel dimension {len(basis)} > 1; returning first basis vector")
-    v = basis[0]
+    q = q[:0:-1]  # q_0 .. q_{n-1}
+    for j in range(n):
+        u, v = [int(i == j) for i in range(n)], [field.zero] * n
+        for qk in q:  # v = sum_k q_k M^k e_j
+            v = [x + qk * y for x, y in zip(v, u)]
+            u = [sum(map(operator.mul, row, u)) for row in m]
+        if not all(x.is_zero() for x in v):
+            break
+    else:
+        raise NotAnEigenvalue("eigenspace is not a line")
     s = sum(v[:3], field.zero)
     if s.is_zero():
         raise NotAnEigenvalue("first coordinates sum to zero; cannot normalize")

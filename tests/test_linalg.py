@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bounded_fractions
+from test_gasket import WORDS, _matrix
 from thinsections import polynomials as P
 from thinsections.errors import NegativeEntries, NotAnEigenvalue, NotSquare
 from thinsections.iis import SYSTEM_MATRIX, system_field
 from thinsections.linalg import bareiss_solve, char_poly, eigen_kernel, perron_root_interval
+from thinsections.numberfield import minimal_field, rational_field
 
 N1 = SYSTEM_MATRIX["s1"]
 N2 = SYSTEM_MATRIX["s2"]
@@ -57,7 +60,7 @@ def _reference_char_poly(m):
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=5), st.data())
 def test_char_poly_matches_rational_recursion(n, data):
-    entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    entry = bounded_fractions(9, 12)
     m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     assert char_poly(m) == _reference_char_poly(m)
 
@@ -112,15 +115,126 @@ def test_eigen_kernel_s2():
 
 def test_eigen_kernel_identity():
     field = system_field("s1")
-    with pytest.warns(UserWarning):
-        v = eigen_kernel(((1, 0), (0, 1)), field.one)
-    assert (v[0] + v[1] - field.one).is_zero()
+    with pytest.raises(NotAnEigenvalue, match="not a line"):
+        eigen_kernel(((1, 0), (0, 1)), field.one)
 
 
 def test_eigen_kernel_rejects_non_eigenvalue():
     field = system_field("s1")
     with pytest.raises(NotAnEigenvalue):
         eigen_kernel(N1, field.rational(7))
+
+
+def test_eigen_kernel_needs_a_line_not_a_simple_root():
+    field = system_field("s1")
+    two = field.rational(2)
+    with pytest.raises(NotAnEigenvalue, match="not a line"):
+        eigen_kernel(((2, 0, 0), (0, 2, 0), (0, 0, 5)), two)
+    # a repeated eigenvalue whose eigenspace is a line; adj(2I - M) has a
+    # zero first column
+    v = eigen_kernel(((2, 1, 0), (0, 2, 0), (0, 0, 5)), two)
+    assert v == [field.one, field.zero, field.zero]
+
+
+def test_eigen_kernel_messages():
+    field = system_field("s1")
+    with pytest.raises(NotAnEigenvalue, match="^kernel is trivial$"):
+        eigen_kernel(N1, field.rational(7))
+    # the kernel is spanned by (1, -1, 0)
+    with pytest.raises(NotAnEigenvalue, match="^first coordinates sum to zero; cannot normalize$"):
+        eigen_kernel(((1, 1, 0), (1, 1, 0), (0, 0, 5)), field.zero)
+
+
+def _reference_kernel(m, mu):
+    """Kernel basis of M - mu I by Gauss-Jordan elimination over mu's
+    field, one inverse per pivot."""
+    field, n = mu.field, len(m)
+    a = [[field.rational(x) - (mu if i == j else 0) for j, x in enumerate(row)]
+         for i, row in enumerate(m)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if not a[i][c].is_zero()), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = a[r][c].inverse()
+        a[r] = [x * inv for x in a[r]]
+        for i in range(n):
+            if i != r and not a[i][c].is_zero():
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [field.zero] * n
+        v[fc] = field.one
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _reference_eigen_kernel(m, mu):
+    """The first kernel basis vector, scaled to a unit sum of its first
+    three coordinates."""
+    basis = _reference_kernel(m, mu)
+    if not basis:
+        raise NotAnEigenvalue("kernel is trivial")
+    v = basis[0]
+    s = sum(v[:3], mu.field.zero)
+    if s.is_zero():
+        raise NotAnEigenvalue("first coordinates sum to zero; cannot normalize")
+    inv = s.inverse()
+    return [x * inv for x in v]
+
+
+def _outcome(kernel, m, mu):
+    """The residues of kernel(m, mu), or the message it raised."""
+    try:
+        return [x.coeffs for x in kernel(m, mu)]
+    except NotAnEigenvalue as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+def test_eigen_kernel_matches_elimination_on_bundled_systems(name):
+    m, mu = SYSTEM_MATRIX[name], system_field(name).gen
+    assert _outcome(eigen_kernel, m, mu) == _outcome(_reference_eigen_kernel, m, mu)
+
+
+def test_eigen_kernel_matches_elimination_on_the_gasket():
+    for word in WORDS:
+        m = _matrix(word)
+        cp = char_poly(m)
+        mu = minimal_field(cp, P.isolate_real_roots(cp)[-1]).gen
+        assert _outcome(eigen_kernel, m, mu) == _outcome(_reference_eigen_kernel, m, mu), word
+
+
+def test_eigen_kernel_matches_elimination_on_rational_entries():
+    m = [[Fraction(x, 2) for x in row] for row in N1]
+    mu = system_field("s1").gen / 2
+    v = _outcome(eigen_kernel, m, mu)
+    assert isinstance(v, list) and v == _outcome(_reference_eigen_kernel, m, mu)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_eigen_kernel_matches_elimination_where_the_kernel_is_a_line(n, data):
+    lam = data.draw(st.integers(min_value=-3, max_value=3))
+    entries = st.lists(int_entries, min_size=n, max_size=n)
+    rows = data.draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    mix = data.draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n - 1, max_size=n - 1))
+    # one row of M - lam I combines the others, so lam is an eigenvalue
+    rows.insert(data.draw(st.integers(min_value=0, max_value=n - 1)),
+                [sum(c * x for c, x in zip(mix, col)) for col in zip(*rows)] or [0])
+    m = [[x + lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    mu = rational_field().rational(lam)
+    if len(_reference_kernel(m, mu)) == 1:
+        assert _outcome(eigen_kernel, m, mu) == _outcome(_reference_eigen_kernel, m, mu)
+    else:
+        with pytest.raises(NotAnEigenvalue, match="not a line"):
+            eigen_kernel(m, mu)
 
 
 def test_perron_roots_of_length_matrices():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bounded_fractions
 from thinsections import polynomials as P
 
 # x^4 - x^3 - 4x^2 + 5x - 1 and its factors (x - 1)(x^3 - 4x + 1)
@@ -12,7 +13,7 @@ QUARTIC = P.poly([-1, 5, -4, -1, 1])
 CUBIC = P.poly([1, -4, 0, 1])
 LINEAR = P.poly([-1, 1])
 
-small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+small_fracs = bounded_fractions(4, 8)
 polys = st.lists(small_fracs, min_size=0, max_size=6).map(P.poly)
 
 

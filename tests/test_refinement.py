@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bounded_fractions
 from thinsections import polynomials as P
 from thinsections.errors import AuditError
 from thinsections.iis import system_field
@@ -118,7 +119,7 @@ def _reference_exact_sign(x):
 
 widths = st.builds(lambda num, bits: Fraction(num, 2 ** bits),
                    st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=0, max_value=420))
-coeffs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=27), max_size=5)
+coeffs = st.lists(bounded_fractions(9, 27), max_size=5)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))

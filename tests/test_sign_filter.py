@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bounded_fractions
 from thinsections import polynomials as P
 from thinsections.bands import Band, BandComplex, BandEnd, SupportArc
 from thinsections.errors import DivisionByZero, InvalidSystem
@@ -57,7 +58,7 @@ FIELDS = {
     "degree 1 non-monic": lambda: NumberField([-1, 3], (Fraction(0), Fraction(1))),
 }
 
-coeff = st.fractions(min_value=-9, max_value=9, max_denominator=27)
+coeff = bounded_fractions(9, 27)
 coeff_lists = st.lists(coeff, max_size=7)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bounded_fractions
 from thinsections import surface as surface_module
 from thinsections.errors import AuditError, InvalidSystem
 from thinsections.iis import system_field, system_params
@@ -286,7 +287,7 @@ def _symmetric_by_grid_scan(surface, point):
     return True
 
 
-small_share = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+small_share = bounded_fractions(2, 6)
 
 
 @st.composite
@@ -431,7 +432,7 @@ def _into_cell_flooring_every_range(surface, boxes):
     return boxes
 
 
-cell_coord = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=12)] * 3)
+cell_coord = st.tuples(*[bounded_fractions(3, 12)] * 3)
 cell_share = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
